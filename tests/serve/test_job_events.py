@@ -25,6 +25,7 @@ from repro.serve import (
 )
 
 from .client import http_json, http_request
+from .hold import stalled_first_stage
 
 
 def run(coro):
@@ -166,12 +167,17 @@ class TestStreamReportsTruncation:
             service = SynthesisService(port=0, concurrency=1, event_cap=4)
             host, port = await service.start()
             try:
-                _, job = await http_json(
-                    host, port, "POST", "/jobs", {"circuits": ["alu2"]}
-                )
-                status, raw = await http_request(
-                    host, port, "GET", f"/jobs/{job['id']}/events"
-                )
+                # Hold the job until the follower below has attached: a
+                # job that finishes first truncates its log before the
+                # live follow starts.
+                with stalled_first_stage("alu2") as hold:
+                    _, job = await http_json(
+                        host, port, "POST", "/jobs", {"circuits": ["alu2"]}
+                    )
+                    status, raw = await http_request(
+                        host, port, "GET", f"/jobs/{job['id']}/events"
+                    )
+                assert hold.stats()["fired"] == 1
                 assert status == 200
                 live = [json.loads(line) for line in raw.decode().splitlines()]
                 # The live follow saw everything: no truncation line.

@@ -17,6 +17,7 @@ from repro.flows import BatchConfig, run_batch
 from repro.serve import SynthesisService
 
 from .client import HttpClient, http_json, http_request, poll_job
+from .hold import stalled_first_stage
 
 CIRCUITS = ["alu2", "f51m"]
 
@@ -40,20 +41,23 @@ class TestEndToEnd:
         the survivor's report must be byte-identical to run_batch."""
 
         async def scenario(service, host, port):
-            status, first = await http_json(
-                host, port, "POST", "/jobs", {"circuits": CIRCUITS}
-            )
-            assert status == 202
-            assert first["status"] in ("queued", "running")
             # Concurrency is 1, so the second job queues behind the
-            # first — cancelling it must not disturb the survivor.
-            status, second = await http_json(
-                host, port, "POST", "/jobs", {"circuits": ["vda"]}
-            )
-            assert status == 202
-            status, cancelled = await http_json(
-                host, port, "POST", f"/jobs/{second['id']}/cancel"
-            )
+            # first — cancelling it must not disturb the survivor.  The
+            # first job is held so the cancel lands while the second
+            # one is still queued.
+            with stalled_first_stage(CIRCUITS[0]):
+                status, first = await http_json(
+                    host, port, "POST", "/jobs", {"circuits": CIRCUITS}
+                )
+                assert status == 202
+                assert first["status"] in ("queued", "running")
+                status, second = await http_json(
+                    host, port, "POST", "/jobs", {"circuits": ["vda"]}
+                )
+                assert status == 202
+                status, cancelled = await http_json(
+                    host, port, "POST", f"/jobs/{second['id']}/cancel"
+                )
             assert status == 200
             assert cancelled["status"] == "cancelled"
 
@@ -220,14 +224,15 @@ class TestProtocolErrors:
 
     def test_result_before_done_is_conflict(self):
         async def scenario(service, host, port):
-            # alu2 takes long enough that the result request lands
-            # while the job is still queued or running.
-            _, job = await http_json(
-                host, port, "POST", "/jobs", {"circuits": ["alu2"]}
-            )
-            status, payload = await http_json(
-                host, port, "GET", f"/jobs/{job['id']}/result"
-            )
+            # Hold the job so the result request lands while it is
+            # still queued or running.
+            with stalled_first_stage("alu2"):
+                _, job = await http_json(
+                    host, port, "POST", "/jobs", {"circuits": ["alu2"]}
+                )
+                status, payload = await http_json(
+                    host, port, "GET", f"/jobs/{job['id']}/result"
+                )
             assert status == 409
             assert "no result" in payload["error"]
             await poll_job(host, port, job["id"])
