@@ -6,16 +6,23 @@ decomposition with special node classes:
 * **1-dominators** — every path from the root to terminal 1 passes
   through them; they certify a conjunctive (AND) decomposition.
 * **0-dominators** — dual, certifying a disjunctive (OR) decomposition.
-* **x-dominators** — certifying an XOR/XNOR decomposition.
+* **x-dominators** — certifying an XOR decomposition.
 
-This module finds candidate nodes structurally (cut nodes, computed in
-:mod:`repro.bdd.substitute`) and then *certifies* each candidate
-functionally: the upper function is built by replacing the candidate
-with a constant and the claimed identity (``F = g·h``, ``F = g+h`` or
-``F = g⊕h``) is checked by canonical BDD equality.  A certified
-decomposition is correct by construction — the structural conditions
-are only a search filter, so subtle interactions with complemented
-edges cannot produce wrong decompositions.
+Candidates are certified *functionally*: the upper function is built by
+replacing the candidate with a constant and the claimed identity
+(``F = g·h``, ``F = g+h`` or ``F = g⊕h``) is checked by canonical BDD
+equality.  A certified decomposition is correct by construction, so
+subtle interactions with complemented edges cannot produce wrong
+decompositions.
+
+The XOR identity ``F == F[d:=0] ⊕ func(d)`` holds exactly at the cut
+nodes of :func:`repro.bdd.substitute.cut_nodes` (nodes on every
+root-to-terminal path).  A path through ``d`` arriving with parity
+``p`` computes ``p ⊕ h`` where ``F[d:=0]`` computes ``p``; a path
+avoiding ``d`` is chosen by the variables above ``d`` alone, so the
+identity there would force ``h ≡ 0``.  The XNOR form never holds for a
+reachable node.  XOR candidates are therefore only the cut nodes, found
+in one structural pass; each is still certified.
 
 It also provides :func:`xor_split`, the "balanced XOR decomposition"
 primitive that BDS-MAJ's cyclic optimization (γ-phase, Theorem 3.4)
@@ -24,10 +31,11 @@ uses to derive the K and M functions from ``Fb ⊕ Fc``.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 
 from .manager import BDD
-from .substitute import function_at, path_dominators, replace_node
+from .substitute import cut_nodes, function_at, replace_node
 
 #: Decomposition kinds certified by this module.
 KIND_AND = "and"
@@ -56,7 +64,9 @@ class DominatorDecomposition:
         )
 
 
-def classify_cut_node(mgr: BDD, root: int, node_index: int) -> DominatorDecomposition | None:
+def classify_cut_node(
+    mgr: BDD, root: int, node_index: int, cut: Container[int]
+) -> DominatorDecomposition | None:
     """Certify the decomposition induced by ``node_index`` in ``root``.
 
     Conceptually the node is replaced by a fresh variable ``y`` giving
@@ -67,6 +77,10 @@ def classify_cut_node(mgr: BDD, root: int, node_index: int) -> DominatorDecompos
     reached along paths of odd parity, so ``h`` may participate
     complemented.  Each candidate identity is certified by canonical BDD
     equality; complement variants are folded into ``lower``.
+
+    ``cut`` holds ``root``'s cut nodes (:func:`cut_nodes`): the XOR
+    identity can only hold there, so its ``xor`` build is skipped for
+    other nodes.  It is only consulted when no AND/OR identity holds.
 
     Returns the first certified decomposition or ``None``.
     """
@@ -81,13 +95,25 @@ def classify_cut_node(mgr: BDD, root: int, node_index: int) -> DominatorDecompos
         return DominatorDecomposition(KIND_OR, node_index, upper_zero, lower)
     if root == mgr.or_(upper_one, lower ^ 1):
         return DominatorDecomposition(KIND_OR, node_index, upper_one, lower ^ 1)
-    xor_value = mgr.xor(upper_zero, lower)
-    if root == xor_value:
+    if node_index in cut and root == mgr.xor(upper_zero, lower):
         return DominatorDecomposition(KIND_XOR, node_index, upper_zero, lower)
-    if root == xor_value ^ 1:
-        # F = g XNOR h == g XOR h'; fold the complement into the lower part.
-        return DominatorDecomposition(KIND_XOR, node_index, upper_zero, lower ^ 1)
     return None
+
+
+class _CutSet:
+    """The cut nodes of ``root``, computed on the first membership test:
+    most roots of AND/OR-heavy logic certify every node as AND or OR
+    and never ask."""
+
+    def __init__(self, mgr: BDD, root: int) -> None:
+        self._mgr = mgr
+        self._root = root
+        self._nodes: set[int] | None = None
+
+    def __contains__(self, node_index: object) -> bool:
+        if self._nodes is None:
+            self._nodes = set(cut_nodes(self._mgr, self._root))
+        return node_index in self._nodes
 
 
 def find_simple_decompositions(mgr: BDD, root: int) -> list[DominatorDecomposition]:
@@ -103,11 +129,12 @@ def find_simple_decompositions(mgr: BDD, root: int) -> list[DominatorDecompositi
     which subsumes the parity-aware 0-/1-/x-dominator definitions.
     """
     root_index = root >> 1
+    cut = _CutSet(mgr, root)
     result = []
     for node_index in mgr.nodes_reachable([root]):
         if node_index == root_index:
             continue
-        decomposition = classify_cut_node(mgr, root, node_index)
+        decomposition = classify_cut_node(mgr, root, node_index, cut)
         if decomposition is not None:
             result.append(decomposition)
     return result
@@ -123,10 +150,10 @@ def best_simple_decomposition(
         candidates = find_simple_decompositions(mgr, root)
     best = None
     best_score = None
+    total = mgr.size(root)
     for decomposition in candidates:
         upper_size = mgr.size(decomposition.upper)
         lower_size = mgr.size(decomposition.lower)
-        total = mgr.size(root)
         if upper_size >= total or lower_size >= total:
             continue  # no structural progress; would not terminate
         score = (max(upper_size, lower_size), upper_size + lower_size)
@@ -152,25 +179,21 @@ def find_xor_decompositions(mgr: BDD, root: int) -> list[DominatorDecomposition]
     """XOR-only variant of :func:`find_simple_decompositions`.
 
     The balancing phase of the majority optimization only needs XOR
-    splits, and it runs inside Algorithm 1's innermost loop — checking
-    just the two XOR identities per node is ~3x cheaper than the full
-    classification.
+    splits, and it runs inside Algorithm 1's innermost loop.  Only the
+    cut nodes can certify (see the module docstring), so each of them,
+    in :meth:`BDD.nodes_reachable` order, gets one ``replace_node`` and
+    one ``xor``; the scan is linear plus that work per cut node.
     """
-    root_index = root >> 1
+    cut = set(cut_nodes(mgr, root))
     result = []
     for node_index in mgr.nodes_reachable([root]):
-        if node_index == root_index:
+        if node_index not in cut:
             continue
         lower = function_at(mgr, node_index)
         upper_zero = replace_node(mgr, root, node_index, mgr.ZERO)
-        xor_value = mgr.xor(upper_zero, lower)
-        if root == xor_value:
+        if root == mgr.xor(upper_zero, lower):
             result.append(
                 DominatorDecomposition(KIND_XOR, node_index, upper_zero, lower)
-            )
-        elif root == xor_value ^ 1:
-            result.append(
-                DominatorDecomposition(KIND_XOR, node_index, upper_zero, lower ^ 1)
             )
     return result
 
@@ -182,40 +205,52 @@ def xor_split(mgr: BDD, f: int, max_dominator_nodes: int = 150) -> tuple[int, in
     """Split ``f`` into ``(M, K)`` with ``M ⊕ K == f``, preferring a
     balanced pair (similar BDD sizes, both smaller than ``f``).
 
-    Strategy, in order of preference:
+    Candidates are scored by ``(max size, |size difference|)``; the
+    first one with the lowest score wins.  In order:
 
-    1. x-dominator decomposition of ``f`` (disjoint XOR split), skipped
-       above ``max_dominator_nodes`` where the O(N^2) candidate scan
-       would dominate runtime;
-    2. the disjoint variable split ``f = (v·f|v) ⊕ (v'·f|v')`` over the
-       best variable ``v`` of the support;
-    3. the trivial split ``(f, 0)``.
+    1. x-dominator decompositions of ``f`` (disjoint XOR splits), only
+       while ``f`` has at most ``max_dominator_nodes`` nodes.  The scan
+       is linear, so the cap does not bound runtime; it decides which
+       candidates compete, and so the results;
+    2. the disjoint variable split ``f = (v·f|v) ⊕ (v'·f|v')`` for
+       every variable ``v`` of the support, in level order.  These are
+       scored with :meth:`BDD.literal_and_size`, and only the winner's
+       two products are built.
+
+    A constant ``f`` splits trivially into ``(f, 0)``.
     """
     if mgr.is_constant(f):
         return f, mgr.ZERO
 
-    best: tuple[int, int] | None = None
+    # ``best_pair`` is (M, K), or the winning variable's cofactors
+    # (f|v, f|v') when ``best_level`` is set.
+    best_pair = (f, mgr.ZERO)
+    best_level: int | None = None
     best_score: tuple[int, int] | None = None
 
-    def consider(m_edge: int, k_edge: int) -> None:
-        nonlocal best, best_score
-        m_size = mgr.size(m_edge)
-        k_size = mgr.size(k_edge)
+    def consider(pair: tuple[int, int], m_size: int, k_size: int, level: int | None) -> None:
+        nonlocal best_pair, best_level, best_score
         score = (max(m_size, k_size), abs(m_size - k_size))
         if best_score is None or score < best_score:
-            best = (m_edge, k_edge)
-            best_score = score
+            best_pair, best_level, best_score = pair, level, score
 
     if mgr.size(f) <= max_dominator_nodes:
         for decomposition in find_xor_decompositions(mgr, f):
-            consider(decomposition.upper, decomposition.lower)
+            m, k = decomposition.upper, decomposition.lower
+            consider((m, k), mgr.size(m), mgr.size(k), None)
 
     for level in sorted(mgr.support_levels(f)):
-        variable = mgr.var_at(level)
         high = mgr.cofactor(f, level, True)
         low = mgr.cofactor(f, level, False)
-        consider(mgr.and_(variable, high), mgr.and_(variable ^ 1, low))
+        consider(
+            (high, low),
+            mgr.literal_and_size(high, level),
+            mgr.literal_and_size(low, level),
+            level,
+        )
 
-    if best is None:
-        return f, mgr.ZERO
-    return best
+    if best_level is None:
+        return best_pair
+    variable = mgr.var_at(best_level)
+    high, low = best_pair
+    return mgr.and_(variable, high), mgr.and_(variable ^ 1, low)

@@ -1697,6 +1697,34 @@ class BDD:
             stack.append(self._low[index] >> 1)
         return len(seen)
 
+    def literal_and_size(self, g: int, level: int) -> int:
+        """``size(and_(±var_at(level), g))`` for ``g`` independent of the
+        variable at ``level``, counted without building the product.
+
+        Above ``level`` the product has one node per distinct
+        (polarity-tagged) edge of ``g`` there, because ``e -> v·e`` is
+        injective on functions free of ``v``.  Each non-ZERO edge that
+        crosses ``level`` becomes one node at ``level``, and the nodes
+        below are shared as they are.  Both literal polarities give the
+        same count.
+        """
+        levels = self._level
+        above: set[int] = set()
+        frontier: set[int] = set()
+        stack = [g]
+        while stack:
+            e = stack.pop()
+            index = e >> 1
+            if levels[index] > level:  # the terminal's level is the largest
+                frontier.add(e)
+            elif e not in above:
+                above.add(e)
+                complement = e & 1
+                stack.append(self._high[index] ^ complement)
+                stack.append(self._low[index] ^ complement)
+        frontier.discard(self.ZERO)
+        return len(above) + len(frontier) + self.size_many(frontier)
+
     def support_levels(self, edge: int) -> set[int]:
         """Set of variable levels ``edge`` depends on."""
         seen: set[int] = set()

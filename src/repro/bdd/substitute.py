@@ -6,7 +6,9 @@ the BDD of ``F`` and conceptually cuts the graph there: the function
 replacing references to ``d`` with a constant (or, in general, any
 function).  :func:`replace_node` performs that rewrite; dominator
 classification in :mod:`repro.bdd.dominators` then certifies candidate
-decompositions with exact BDD equality checks.
+decompositions with exact BDD equality checks.  :func:`cut_nodes`
+finds, in one pass, the nodes on every root-to-terminal path: the only
+places an XOR decomposition can be certified.
 
 :func:`edge_statistics` computes per-node fan-in counts (regular /
 complemented, 0-edge / 1-edge) needed by the m-dominator criteria of
@@ -16,6 +18,7 @@ BDS-MAJ Section III.B.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .manager import BDD
 
@@ -154,9 +157,38 @@ def path_dominators(mgr: BDD, root: int) -> PathDominators:
 
 
 def cut_nodes(mgr: BDD, root: int) -> list[int]:
-    """Nodes on *every* root-to-terminal path (both parities); see
-    :func:`path_dominators`."""
-    return sorted(path_dominators(mgr, root).all_paths)
+    """Nodes on *every* root-to-terminal path (both parities), sorted,
+    root excluded: ``sorted(path_dominators(mgr, root).all_paths)`` in
+    one pass.
+
+    Levels strictly increase along a path, so a path avoids node ``d``
+    exactly when it crosses ``level(d)`` through another node there or
+    along an edge that jumps over that level.  ``d`` is therefore a cut
+    node iff it is the only reachable node at its level and no
+    reachable edge jumps over it (the terminal counts as the last
+    level).  Jumped-over levels are tallied with a difference array.
+    """
+    nodes = mgr.nodes_reachable([root])
+    if not nodes:
+        return []
+    fields = [mgr.node_fields(index) for index in nodes]
+    level_of = {index: level for index, (level, _, _) in zip(nodes, fields)}
+    bottom = max(level_of.values()) + 1
+    level_of[0] = bottom  # the terminal's row
+    width = [0] * bottom  # reachable nodes per level
+    jumps = [0] * (bottom + 1)  # difference array of edges spanning a level
+    for level, high, low in fields:
+        width[level] += 1
+        jumps[level + 1] += 2
+        jumps[level_of[high >> 1]] -= 1
+        jumps[level_of[low >> 1]] -= 1
+    spanning = list(accumulate(jumps))
+    root_index = root >> 1
+    return sorted(
+        index
+        for index, (level, _, _) in zip(nodes, fields)
+        if index != root_index and width[level] == 1 and spanning[level] == 0
+    )
 
 
 def _terminal_parities_avoiding(mgr: BDD, root: int, banned: int) -> set[int]:

@@ -14,9 +14,12 @@ from repro.bdd import (
     KIND_XOR,
     best_simple_decomposition,
     find_simple_decompositions,
+    function_at,
+    replace_node,
     simple_dominator_nodes,
     xor_split,
 )
+from repro.bdd.dominators import find_xor_decompositions
 
 from ..conftest import random_function
 
@@ -170,3 +173,131 @@ def test_property_all_decompositions_certified(table):
         else:
             rebuilt = mgr.xor(decomposition.upper, decomposition.lower)
         assert rebuilt == f
+
+
+# ----------------------------------------------------------------------
+# Oracles: the exhaustive per-node scans the linear-time code replaced
+# ----------------------------------------------------------------------
+def _exhaustive_xor_scan(mgr: BDD, root: int) -> list[tuple[int, int, int, str]]:
+    """Certify XOR *and* XNOR at every non-root node:
+    ``(node, upper, lower, "xor" | "xnor")`` in reachability order."""
+    found = []
+    for node_index in mgr.nodes_reachable([root]):
+        if node_index == root >> 1:
+            continue
+        lower = function_at(mgr, node_index)
+        upper_zero = replace_node(mgr, root, node_index, mgr.ZERO)
+        xor_value = mgr.xor(upper_zero, lower)
+        if root == xor_value:
+            found.append((node_index, upper_zero, lower, "xor"))
+        elif root == xor_value ^ 1:
+            found.append((node_index, upper_zero, lower ^ 1, "xnor"))
+    return found
+
+
+def _exhaustive_classify(mgr: BDD, root: int, node_index: int):
+    """Full AND/OR/XOR/XNOR certification of one node, no cut filter."""
+    lower = function_at(mgr, node_index)
+    upper_one = replace_node(mgr, root, node_index, mgr.ONE)
+    upper_zero = replace_node(mgr, root, node_index, mgr.ZERO)
+    if root == mgr.and_(upper_one, lower):
+        return (KIND_AND, node_index, upper_one, lower)
+    if root == mgr.and_(upper_zero, lower ^ 1):
+        return (KIND_AND, node_index, upper_zero, lower ^ 1)
+    if root == mgr.or_(upper_zero, lower):
+        return (KIND_OR, node_index, upper_zero, lower)
+    if root == mgr.or_(upper_one, lower ^ 1):
+        return (KIND_OR, node_index, upper_one, lower ^ 1)
+    xor_value = mgr.xor(upper_zero, lower)
+    if root == xor_value:
+        return (KIND_XOR, node_index, upper_zero, lower)
+    if root == xor_value ^ 1:
+        return (KIND_XOR, node_index, upper_zero, lower ^ 1)
+    return None
+
+
+def _built_xor_split(mgr: BDD, f: int, max_dominator_nodes: int = 150) -> tuple[int, int]:
+    """``xor_split`` as it was: every candidate scored on built edges."""
+    if mgr.is_constant(f):
+        return f, mgr.ZERO
+    best = None
+    best_score = None
+    candidates = []
+    if mgr.size(f) <= max_dominator_nodes:
+        candidates += [(upper, lower) for _, upper, lower, _ in _exhaustive_xor_scan(mgr, f)]
+    for level in sorted(mgr.support_levels(f)):
+        variable = mgr.var_at(level)
+        high = mgr.cofactor(f, level, True)
+        low = mgr.cofactor(f, level, False)
+        candidates.append((mgr.and_(variable, high), mgr.and_(variable ^ 1, low)))
+    for m_edge, k_edge in candidates:
+        m_size = mgr.size(m_edge)
+        k_size = mgr.size(k_edge)
+        score = (max(m_size, k_size), abs(m_size - k_size))
+        if best_score is None or score < best_score:
+            best = (m_edge, k_edge)
+            best_score = score
+    return best
+
+
+_functions = st.tuples(
+    st.integers(min_value=0, max_value=(1 << 32) - 1),
+    st.integers(min_value=2, max_value=6),
+    st.booleans(),
+)
+
+
+def _draw(spec) -> tuple[BDD, int]:
+    """A manager over a..f and a random (possibly complemented) root."""
+    seed, depth, negate = spec
+    mgr = BDD(list("abcdef"))
+    return mgr, random_function(mgr, "abcdef", random.Random(seed), depth) ^ int(negate)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_functions)
+def test_property_xor_candidates_match_exhaustive_scan(spec):
+    mgr, f = _draw(spec)
+    if mgr.is_constant(f):
+        return
+    exhaustive = _exhaustive_xor_scan(mgr, f)
+    assert all(kind == "xor" for *_, kind in exhaustive)  # XNOR never certifies
+    found = [(d.node, d.upper, d.lower) for d in find_xor_decompositions(mgr, f)]
+    assert found == [(node, upper, lower) for node, upper, lower, _ in exhaustive]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_functions)
+def test_property_simple_decompositions_match_exhaustive_classification(spec):
+    mgr, f = _draw(spec)
+    if mgr.is_constant(f):
+        return
+    expected = [
+        found
+        for node in mgr.nodes_reachable([f])[1:]
+        if (found := _exhaustive_classify(mgr, f, node)) is not None
+    ]
+    found = [(d.kind, d.node, d.upper, d.lower) for d in find_simple_decompositions(mgr, f)]
+    assert found == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_functions)
+def test_property_literal_and_size_counts_the_product(spec):
+    mgr, f = _draw(spec)
+    for level in range(mgr.num_vars):
+        variable = mgr.var_at(level)
+        for value in (True, False):
+            g = mgr.cofactor(f, level, value)
+            size = mgr.literal_and_size(g, level)
+            assert size == mgr.size(mgr.and_(variable, g))
+            assert size == mgr.size(mgr.and_(variable ^ 1, g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_functions, cap=st.sampled_from([0, 4, 150]))
+def test_property_xor_split_matches_built_scoring(spec, cap):
+    mgr, f = _draw(spec)
+    split = xor_split(mgr, f, max_dominator_nodes=cap)
+    assert split == _built_xor_split(mgr, f, max_dominator_nodes=cap)
+    assert mgr.xor(*split) == f

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bdd import (
     BDD,
@@ -147,6 +149,16 @@ class TestPathDominators:
         c_node = mgr.var("c") >> 1
         assert c_node in doms.to_one
 
+    def test_edge_over_a_level_breaks_the_cut(self, mgr):
+        # a ? b : c -- a's low edge jumps over b's level and b's edges
+        # jump over c's level to the terminal: no cut node at all.
+        f = mgr.from_expr("a & b | ~a & c")
+        assert cut_nodes(mgr, f) == []
+        # (a | b) ^ c: a's low edge reaches b, its high edge jumps to
+        # the c level, where a single node (in both polarities) sits.
+        g = mgr.from_expr("(a | b) ^ c")
+        assert cut_nodes(mgr, g) == [mgr.var("c") >> 1]
+
     def test_xor_tail_is_all_path_dominator(self, mgr):
         # (a xor b) xor c: every path must consult c.
         f = mgr.from_expr("(a ^ b) ^ c")
@@ -177,3 +189,17 @@ def _parity_paths_avoiding(mgr: BDD, root: int, banned: int, parity: int) -> int
         return walk(high >> 1, acc ^ (high & 1)) + walk(low >> 1, acc ^ (low & 1))
 
     return walk(root >> 1, root & 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=(1 << 32) - 1),
+    depth=st.integers(min_value=2, max_value=6),
+    negate=st.booleans(),
+)
+def test_property_cut_nodes_match_path_dominators(seed, depth, negate):
+    """The one-pass structural cut equals the per-candidate
+    reachability definition, complemented roots included."""
+    mgr = BDD(list("abcdef"))
+    f = random_function(mgr, "abcdef", random.Random(seed), depth) ^ int(negate)
+    assert cut_nodes(mgr, f) == sorted(path_dominators(mgr, f).all_paths)
