@@ -124,7 +124,7 @@ class Aig:
 
     def num_nodes(self) -> int:
         """Total AND nodes ever created (including dead ones)."""
-        return sum(1 for entry in self._fanins if entry is not None)
+        return len(self._fanins) - 1 - len(self._pi_nodes)
 
     # ------------------------------------------------------------------
     # Analysis

@@ -65,6 +65,19 @@ class TestAigCore:
         assert aig.num_nodes() == 2
         assert aig.size() == 1
 
+    def test_num_nodes_counts_ands_with_strash_hits_and_late_inputs(self):
+        aig = Aig()
+        a, b = aig.add_input("a"), aig.add_input("b")
+        ab = aig.and_(a, b)
+        assert aig.and_(b, a) == ab  # strash hit: no new node
+        c = aig.add_input("c")  # declared after an AND node
+        aig.and_(ab, c)
+        aig.and_(a, a ^ 1)  # folded: no new node
+        d = aig.add_input("d")
+        aig.and_(c ^ 1, d)
+        assert aig.num_nodes() == 3
+        assert aig.num_nodes() == sum(1 for node in range(8) if aig.is_and(node))
+
     def test_cleanup_drops_dead_logic(self):
         aig = Aig()
         a, b = aig.add_input("a"), aig.add_input("b")
