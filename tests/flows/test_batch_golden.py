@@ -6,9 +6,9 @@ mcnc`` with the default policy (``reorder="once"``).  Node counts,
 decomposition steps and op-cache counters must stay **byte-identical**
 to it; the ``converge``/``dynamic`` reordering policies are strictly
 opt-in and move nothing published.  The golden was last regenerated
-when the x-dominator scan and the variable-split scoring of
-``xor_split`` stopped building BDDs they only measured: every QoR field
-stayed the same and only the ``cache`` counters fell.
+when the simple-dominator scan stopped certifying AND/OR identities
+that the nodes' reference parities rule out: every QoR field stayed
+the same and only the ``cache`` counters fell.
 
 If an intentional change moves these numbers, regenerate the golden
 with::
