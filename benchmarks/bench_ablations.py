@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import get_pipeline
 from repro.benchgen import multiply_accumulate
 from repro.core import EngineConfig, MajorityConfig, MDominatorConfig
-from repro.flows import BdsFlowConfig, bds_optimize, bdsmaj_flow
+from repro.flows import BdsFlowConfig
 from repro.mapping import nand_only_library
 
 from conftest import run_once
@@ -25,8 +26,7 @@ def mac_network():
 
 def total_nodes(network, engine_config: EngineConfig) -> dict[str, int]:
     config = BdsFlowConfig(engine=engine_config)
-    _, counts, _ = bds_optimize(network, config)
-    return counts
+    return get_pipeline("bds-maj").optimize_prefix().run_context(network, config).node_counts
 
 
 @pytest.mark.parametrize("global_k", [1.0, 1.3, 1.6, 2.0, 3.0])
@@ -92,9 +92,9 @@ def test_ablation_nand_only_library(benchmark):
 
     def run():
         network = mac_network()
-        full = bdsmaj_flow(network)
+        full = get_pipeline("bds-maj").run(network)
         slim_config = BdsFlowConfig(library=nand_only_library())
-        slim = bdsmaj_flow(network, slim_config)
+        slim = get_pipeline("bds-maj").run(network, slim_config)
         return full, slim
 
     full, slim = run_once(benchmark, run)

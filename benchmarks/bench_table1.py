@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import get_pipeline
 from repro.benchgen import BENCHMARKS, build_benchmark
-from repro.flows import BdsFlowConfig, bds_optimize
 
 from conftest import run_once
 
@@ -22,17 +22,15 @@ ALL_KEYS = list(BENCHMARKS)
 _RESULTS: dict[tuple[str, str], dict[str, int]] = {}
 
 
-def _decompose(network, enable_majority: bool):
-    config = BdsFlowConfig(enable_majority=enable_majority, verify=False)
-    _, counts, _ = bds_optimize(network, config)
-    return counts
+def _decompose(network, tool: str):
+    return get_pipeline(tool).optimize_prefix().run_context(network).node_counts
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
 @pytest.mark.parametrize("tool", ["bds-maj", "bds-pga"])
 def bench_table1_decomposition(benchmark, key, tool):
     network = build_benchmark(key)
-    counts = run_once(benchmark, _decompose, network, tool == "bds-maj")
+    counts = run_once(benchmark, _decompose, network, tool)
     _RESULTS[(key, tool)] = counts
     benchmark.extra_info.update(
         benchmark_name=BENCHMARKS[key].display,
@@ -57,7 +55,7 @@ def test_table1_headline_claims(benchmark):
             for tool in ("bds-maj", "bds-pga"):
                 if (key, tool) not in _RESULTS:
                     network = build_benchmark(key)
-                    _RESULTS[(key, tool)] = _decompose(network, tool == "bds-maj")
+                    _RESULTS[(key, tool)] = _decompose(network, tool)
         maj_totals = [sum(_RESULTS[(k, "bds-maj")].values()) for k in ALL_KEYS]
         pga_totals = [sum(_RESULTS[(k, "bds-pga")].values()) for k in ALL_KEYS]
         maj_nodes = [_RESULTS[(k, "bds-maj")]["maj"] for k in ALL_KEYS]

@@ -15,9 +15,9 @@ import os
 
 import pytest
 
+from repro.api import get_pipeline
 from repro.benchgen import BENCHMARKS, build_benchmark
 from repro.experiments.table2 import FLOW_ORDER, _flow_config
-from repro.flows import FLOWS
 
 from conftest import run_once
 
@@ -39,9 +39,8 @@ _RESULTS: dict[tuple[str, str], tuple[float, int, float]] = {}
 
 
 def _synthesize(network, flow_name: str):
-    flow = FLOWS[flow_name]
     config = _flow_config(flow_name, quick=False, verify=False)
-    return flow(network, config)
+    return get_pipeline(flow_name).run(network, config)
 
 
 @pytest.mark.parametrize("key", KEYS)

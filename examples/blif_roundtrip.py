@@ -13,8 +13,8 @@ Run:  python examples/blif_roundtrip.py [--blif my_circuit.blif]
 import argparse
 import io
 
+from repro.api import get_pipeline
 from repro.benchgen import carry_lookahead_adder
-from repro.flows import bdsmaj_flow
 from repro.network import check_equivalence, parse_blif, to_blif
 
 
@@ -34,7 +34,7 @@ def main() -> None:
               f"({len(text.splitlines())} lines)")
         network = parse_blif(text)
 
-    result = bdsmaj_flow(network)
+    result = get_pipeline("bds-maj").run(network)
     print(
         f"BDS-MAJ: {result.total_nodes} nodes "
         f"{result.node_counts}, mapped to {result.timing.gate_count} cells, "

@@ -10,8 +10,8 @@ datapath circuits.
 Run:  python examples/control_logic.py
 """
 
+from repro.api import get_pipeline
 from repro.benchgen import random_control_network, random_pla_network
-from repro.flows import BdsFlowConfig, bds_optimize, bdsmaj_flow, bdspga_flow
 
 
 def main() -> None:
@@ -21,14 +21,15 @@ def main() -> None:
     ]
     for network in circuits:
         print(f"== {network.name}: {network.num_nodes} nodes ==")
-        _, counts, trace = bds_optimize(network, BdsFlowConfig())
+        ctx = get_pipeline("bds-maj").run_context(network)
+        trace = ctx.scratch["trace"]
         print(
             f"   decomposition steps: {trace.majority_steps} MAJ, "
             f"{trace.and_or_steps} AND/OR, {trace.xor_steps} XOR, "
             f"{trace.mux_steps} MUX"
         )
-        with_maj = bdsmaj_flow(network)
-        without = bdspga_flow(network)
+        with_maj = ctx.to_result()
+        without = get_pipeline("bds-pga").run(network)
         print(
             f"   BDS-MAJ {with_maj.total_nodes} nodes "
             f"({with_maj.node_counts.get('maj', 0)} MAJ) vs "

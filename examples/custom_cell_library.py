@@ -10,8 +10,9 @@ demonstrates why direct MAJ/XOR assignment needs the cells to exist.
 Run:  python examples/custom_cell_library.py
 """
 
+from repro.api import get_pipeline
 from repro.benchgen import multiply_accumulate
-from repro.flows import BdsFlowConfig, bdsmaj_flow
+from repro.flows import BdsFlowConfig
 from repro.mapping import Cell, CellLibrary, cmos22_library, nand_only_library
 
 
@@ -37,7 +38,7 @@ def main() -> None:
     print(f"circuit: {network.name} ({network.num_nodes} nodes)\n")
     print(f"{'library':10s} {'area':>9s} {'gates':>6s} {'delay ns':>9s} {'MAJ3':>5s}")
     for library in (cmos22_library(), finfet7_library(), nand_only_library()):
-        result = bdsmaj_flow(network, BdsFlowConfig(library=library))
+        result = get_pipeline("bds-maj").run(network, BdsFlowConfig(library=library))
         area, gates, delay = result.table2_row()
         maj_cells = result.mapped.cell_histogram().get("maj3", 0)
         print(f"{library.name:10s} {area:9.3f} {gates:6d} {delay:9.4f} {maj_cells:5d}")

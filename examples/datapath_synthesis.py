@@ -11,8 +11,8 @@ Run:  python examples/datapath_synthesis.py  [--width 8]
 
 import argparse
 
+from repro.api import get_pipeline, pipeline_names
 from repro.benchgen import multiply_accumulate
-from repro.flows import FLOWS
 
 
 def main() -> None:
@@ -29,8 +29,8 @@ def main() -> None:
     )
     print(f"{'flow':8s} {'area um2':>9s} {'gates':>6s} {'delay ns':>9s} "
           f"{'MAJ3':>5s} {'XOR2+XNOR2':>11s} {'opt s':>6s}")
-    for name, flow in FLOWS.items():
-        result = flow(network)
+    for name in pipeline_names():
+        result = get_pipeline(name).run(network)
         histogram = result.mapped.cell_histogram()
         area, gates, delay = result.table2_row()
         print(

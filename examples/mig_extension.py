@@ -14,8 +14,8 @@ representation, the MIG (DAC'14).  This example connects the two:
 Run:  python examples/mig_extension.py
 """
 
+from repro.api import get_pipeline
 from repro.benchgen import carry_lookahead_adder
-from repro.flows import BdsFlowConfig, bds_optimize
 from repro.mig import mig_to_network, network_to_mig, rewrite_depth, trees_to_mig
 from repro.network import check_equivalence
 
@@ -25,17 +25,9 @@ def main() -> None:
     print(f"input: {network.name}, {network.num_nodes} SOP nodes")
 
     # Run the BDS-MAJ optimization and capture the factoring trees.
-    from repro.core import DecompositionEngine, TreeBuilder
-    from repro.network import partition_with_bdds
-
-    config = BdsFlowConfig()
-    builder = TreeBuilder()
-    roots = {}
-    for supernode, mgr, root in partition_with_bdds(network, config.partition):
-        engine = DecompositionEngine(mgr, builder, config.engine)
-        roots[supernode.output] = engine.decompose(root)
-    counts = builder.count_ops(roots.values())
-    print(f"BDS-MAJ decomposition: {counts}")
+    ctx = get_pipeline("bds-maj").optimize_prefix().run_context(network)
+    builder, roots = ctx.scratch["builder"], ctx.scratch["roots"]
+    print(f"BDS-MAJ decomposition: {ctx.node_counts}")
 
     # Trees -> MIG: MAJ nodes become native majorities.
     mig = trees_to_mig(builder, roots, list(network.inputs))

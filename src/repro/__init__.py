@@ -19,8 +19,9 @@ in pure Python:
   cut-based Boolean-matching mappers, STA;
 * :mod:`repro.api` — the public composable pipeline API: stages,
   pipelines, the flow registry, pluggable input sources and observer
-  hooks (start here; ``repro.flows`` is a compatibility shim over it);
-* :mod:`repro.flows` — the four synthesis flows compared in the paper;
+  hooks (start here: every flow runs through it);
+* :mod:`repro.flows` — configuration, results and the batch service of
+  the four synthesis flows compared in the paper;
 * :mod:`repro.benchgen` — the 17 Table I/II benchmark circuits plus
   extra arithmetic generators;
 * :mod:`repro.mig` — Majority-Inverter Graphs (the paper's future-work

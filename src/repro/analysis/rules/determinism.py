@@ -3,9 +3,9 @@
 The repository's load-bearing contract (PRs 1-7) is that batch and
 serve reports are **byte-identical** across worker counts, warm vs
 cold pools, shards and journal replay.  Three language features break
-that silently, so in the report-affecting modules (``repro.flows``,
-``repro.network``, ``repro.bdd``, ``repro.serve.wire``) they are
-banned:
+that silently, so in the report-affecting modules (``repro.api``,
+``repro.core``, ``repro.flows``, ``repro.network``, ``repro.bdd``,
+``repro.serve.wire``) they are banned:
 
 * iterating a ``set`` in an order-sensitive position (DET001) — set
   order varies with ``PYTHONHASHSEED`` and insertion history;
@@ -23,8 +23,17 @@ from typing import Iterator
 from ..core import REGISTRY, Finding, Rule
 from ..scopes import ModuleContext, order_insensitive_builtins
 
-#: The report-affecting modules (ISSUE 8 tentpole list).
-DET_MODULES = ("repro.flows", "repro.network", "repro.bdd", "repro.serve.wire")
+#: The report-affecting modules.  ``repro.api`` (the stages every flow
+#: runs) and ``repro.core`` (the decomposition engine) hold each flow's
+#: report-affecting code.
+DET_MODULES = (
+    "repro.api",
+    "repro.core",
+    "repro.flows",
+    "repro.network",
+    "repro.bdd",
+    "repro.serve.wire",
+)
 
 
 @REGISTRY.register

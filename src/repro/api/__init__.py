@@ -2,7 +2,8 @@
 
 The paper's Section V compares four flows; this package expresses each
 one as an ordered composition of swappable :class:`Stage` passes over a
-:class:`SynthesisContext`, instead of a monolithic function:
+:class:`SynthesisContext`.  The stages are the only implementation of
+the flows:
 
 .. code-block:: python
 
@@ -17,21 +18,22 @@ Key pieces:
 * :class:`Stage` / :func:`stage` — the pass protocol (``name`` +
   ``run(ctx) -> ctx``) and a decorator for function stages;
 * :class:`Pipeline` — ordered stages with per-stage timing and
-  ``on_stage_start`` / ``on_stage_end`` observer hooks; composition
-  helpers (``up_to`` / ``replace`` / ``insert_after``) derive variants;
+  :class:`PipelineObserver` hooks; composition helpers (``up_to`` /
+  ``optimize_prefix`` / ``replace`` / ``insert_after``) derive
+  variants;
 * :class:`PipelineRegistry` / :func:`get_pipeline` /
   :func:`register_pipeline` — named flows (``bds-maj``, ``bds-pga``,
-  ``abc``, ``dc`` are built in; ``repro.flows.FLOWS`` is now a shim
-  over this registry);
+  ``abc``, ``dc`` are built in; the name alone decides the flow's
+  configuration);
 * :class:`InputSource` and friends — pluggable circuit inputs
   (registry keys, BLIF files, globs) shared by ``run_batch`` and the
   CLI;
 * :mod:`repro.api.standard_stages` — the stage classes the built-in
   flows are composed from, for remixing.
 
-Pipelines produce the same :class:`~repro.flows.FlowResult` records as
-the original flow functions — byte-compatible, so deterministic batch
-reports and the Table I/II harnesses are unchanged.
+Pipelines produce :class:`~repro.flows.FlowResult` records; the
+deterministic batch reports and the Table I/II harnesses are built from
+them.
 """
 
 from . import stages as standard_stages

@@ -65,9 +65,8 @@ class SynthesisContext:
     """Everything a pipeline run accumulates.
 
     Stages read the fields earlier stages populated and fill in their
-    own; :meth:`to_result` converts a completed context into the
-    byte-compatible :class:`~repro.flows.FlowResult` the pre-pipeline
-    flow functions returned.
+    own; :meth:`to_result` converts a completed context into a
+    :class:`~repro.flows.FlowResult`.
     """
 
     #: Pipeline (flow) name, e.g. ``"bds-maj"``.
@@ -117,12 +116,7 @@ class SynthesisContext:
         return value
 
     def to_result(self) -> FlowResult:
-        """Assemble the flow's :class:`~repro.flows.FlowResult`.
-
-        Field-compatible with the pre-pipeline flow functions: the
-        deterministic batch reports and Table I/II outputs built from it
-        are byte-identical.
-        """
+        """Assemble the flow's :class:`~repro.flows.FlowResult`."""
         network = self.require("network")
         optimized = self.require("optimized")
         if self.mapped is None or self.timing_report is None:

@@ -3,8 +3,9 @@
 A :class:`Pipeline` is an ordered stage list plus a name and a default
 configuration factory.  Running it threads a
 :class:`~repro.api.SynthesisContext` through the stages, timing each
-one and firing ``on_stage_start`` / ``on_stage_end`` observer hooks —
-the seam an async serving layer streams per-request progress from.
+one and notifying every :class:`PipelineObserver` before and after it —
+the seam the batch service and the serving layer stream per-stage
+progress from.
 
 Pipelines are immutable values: the composition helpers (:meth:`up_to`,
 :meth:`replace`, :meth:`insert_after`, :meth:`with_stages`) return new
@@ -65,36 +66,14 @@ class StageEventExporter(PipelineObserver):
         self._emit(StageEvent("stage_end", stage.name, seconds))
 
 
-class _CallbackObserver(PipelineObserver):
-    """Adapter wrapping plain callables into an observer."""
-
-    def __init__(
-        self,
-        on_start: Callable[[SynthesisContext, Stage], None] | None,
-        on_end: Callable[[SynthesisContext, Stage, float], None] | None,
-    ) -> None:
-        self._on_start = on_start
-        self._on_end = on_end
-
-    def on_stage_start(self, ctx: SynthesisContext, stage: Stage) -> None:
-        if self._on_start is not None:
-            self._on_start(ctx, stage)
-
-    def on_stage_end(
-        self, ctx: SynthesisContext, stage: Stage, seconds: float
-    ) -> None:
-        if self._on_end is not None:
-            self._on_end(ctx, stage, seconds)
-
-
 class Pipeline:
     """A named, ordered composition of stages.
 
     ``default_config`` builds the flow configuration when the caller
-    passes none; ``prepare_config`` (optional) normalizes whatever
-    configuration is in effect — e.g. the BDS-PGA pipeline forces
-    majority decomposition off, preserving the semantics of the old
-    ``bdspga_flow`` even for shared config objects.
+    passes none; ``prepare_config`` (optional) maps whatever
+    configuration is in effect to the one the stages see — the BDS
+    pipelines use it to set majority decomposition from the flow name,
+    on a copy.
     """
 
     def __init__(
@@ -196,8 +175,6 @@ class Pipeline:
         config: Any = None,
         *,
         observers: Sequence[PipelineObserver] = (),
-        on_stage_start: Callable[[SynthesisContext, Stage], None] | None = None,
-        on_stage_end: Callable[[SynthesisContext, Stage, float], None] | None = None,
     ) -> SynthesisContext:
         """Run every stage and return the full context (use this for
         optimize-only prefixes or to inspect scratch state/timings)."""
@@ -210,13 +187,9 @@ class Pipeline:
         ctx.verify = bool(getattr(config, "verify", True))
         ctx.library = getattr(config, "library", None)
 
-        all_observers = list(observers)
-        if on_stage_start is not None or on_stage_end is not None:
-            all_observers.append(_CallbackObserver(on_stage_start, on_stage_end))
-
         for pipeline_stage in self.stages:
             ctx.events.append(StageEvent("stage_start", pipeline_stage.name))
-            for observer in all_observers:
+            for observer in observers:
                 observer.on_stage_start(ctx, pipeline_stage)
             start = time.perf_counter()
             result = pipeline_stage.run(ctx)
@@ -227,7 +200,7 @@ class Pipeline:
             if stage_is_optimize_timed(pipeline_stage):
                 ctx.optimize_seconds += seconds
             ctx.events.append(StageEvent("stage_end", pipeline_stage.name, seconds))
-            for observer in all_observers:
+            for observer in observers:
                 observer.on_stage_end(ctx, pipeline_stage, seconds)
         return ctx
 
@@ -237,17 +210,9 @@ class Pipeline:
         config: Any = None,
         *,
         observers: Sequence[PipelineObserver] = (),
-        on_stage_start: Callable[[SynthesisContext, Stage], None] | None = None,
-        on_stage_end: Callable[[SynthesisContext, Stage, float], None] | None = None,
     ) -> FlowResult:
         """Run the full pipeline and return its :class:`FlowResult`."""
-        return self.run_context(
-            source,
-            config,
-            observers=observers,
-            on_stage_start=on_stage_start,
-            on_stage_end=on_stage_end,
-        ).to_result()
+        return self.run_context(source, config, observers=observers).to_result()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Pipeline {self.name!r} stages={list(self.stage_names())}>"

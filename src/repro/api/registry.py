@@ -1,11 +1,12 @@
 """Pipeline registry: named flows, including the paper's four.
 
-The four Section-V flows are registered here as stage compositions;
-``repro.flows.FLOWS`` is now a thin compatibility shim over this
-registry.  A fifth built-in, ``"bds-maj-nosift"``, is the reordering
-ablation (the paper flow with the sifting stage disabled) — the
-baseline ``benchmarks/bench_reorder.py`` compares the in-place sifting
-engine against.  Registering a custom flow is a one-liner::
+The four Section-V flows (``bds-maj``, ``bds-pga``, ``abc``, ``dc``) are
+registered here as stage compositions; running a flow means
+``get_pipeline(name).run(...)``.  The flow name alone decides whether
+majority decomposition runs: ``bds-maj`` and ``bds-pga`` share one
+stage list and differ only in the ``engine.enable_majority`` their
+``prepare_config`` hook sets on a copy of the caller's config.
+Registering a custom flow is a one-liner::
 
     from repro.api import Pipeline, register_pipeline, standard_stages as S
 
@@ -19,7 +20,8 @@ engine against.  Registering a custom flow is a one-liner::
 
 from __future__ import annotations
 
-from typing import Iterator
+import dataclasses
+from typing import Callable, Iterator
 
 from ..flows.abc import AbcFlowConfig
 from ..flows.bds import BdsFlowConfig
@@ -92,16 +94,17 @@ def _bds_stages() -> list:
     ]
 
 
-def _force_pga(config: BdsFlowConfig | None) -> BdsFlowConfig:
-    """BDS-PGA is BDS-MAJ with majority decomposition disabled; this
-    keeps that invariant even for caller-shared config objects (the
-    contract of the old ``bdspga_flow``)."""
-    if config is None:
-        config = BdsFlowConfig(enable_majority=False)
-    else:
-        config.enable_majority = False
-        config.engine.enable_majority = False
-    return config
+def _majority(enabled: bool) -> Callable[[BdsFlowConfig], BdsFlowConfig]:
+    """The ``prepare_config`` hook of a BDS flow: a copy of the config
+    with ``engine.enable_majority`` set from the flow name.  The
+    caller's config (and its engine) is never mutated, so one config
+    object can run both flows in any order."""
+
+    def prepare(config: BdsFlowConfig) -> BdsFlowConfig:
+        engine = dataclasses.replace(config.engine, enable_majority=enabled)
+        return dataclasses.replace(config, engine=engine)
+
+    return prepare
 
 
 DEFAULT_REGISTRY = PipelineRegistry()
@@ -110,7 +113,8 @@ DEFAULT_REGISTRY.register(
     Pipeline(
         "bds-maj",
         _bds_stages(),
-        default_config=lambda: BdsFlowConfig(enable_majority=True),
+        default_config=BdsFlowConfig,
+        prepare_config=_majority(True),
         description="the paper's flow: BDS decomposition with majority logic",
     )
 )
@@ -118,8 +122,8 @@ DEFAULT_REGISTRY.register(
     Pipeline(
         "bds-pga",
         _bds_stages(),
-        default_config=lambda: BdsFlowConfig(enable_majority=False),
-        prepare_config=_force_pga,
+        default_config=BdsFlowConfig,
+        prepare_config=_majority(False),
         description="the BDS-PGA baseline: same engine, majority disabled",
     )
 )
@@ -150,28 +154,6 @@ DEFAULT_REGISTRY.register(
         ],
         default_config=DcFlowConfig,
         description="Design-Compiler-like baseline: collapse/minimize/factor",
-    )
-)
-
-
-def _force_nosift(config: BdsFlowConfig | None) -> BdsFlowConfig:
-    """The no-reorder ablation must hold even for caller-shared config
-    objects (mirrors :func:`_force_pga`)."""
-    if config is None:
-        config = BdsFlowConfig(reorder=False)
-    else:
-        config.reorder = False
-    return config
-
-
-DEFAULT_REGISTRY.register(
-    Pipeline(
-        "bds-maj-nosift",
-        _bds_stages(),
-        default_config=lambda: BdsFlowConfig(reorder=False),
-        prepare_config=_force_nosift,
-        description="reordering ablation: the paper's flow with variable "
-        "sifting disabled",
     )
 )
 

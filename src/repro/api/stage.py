@@ -4,8 +4,8 @@ A stage is any object with a ``name`` and a
 ``run(ctx: SynthesisContext) -> SynthesisContext`` method.  Stages that
 should count toward the flow's reported optimization runtime (the
 Table I ``Sec`` column) set ``optimize_timed = True``; mapping and
-verification stages leave it False, matching the pre-pipeline flows
-where only the optimization body ran under the stopwatch.
+verification stages leave it False, so only the optimization body counts
+toward that runtime.
 
 Custom stages can subclass nothing at all (duck typing), or use
 :func:`stage` to lift a plain function::

@@ -3,10 +3,9 @@
 Each stage is a small, swappable transformation pass over the
 :class:`~repro.api.SynthesisContext` — the structure Amarù-style MIG
 optimization and the paper's own Figure 3 describe: ordered passes, not
-one monolithic function.  The BDS stages mirror the reference
-implementation :func:`repro.flows.bds.bds_optimize` step for step, so a
-pipeline produces bit-identical node counts, cache counters and
-networks (the equivalence tests in ``tests/api`` pin this).
+one monolithic function.  These stages are the only implementation of
+the flows; ``tests/api/golden_flows.json`` pins every built-in flow's
+node counts, cache counters, Table-II row and netlists.
 
 Scratch-space keys used between stages of one flow:
 
@@ -25,19 +24,16 @@ emitter    ``collapse`` -> ``rewrite`` (DC flow's gate emitter)
 
 from __future__ import annotations
 
+import dataclasses
+
 from ..aig import aig_to_network, network_to_aig, resyn2, resyn_quick
 from ..bdd.isop import isop_cover_rows
 from ..core import DecompositionEngine, TreeBuilder
 from ..core.emit import network_from_trees
-from ..flows.bds import (
-    BdsTrace,
-    normalize_reorder_policy,
-    partition_config_for,
-    reorder_supernode,
-)
-from ..flows.common import map_and_analyze, verify_or_raise
+from ..flows.bds import BdsTrace
+from ..mapping import analyze, map_network
 from ..mapping.mapper import classify_gate
-from ..network import PartitionConfig, partition_with_bdds
+from ..network import check_equivalence, partition_with_bdds
 from ..sop import GateEmitter, expression_from_cover, factor_expression, simplify_cover
 from .context import PipelineError, SynthesisContext
 
@@ -81,12 +77,11 @@ class BuildBdds:
 
     def run(self, ctx: SynthesisContext) -> SynthesisContext:
         config = ctx.config
-        partitions = partition_with_bdds(
-            ctx.require("network"),
-            partition_config_for(
-                config.partition, normalize_reorder_policy(config.reorder)
-            ),
-        )
+        partition = config.partition
+        if config.reorder == "dynamic" and not partition.dynamic_reorder:
+            # On a copy: the caller's partition config is never mutated.
+            partition = dataclasses.replace(partition, dynamic_reorder=True)
+        partitions = partition_with_bdds(ctx.require("network"), partition)
         trace = BdsTrace()
         trace.supernodes = len(partitions)
         trace.reorderings = sum(mgr.reorderings for _s, mgr, _r in partitions)
@@ -116,13 +111,13 @@ class ReorderVariables:
     optimize_timed = True
 
     def run(self, ctx: SynthesisContext) -> SynthesisContext:
-        policy = normalize_reorder_policy(ctx.config.reorder)
+        policy = ctx.config.reorder
         if policy == "none":
             return ctx
         trace = ctx.scratch["trace"]
         for _supernode, mgr, root in ctx.scratch["partitions"]:
-            result = reorder_supernode(mgr, root, policy)
-            if result is not None and result.changed:
+            sift = mgr.sift_converge if policy == "converge" else mgr.sift
+            if sift([root]).changed:
                 trace.sifted += 1
         return ctx
 
@@ -237,15 +232,7 @@ class CollapseNetwork:
             kind, _, _ = classify_gate(network.node(name))
             if kind in ("xor", "mux"):
                 hard.add(name)
-        partition_config = PartitionConfig(
-            max_support=config.partition.max_support,
-            max_bdd_nodes=config.partition.max_bdd_nodes,
-            max_duplication=config.partition.max_duplication,
-            duplication_literals=config.partition.duplication_literals,
-            hard_signals=frozenset(hard),
-            cache_policy=config.partition.cache_policy,
-            cache_capacity=config.partition.cache_capacity,
-        )
+        partition_config = dataclasses.replace(config.partition, hard_signals=frozenset(hard))
         builder = TreeBuilder()
         emitter = GateEmitter(
             literal=lambda name, phase: (
@@ -330,15 +317,18 @@ class MapNetwork:
     optimize_timed = False
 
     def run(self, ctx: SynthesisContext) -> SynthesisContext:
-        ctx.mapped, ctx.timing_report = map_and_analyze(
-            ctx.require("optimized"), ctx.library
-        )
+        ctx.mapped = map_network(ctx.require("optimized"), ctx.library)
+        ctx.timing_report = analyze(ctx.mapped)
         return ctx
 
 
 class VerifyEquivalence:
-    """Formal equivalence check of the optimized and mapped networks
-    against the source; raises on a counterexample."""
+    """Equivalence check of the optimized network and then the mapped
+    netlist against the source.
+
+    Raises ``AssertionError`` on a counterexample: a flow that broke its
+    circuit must never report success.
+    """
 
     name = "verify"
     optimize_timed = False
@@ -346,10 +336,15 @@ class VerifyEquivalence:
     def run(self, ctx: SynthesisContext) -> SynthesisContext:
         if not ctx.verify:
             return ctx
-        ctx.equivalence = verify_or_raise(
-            ctx.flow,
-            ctx.require("network"),
-            ctx.require("optimized"),
-            ctx.require("mapped"),
-        )
+        source = ctx.require("network")
+        mapped = ctx.require("mapped")
+        equivalence = check_equivalence(source, ctx.require("optimized"))
+        if equivalence.equivalent:
+            equivalence = check_equivalence(source, mapped.network)
+        if not equivalence.equivalent:
+            raise AssertionError(
+                f"{ctx.flow} broke {source.name}: counterexample "
+                f"{equivalence.counterexample}"
+            )
+        ctx.equivalence = equivalence
         return ctx

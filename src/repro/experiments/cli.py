@@ -34,12 +34,13 @@ from ..api import (
     BlifGlobSource,
     InputSourceError,
     get_pipeline,
+    pipeline_names,
     resolve_source,
 )
 from ..bdd.manager import CACHE_POLICIES, DEFAULT_CACHE_CAPACITY
 from ..benchgen import BENCHMARKS
 from ..benchgen.registry import benchmark_keys
-from ..flows import BATCH_FLOWS, FLOWS, REORDER_POLICIES, BatchConfig, run_batch
+from ..flows import BATCH_FLOWS, REORDER_POLICIES, BatchConfig, run_batch
 from ..network import to_blif
 from .figures import figure1, figure2, figure3
 from .table1 import format_table1, run_table1
@@ -117,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
 
     synth = sub.add_parser("synth", help="run one flow on one circuit")
     synth.add_argument("circuit", help="benchmark key or path to a BLIF file")
-    synth.add_argument("--flow", default="bds-maj", choices=sorted(FLOWS))
+    synth.add_argument("--flow", default="bds-maj", choices=pipeline_names())
     synth.add_argument("--blif-out", help="write the optimized network as BLIF")
 
     batch = sub.add_parser(

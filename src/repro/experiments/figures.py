@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..api import get_pipeline
 from ..bdd import BDD, to_dot
 from ..bdd.substitute import function_at
 from ..benchgen import build_benchmark
 from ..core import construct, decompose_majority, find_m_dominators, optimize
-from ..flows import BdsFlowConfig, bds_optimize
 
 
 @dataclass
@@ -88,7 +88,8 @@ class Figure3Result:
 def figure3(benchmark_key: str = "alu2") -> Figure3Result:
     """Print the executed BDS-MAJ stage sequence (the flow of Figure 3)."""
     network = build_benchmark(benchmark_key)
-    decomposed, counts, trace = bds_optimize(network, BdsFlowConfig())
+    ctx = get_pipeline("bds-maj").optimize_prefix().run_context(network)
+    trace = ctx.scratch["trace"]
     lines = [
         f"input network: {network.num_nodes} nodes, "
         f"{len(network.inputs)} PIs, {len(network.outputs)} POs",
@@ -100,7 +101,7 @@ def figure3(benchmark_key: str = "alu2") -> Figure3Result:
         f"      XOR/XNOR splits         : {trace.xor_steps}",
         f"      MUX cofactor fallbacks  : {trace.mux_steps}",
         f"[4] factoring trees + sharing -> {trace.tree_nodes} network nodes "
-        f"({counts})",
-        f"[5] final netlist             -> {decomposed.num_nodes} nodes",
+        f"({ctx.node_counts})",
+        f"[5] final netlist             -> {ctx.optimized.num_nodes} nodes",
     ]
     return Figure3Result(benchmark_key, lines)

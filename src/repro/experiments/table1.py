@@ -15,7 +15,6 @@ from typing import Callable, Iterable
 from ..api import get_pipeline
 from ..bdd.manager import combine_cache_stats
 from ..benchgen import BENCHMARKS, build_benchmark
-from ..flows import BdsFlowConfig
 from ..network import check_equivalence
 from .paper_data import PAPER_TABLE1
 
@@ -52,9 +51,7 @@ def run_table1(
         network = build_benchmark(key)
         entry = Table1Entry(key, benchmark.display, benchmark.category)
         for tool in TOOLS:
-            config = BdsFlowConfig(enable_majority=(tool == "bds-maj"), verify=False)
-            pipeline = get_pipeline(tool).optimize_prefix()
-            ctx = pipeline.run_context(network, config)
+            ctx = get_pipeline(tool).optimize_prefix().run_context(network)
             entry.runtime[tool] = ctx.optimize_seconds
             entry.counts[tool] = ctx.node_counts
             entry.cache[tool] = ctx.cache_stats

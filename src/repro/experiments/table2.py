@@ -25,7 +25,7 @@ class Table2Entry:
 
 def _flow_config(flow: str, quick: bool, verify: bool):
     if flow in ("bds-maj", "bds-pga"):
-        return BdsFlowConfig(enable_majority=(flow == "bds-maj"), verify=verify)
+        return BdsFlowConfig(verify=verify)
     if flow == "abc":
         return AbcFlowConfig(quick=quick, verify=verify)
     return DcFlowConfig(verify=verify)

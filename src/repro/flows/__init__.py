@@ -1,22 +1,17 @@
-"""The four synthesis flows compared in the paper's Section V.
+"""Configuration, results and batch execution of the paper's four flows.
 
-.. note:: **Compatibility shim.**  Flow execution now lives in the
-   composable pipeline API (:mod:`repro.api`): each flow is a stage
-   composition registered in the default
-   :class:`~repro.api.PipelineRegistry`, and the functions re-exported
-   here (``bdsmaj_flow``, ``bdspga_flow``, ``abc_flow``, ``dc_flow``)
-   plus the :data:`FLOWS` mapping are thin wrappers kept so existing
-   callers and scripts keep working unchanged.  New code should prefer::
+The flows themselves (Section V: ``bds-maj``, ``bds-pga``, ``abc``,
+``dc``) are stage pipelines registered in :mod:`repro.api`; this
+package holds what they are configured with and produce
+(:class:`BdsFlowConfig`, :class:`AbcFlowConfig`, :class:`DcFlowConfig`,
+:class:`BdsTrace`, :class:`FlowResult`) and the batch service that runs
+them over suites (:func:`run_batch`)::
 
-       from repro.api import get_pipeline
-       result = get_pipeline("bds-maj").run(network)
-
-   The building blocks (:func:`bds_optimize`, :func:`dc_optimize`,
-   :func:`finish_flow`) remain first-class: they are the one-shot
-   reference implementations the pipeline stages are tested against.
+    from repro.api import get_pipeline
+    result = get_pipeline("bds-maj").run(network)
 """
 
-from .abc import AbcFlowConfig, abc_flow
+from .abc import AbcFlowConfig
 from .batch import (
     BATCH_FLOWS,
     BatchCancelled,
@@ -28,32 +23,12 @@ from .batch import (
     run_batch,
     synthesize_one,
 )
-from .bds import (
-    REORDER_POLICIES,
-    BdsFlowConfig,
-    BdsTrace,
-    bds_optimize,
-    bdsmaj_flow,
-    bdspga_flow,
-    normalize_reorder_policy,
-)
-from .common import FlowResult, Stopwatch, finish_flow, map_and_analyze, verify_or_raise
-from .dc import DcFlowConfig, dc_flow, dc_optimize
-
-#: Flow registry in the paper's Table II column order.  Compatibility
-#: shim over :func:`repro.api.get_pipeline` — the values are the
-#: wrapper functions above, so ``FLOWS[name](network, config)`` keeps
-#: its historical signature.
-FLOWS = {
-    "bds-maj": bdsmaj_flow,
-    "bds-pga": bdspga_flow,
-    "abc": abc_flow,
-    "dc": dc_flow,
-}
+from .bds import REORDER_POLICIES, BdsFlowConfig, BdsTrace, normalize_reorder_policy
+from .common import FlowResult
+from .dc import DcFlowConfig
 
 __all__ = [
     "BATCH_FLOWS",
-    "FLOWS",
     "REORDER_POLICIES",
     "AbcFlowConfig",
     "BatchCancelled",
@@ -64,19 +39,9 @@ __all__ = [
     "CircuitReport",
     "DcFlowConfig",
     "FlowResult",
-    "Stopwatch",
     "WarmPoolManager",
-    "abc_flow",
     "batch_pool",
-    "bds_optimize",
-    "bdsmaj_flow",
-    "bdspga_flow",
-    "dc_flow",
-    "dc_optimize",
-    "finish_flow",
-    "map_and_analyze",
     "normalize_reorder_policy",
     "run_batch",
     "synthesize_one",
-    "verify_or_raise",
 ]

@@ -7,6 +7,9 @@ netlist emission the three-AND XOR pattern is recovered (ABC's Boolean
 matcher does use the XOR2/XNOR2 library cells), but no MAJ matching is
 attempted — majority structures stay hidden in the AND/INV mass, which
 is exactly the gap the paper's direct assignment exploits.
+
+The stages live in :mod:`repro.api.stages` (``strash``, ``rewrite`` and
+``emit``); this module holds the flow's configuration.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..mapping.library import CellLibrary
-from ..network import LogicNetwork
-from .common import FlowResult
 
 
 @dataclass
@@ -25,11 +26,3 @@ class AbcFlowConfig:
     verify: bool = True
     library: CellLibrary | None = None
 
-
-def abc_flow(network: LogicNetwork, config: AbcFlowConfig | None = None) -> FlowResult:
-    """Compatibility shim over the ``"abc"`` pipeline in
-    :mod:`repro.api` (``LoadInput -> Strash -> Rewrite -> Emit -> Map
-    -> Verify``)."""
-    from ..api import get_pipeline
-
-    return get_pipeline("abc").run(network, config)

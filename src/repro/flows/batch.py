@@ -99,10 +99,10 @@ from ..benchgen import build_benchmark
 from ..faults import active as faults_active
 from ..faults import inject as inject_fault
 from ..network import BddSizeExceeded, check_equivalence, global_bdds
-from .bds import REORDER_POLICIES
+from .bds import normalize_reorder_policy
 
 if TYPE_CHECKING:  # pragma: no cover - hints only (runtime import is lazy)
-    from ..api import InputItem, InputSource, StageEvent
+    from ..api import InputItem, InputSource, Stage, StageEvent
 
 #: Flows the batch service can run — every pipeline in the default
 #: registry (the two BDD flows define the Table-I node counts and the
@@ -190,11 +190,7 @@ class BatchConfig:
             )
         if self.cache_capacity < 1:
             raise ValueError("cache capacity must be >= 1")
-        if self.reorder not in REORDER_POLICIES:
-            raise ValueError(
-                f"unknown reorder policy {self.reorder!r} "
-                f"(known: {REORDER_POLICIES})"
-            )
+        normalize_reorder_policy(self.reorder)
         if self.circuit_timeout is not None and self.circuit_timeout <= 0:
             raise ValueError("circuit_timeout must be positive (or None)")
         if self.max_retries < 0:
@@ -393,15 +389,11 @@ def _flow_config(config: BatchConfig):
     from .dc import DcFlowConfig
 
     if config.flow in ("bds-maj", "bds-pga"):
-        flow_config = BdsFlowConfig(
-            enable_majority=(config.flow == "bds-maj"),
-            verify=False,
-            reorder=config.reorder,
-        )
+        flow_config = BdsFlowConfig(reorder=config.reorder)
     elif config.flow == "abc":
-        return AbcFlowConfig(verify=False)
+        return AbcFlowConfig()
     else:
-        flow_config = DcFlowConfig(verify=False)
+        flow_config = DcFlowConfig()
     flow_config.partition.cache_policy = config.cache_policy
     flow_config.partition.cache_capacity = config.cache_capacity
     return flow_config
@@ -506,6 +498,29 @@ def _arena_verified(item: "InputItem", network, optimized) -> bool | None:
     return equivalent
 
 
+class _StageGuard:
+    """Pipeline observer run before every stage of one circuit: the
+    ``batch.stage`` fault site and the cancellation poll.
+
+    It duck-types :class:`~repro.api.PipelineObserver` because
+    :mod:`repro.api` imports this package and cannot be imported at
+    module level here.
+    """
+
+    def __init__(self, benchmark: str, cancel: Callable[[], bool] | None) -> None:
+        self._benchmark = benchmark
+        self._cancel = cancel
+
+    def on_stage_start(self, ctx: object, stage: "Stage") -> None:
+        if faults_active():
+            inject_fault("batch.stage", f"{self._benchmark}:{stage.name}")
+        if self._cancel is not None and self._cancel():
+            raise BatchCancelled(f"cancelled while synthesizing {self._benchmark!r}")
+
+    def on_stage_end(self, ctx: object, stage: "Stage", seconds: float) -> None:
+        """Nothing to do once a stage finished."""
+
+
 def synthesize_one(
     item: "str | InputItem",
     config: BatchConfig,
@@ -540,31 +555,20 @@ def synthesize_one(
     if isinstance(item, str):
         item = InputItem(name=item, kind="registry")
     benchmark = item.name
-    observers = (
-        ()
-        if stage_progress is None
-        else (StageEventExporter(lambda event: stage_progress(benchmark, event)),)
-    )
-
-    def on_stage_start(_ctx, stage) -> None:
-        if faults_active():
-            inject_fault("batch.stage", f"{benchmark}:{getattr(stage, 'name', '')}")
-        if cancel is not None and cancel():
-            raise BatchCancelled(f"cancelled while synthesizing {benchmark!r}")
+    # The exporter fires before the guard, so a stage's start event is
+    # streamed even when the guard then cancels or faults that stage.
+    observers: list = []
+    if stage_progress is not None:
+        observers.append(StageEventExporter(lambda event: stage_progress(benchmark, event)))
 
     start = time.perf_counter()
     try:
         inject_fault("batch.worker", f"{benchmark}:{attempt}")
         network = _load_item(item)
+        if cancel is not None or faults_active():
+            observers.append(_StageGuard(benchmark, cancel))
         pipeline = get_pipeline(config.flow).optimize_prefix()
-        ctx = pipeline.run_context(
-            network,
-            _flow_config(config),
-            observers=observers,
-            on_stage_start=(
-                on_stage_start if (cancel is not None or faults_active()) else None
-            ),
-        )
+        ctx = pipeline.run_context(network, _flow_config(config), observers=observers)
         trace = ctx.scratch.get("trace")
         steps: dict[str, int] = {}
         if trace is not None:

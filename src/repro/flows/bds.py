@@ -1,26 +1,25 @@
-"""The BDS-MAJ and BDS-PGA synthesis flows (paper Figure 3).
+"""Configuration and trace of the BDS-MAJ and BDS-PGA flows (paper Figure 3).
 
 Stages: network partitioning into supernodes (IV.A) → per-supernode
 variable reordering and BDD decomposition with MAJ on top of the
 dominator search (IV.B) → factoring trees with logic sharing (IV.C) →
 gate netlist → technology mapping with MAJ/XOR/XNOR direct assignment
-(V.B.1).
+(V.B.1).  The stages themselves live in :mod:`repro.api.stages`.
 
 The BDS-PGA baseline is the identical flow with the majority
-decomposition disabled — exactly the comparison Table I draws.
+decomposition disabled — exactly the comparison Table I draws.  The
+flow name alone decides that: the ``bds-maj`` and ``bds-pga`` pipelines
+set ``engine.enable_majority`` on a copy of the config they are given.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from ..bdd.manager import combine_cache_stats
-from ..core import DecompositionEngine, EngineConfig, TreeBuilder
-from ..core.emit import network_from_trees
+from ..core import EngineConfig
 from ..mapping.library import CellLibrary
-from ..network import LogicNetwork, PartitionConfig, partition_with_bdds
-from .common import FlowResult
+from ..network import PartitionConfig
 
 #: Variable-reordering policies of the BDS flows (Section IV.B and the
 #: dynamic-reordering subsystem on top of it):
@@ -38,68 +37,34 @@ REORDER_POLICIES = ("none", "once", "converge", "dynamic")
 
 
 def normalize_reorder_policy(value: object) -> str:
-    """Coerce a reorder knob to a policy name.
-
-    Booleans keep their historical meaning (``True`` → ``"once"``,
-    ``False`` → ``"none"``) so pre-policy configs and the registered
-    ``bds-maj-nosift`` ablation keep working unchanged.
-    """
-    if value is True:
-        return "once"
-    if value is False or value is None:
-        return "none"
+    """Validate a reorder policy name; raises ``ValueError`` for
+    anything outside :data:`REORDER_POLICIES`."""
     if value not in REORDER_POLICIES:
-        raise ValueError(
-            f"unknown reorder policy {value!r} (known: {REORDER_POLICIES})"
-        )
+        raise ValueError(f"unknown reorder policy {value!r} (known: {REORDER_POLICIES})")
     return str(value)
-
-
-def partition_config_for(
-    partition: PartitionConfig, policy: str
-) -> PartitionConfig:
-    """The partition config a policy implies: ``dynamic`` arms
-    construction-time reordering (on a copy — caller configs are never
-    mutated); every other policy uses the config as given."""
-    if policy == "dynamic" and not partition.dynamic_reorder:
-        return dataclasses.replace(partition, dynamic_reorder=True)
-    return partition
-
-
-def reorder_supernode(mgr, root: int, policy: str):
-    """The per-supernode reordering step a policy implies, shared by
-    :func:`bds_optimize` and the pipeline's ``reorder`` stage so the
-    two paths can never diverge.  Returns the
-    :class:`~repro.bdd.SiftResult`, or ``None`` when the policy skips
-    reordering.  ``"converge"`` repeats passes to a fixpoint; ``"once"``
-    and ``"dynamic"`` run a single pass (dynamic already reordered
-    during construction)."""
-    if policy == "none":
-        return None
-    if policy == "converge":
-        return mgr.sift_converge([root])
-    return mgr.sift([root])
 
 
 @dataclass
 class BdsFlowConfig:
-    """Flow-level knobs (defaults follow the paper's Section IV)."""
+    """Flow-level knobs (defaults follow the paper's Section IV).
 
-    enable_majority: bool = True
+    Majority decomposition is not a knob here: the pipeline the config
+    runs under (``bds-maj`` or ``bds-pga``) sets
+    ``engine.enable_majority`` on its own copy.
+    """
+
     partition: PartitionConfig = field(
         default_factory=lambda: PartitionConfig(max_support=10, max_bdd_nodes=220)
     )
     engine: EngineConfig = field(default_factory=EngineConfig)
-    #: Variable-reordering policy (one of :data:`REORDER_POLICIES`;
-    #: booleans are accepted for compatibility: ``True`` = ``"once"``,
-    #: ``False`` = ``"none"``).  The in-place sifting engine is cheap
-    #: enough to run on *every* supernode — there are no size guards.
-    reorder: bool | str = True
+    #: Variable-reordering policy (one of :data:`REORDER_POLICIES`).
+    #: The in-place sifting engine is cheap enough to run on *every*
+    #: supernode — there are no size guards.
+    reorder: str = "once"
     verify: bool = True
     library: CellLibrary | None = None
 
     def __post_init__(self) -> None:
-        self.engine.enable_majority = self.enable_majority
         self.reorder = normalize_reorder_policy(self.reorder)
 
 
@@ -146,77 +111,3 @@ class BdsTrace:
             ]
         )
 
-
-def bds_optimize(
-    network: LogicNetwork, config: BdsFlowConfig | None = None
-) -> tuple[LogicNetwork, dict[str, int], BdsTrace]:
-    """Run partitioning + decomposition + factoring-tree emission.
-
-    Returns the decomposed gate network, the Table-I node counts and
-    the stage trace.  This is the one-shot reference implementation of
-    the pipeline's ``build-bdds -> reorder -> decompose -> rewrite``
-    stages (:mod:`repro.api.stages`); the equivalence tests pin the two
-    forms to bit-identical outputs.
-    """
-    if config is None:
-        config = BdsFlowConfig()
-    builder = TreeBuilder()
-    trace = BdsTrace()
-    roots: dict[str, int] = {}
-
-    policy = normalize_reorder_policy(config.reorder)
-    partitions = partition_with_bdds(
-        network, partition_config_for(config.partition, policy)
-    )
-    for supernode, mgr, root in partitions:
-        trace.supernodes += 1
-        trace.reorderings += mgr.reorderings
-        # In-place sifting: the manager and the root edge survive (so
-        # do its cache counters, which the engine snapshot below
-        # reports cumulatively).
-        result = reorder_supernode(mgr, root, policy)
-        if result is not None and result.changed:
-            trace.sifted += 1
-        engine = DecompositionEngine(mgr, builder, config.engine)
-        roots[supernode.output] = engine.decompose(root)
-        trace.add_cache_stats(engine.cache_report())
-        trace.majority_steps += engine.stats.majority
-        trace.and_or_steps += engine.stats.and_or
-        trace.xor_steps += engine.stats.xor
-        trace.mux_steps += engine.stats.mux
-
-    counts = builder.count_ops(roots.values())
-    trace.tree_nodes = sum(counts.values())
-    decomposed = network_from_trees(
-        builder,
-        roots,
-        inputs=list(network.inputs),
-        outputs=list(network.outputs),
-        name=network.name,
-    )
-    return decomposed, counts, trace
-
-
-def bdsmaj_flow(network: LogicNetwork, config: BdsFlowConfig | None = None) -> FlowResult:
-    """The paper's flow: BDS decomposition with majority logic.
-
-    Compatibility shim over the ``"bds-maj"`` pipeline in
-    :mod:`repro.api` (``LoadInput -> BuildBdds -> Reorder -> Decompose
-    -> Rewrite -> Map -> Verify``); prefer
-    ``get_pipeline("bds-maj").run(...)`` in new code.
-    """
-    from ..api import get_pipeline
-
-    return get_pipeline("bds-maj").run(network, config)
-
-
-def bdspga_flow(network: LogicNetwork, config: BdsFlowConfig | None = None) -> FlowResult:
-    """The BDS-PGA baseline: same engine, majority disabled.
-
-    Compatibility shim over the ``"bds-pga"`` pipeline in
-    :mod:`repro.api`; a caller-provided config keeps being mutated to
-    ``enable_majority=False`` (the historical contract).
-    """
-    from ..api import get_pipeline
-
-    return get_pipeline("bds-pga").run(network, config)

@@ -1,13 +1,11 @@
-"""Shared flow infrastructure: result records and verification."""
+"""The result record every flow produces."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-from ..mapping import MappedCircuit, TimingReport, analyze, map_network
-from ..mapping.library import CellLibrary
-from ..network import EquivalenceResult, LogicNetwork, check_equivalence
+from ..mapping import MappedCircuit, TimingReport
+from ..network import EquivalenceResult, LogicNetwork
 
 
 @dataclass
@@ -40,76 +38,3 @@ class FlowResult:
         """(area um^2, gate count, delay ns) as in Table II."""
         return self.timing.row()
 
-
-def map_and_analyze(
-    optimized: LogicNetwork, library: CellLibrary | None = None
-) -> tuple[MappedCircuit, TimingReport]:
-    """The mapping tail shared by every flow: technology map the
-    optimized network and run STA on the result."""
-    mapped = map_network(optimized, library)
-    return mapped, analyze(mapped)
-
-
-def verify_or_raise(
-    flow_name: str,
-    source: LogicNetwork,
-    optimized: LogicNetwork,
-    mapped: MappedCircuit,
-) -> EquivalenceResult:
-    """The verification rule shared by every flow: the optimized network
-    AND the mapped netlist must both match the source.  Raises
-    ``AssertionError`` on a counterexample (a synthesis flow that broke
-    its circuit must never report success)."""
-    equivalence = check_equivalence(source, optimized)
-    if equivalence.equivalent:
-        equivalence = check_equivalence(source, mapped.network)
-    if not equivalence.equivalent:
-        raise AssertionError(
-            f"{flow_name} broke {source.name}: counterexample "
-            f"{equivalence.counterexample}"
-        )
-    return equivalence
-
-
-def finish_flow(
-    flow_name: str,
-    source: LogicNetwork,
-    optimized: LogicNetwork,
-    optimize_seconds: float,
-    node_counts: dict[str, int] | None = None,
-    library: CellLibrary | None = None,
-    verify: bool = True,
-    cache_stats: dict[str, int | float] | None = None,
-) -> FlowResult:
-    """Common tail of every flow: map, time, verify.
-
-    This is the one-shot form; the stage pipelines in
-    :mod:`repro.api` run the same :func:`map_and_analyze` /
-    :func:`verify_or_raise` helpers as separate ``map`` and ``verify``
-    stages.
-    """
-    mapped, timing = map_and_analyze(optimized, library)
-    equivalence = verify_or_raise(flow_name, source, optimized, mapped) if verify else None
-    return FlowResult(
-        flow=flow_name,
-        benchmark=source.name,
-        optimized=optimized,
-        mapped=mapped,
-        timing=timing,
-        optimize_seconds=optimize_seconds,
-        node_counts=node_counts or {},
-        equivalence=equivalence,
-        cache_stats=cache_stats or {},
-    )
-
-
-class Stopwatch:
-    """Tiny context helper for the optimization timers."""
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        self.seconds = 0.0
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.seconds = time.perf_counter() - self._start

@@ -11,20 +11,17 @@ behaviour relevant to Table II (see DESIGN.md):
 * everything else is partially collapsed, minimized as two-level
   covers (BDD-based ISOP) and algebraically factored into gates —
   the classic SOP-factoring synthesis recipe DC descends from.
+
+The stages live in :mod:`repro.api.stages` (``collapse`` and
+``rewrite``); this module holds the flow's configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..bdd.isop import isop_cover_rows
-from ..core import TreeBuilder
-from ..core.emit import network_from_trees
 from ..mapping.library import CellLibrary
-from ..mapping.mapper import classify_gate
-from ..network import LogicNetwork, PartitionConfig, partition_with_bdds
-from ..sop import GateEmitter, expression_from_cover, factor_expression, simplify_cover
-from .common import FlowResult
+from ..network import PartitionConfig
 
 
 @dataclass
@@ -38,87 +35,3 @@ class DcFlowConfig:
     verify: bool = True
     library: CellLibrary | None = None
 
-
-def dc_optimize(network: LogicNetwork, config: DcFlowConfig | None = None) -> LogicNetwork:
-    """Collapse / minimize / factor, preserving RTL XOR structure.
-
-    One-shot reference implementation of the pipeline's ``collapse ->
-    rewrite`` stages (:mod:`repro.api.stages`); the equivalence tests
-    pin the two forms to identical networks.
-    """
-    if config is None:
-        config = DcFlowConfig()
-
-    # DC recognizes the RTL operators: XOR/XNOR gates and ternary muxes
-    # survive collapsing (majority covers do NOT — that is the gap the
-    # paper exploits).
-    hard: set[str] = set()
-    for name in network.topological_order():
-        kind, _, _ = classify_gate(network.node(name))
-        if kind in ("xor", "mux"):
-            hard.add(name)
-    partition_config = PartitionConfig(
-        max_support=config.partition.max_support,
-        max_bdd_nodes=config.partition.max_bdd_nodes,
-        max_duplication=config.partition.max_duplication,
-        duplication_literals=config.partition.duplication_literals,
-        hard_signals=frozenset(hard),
-        cache_policy=config.partition.cache_policy,
-        cache_capacity=config.partition.cache_capacity,
-    )
-
-    builder = TreeBuilder()
-    roots: dict[str, int] = {}
-    emitter = GateEmitter(
-        literal=lambda name, phase: (
-            builder.literal(name) if phase else builder.not_(builder.literal(name))
-        ),
-        and2=builder.and_,
-        or2=builder.or_,
-        const=builder.const,
-    )
-
-    for supernode, mgr, root in partition_with_bdds(network, partition_config):
-        name = supernode.output
-        if name in hard:
-            # Preserved RTL operator: re-emit it verbatim.
-            node = network.node(name)
-            kind, out_inv, fanins = classify_gate(node)
-            if kind == "xor":
-                left = builder.literal(fanins[0])
-                right = builder.literal(fanins[1])
-                tree = builder.xnor(left, right) if out_inv else builder.xor(left, right)
-            else:  # mux
-                tree = builder.mux(
-                    builder.literal(fanins[0]),
-                    builder.literal(fanins[1]),
-                    builder.literal(fanins[2]),
-                )
-                if out_inv:
-                    tree = builder.not_(tree)
-            roots[name] = tree
-            continue
-        rows = isop_cover_rows(mgr, root, supernode.inputs)
-        rows = list(simplify_cover(rows))
-        if not rows:
-            roots[name] = builder.CONST0
-            continue
-        expression = expression_from_cover(rows, supernode.inputs)
-        roots[name] = factor_expression(expression, emitter)
-
-    return network_from_trees(
-        builder,
-        roots,
-        inputs=list(network.inputs),
-        outputs=list(network.outputs),
-        name=network.name,
-    )
-
-
-def dc_flow(network: LogicNetwork, config: DcFlowConfig | None = None) -> FlowResult:
-    """Compatibility shim over the ``"dc"`` pipeline in
-    :mod:`repro.api` (``LoadInput -> Collapse -> Rewrite -> Map ->
-    Verify``)."""
-    from ..api import get_pipeline
-
-    return get_pipeline("dc").run(network, config)

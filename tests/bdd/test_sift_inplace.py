@@ -202,7 +202,7 @@ class TestLargeConesAreReordered:
     def test_wide_supernode_gets_sifted(self):
         """Regression: >14-variable supernodes were skipped by the old
         rebuild-sift guards; the in-place engine reorders them."""
-        from repro.flows.bds import BdsFlowConfig, bds_optimize
+        from repro.api import get_pipeline
         from repro.network import LogicNetwork
 
         pairs = 8  # 16 boundary variables on one node — over the old guard
@@ -225,8 +225,8 @@ class TestLargeConesAreReordered:
         net.add_node("y", fanins, rows)
         net.add_output("y")
 
-        config = BdsFlowConfig(verify=True)
-        _optimized, _counts, trace = bds_optimize(net, config)
+        ctx = get_pipeline("bds-maj").optimize_prefix().run_context(net)
+        trace = ctx.scratch["trace"]
         assert trace.supernodes >= 1
         assert trace.sifted >= 1  # the old guards left this at 0
 

@@ -127,8 +127,8 @@ class TestThroughFlows:
         ],
     )
     def test_bdsmaj_flow(self, factory):
-        from repro.flows import bdsmaj_flow
+        from repro.api import get_pipeline
 
         net = factory()
-        result = bdsmaj_flow(net)
+        result = get_pipeline("bds-maj").run(net)
         assert result.equivalence is not None and result.equivalence.equivalent

@@ -23,20 +23,15 @@ class TestNormalization:
         for policy in REORDER_POLICIES:
             assert normalize_reorder_policy(policy) == policy
 
-    def test_boolean_compatibility(self):
-        assert normalize_reorder_policy(True) == "once"
-        assert normalize_reorder_policy(False) == "none"
-        assert normalize_reorder_policy(None) == "none"
-        assert BdsFlowConfig(reorder=True).reorder == "once"
-        assert BdsFlowConfig(reorder=False).reorder == "none"
-
     def test_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            normalize_reorder_policy("sometimes")
-        with pytest.raises(ValueError):
-            BdsFlowConfig(reorder="sometimes")
-        with pytest.raises(ValueError):
-            BatchConfig(reorder="sometimes")
+        # Booleans and None included: the policy is only ever a name.
+        for value in ("sometimes", True, False, None):
+            with pytest.raises(ValueError):
+                normalize_reorder_policy(value)
+            with pytest.raises(ValueError):
+                BdsFlowConfig(reorder=value)
+            with pytest.raises(ValueError):
+                BatchConfig(reorder=value)
 
 
 class TestBatchPolicies:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.flows.bds import BdsFlowConfig, bds_optimize
+from repro.api import get_pipeline
+from repro.flows import BdsFlowConfig, DcFlowConfig
 from repro.network import (
     LogicNetwork,
     PartitionConfig,
@@ -25,6 +26,11 @@ from repro.network.bdds import BddSizeExceeded, supernode_bdd
 
 PAIRS = 8
 BUDGET = 60
+
+
+def optimize(net: LogicNetwork, config: BdsFlowConfig):
+    """The bds-maj optimize prefix; the context carries the trace."""
+    return get_pipeline("bds-maj").optimize_prefix().run_context(net, config)
 
 
 def separated_comparator(pairs: int = PAIRS) -> LogicNetwork:
@@ -146,25 +152,41 @@ class TestPartitionRescue:
 
     def test_dynamic_flow_output_is_equivalent(self):
         net = comparator_tree()
-        config = BdsFlowConfig(reorder="dynamic", verify=True)
+        config = BdsFlowConfig(reorder="dynamic")
         config.partition = PartitionConfig(
             max_support=2 * PAIRS, max_bdd_nodes=BUDGET, dynamic_reorder=True
         )
-        optimized, counts, trace = bds_optimize(net, config)
+        ctx = optimize(net, config)
+        trace = ctx.scratch["trace"]
         assert trace.supernodes == 1
         assert trace.reorderings >= 1
-        assert sum(counts.values()) > 0
-        assert check_equivalence(net, optimized).equivalent
+        assert sum(ctx.node_counts.values()) > 0
+        assert check_equivalence(net, ctx.optimized).equivalent
+
+    def test_dc_collapse_keeps_every_partition_field(self):
+        """The DC flow's collapse adds its hard signals to the caller's
+        partition config without dropping fields such as
+        ``dynamic_reorder``."""
+        net = comparator_tree()
+        partition = PartitionConfig(
+            max_support=2 * PAIRS, max_bdd_nodes=BUDGET, dynamic_reorder=True
+        )
+        pipeline = get_pipeline("dc").up_to("collapse")
+        ctx = pipeline.run_context(net, DcFlowConfig(partition=partition))
+        partitions = ctx.scratch["partitions"]
+        assert len(partitions) == 1
+        assert partitions[0][1].reorderings >= 1
 
     def test_policy_derives_partition_dynamic_flag(self):
         """``reorder="dynamic"`` alone must arm construction-time
         reordering — callers should not have to set the partition flag
         themselves."""
         net = comparator_tree()
-        config = BdsFlowConfig(reorder="dynamic", verify=False)
+        config = BdsFlowConfig(reorder="dynamic")
         config.partition = PartitionConfig(
             max_support=2 * PAIRS, max_bdd_nodes=BUDGET
         )
-        _optimized, _counts, trace = bds_optimize(net, config)
+        trace = optimize(net, config).scratch["trace"]
         assert trace.supernodes == 1
         assert trace.reorderings >= 1
+        assert config.partition.dynamic_reorder is False  # armed on a copy

@@ -10,9 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro.aig import aig_to_network, network_to_aig, resyn_quick
+from repro.api import get_pipeline
 from repro.bdd import BDD, BDDError
 from repro.benchgen import ripple_carry_adder
-from repro.flows import FLOWS, abc_flow, bdsmaj_flow, dc_flow
 from repro.mapping import map_network
 from repro.network import (
     BlifError,
@@ -26,8 +26,8 @@ from repro.network import (
 
 class TestDegenerateNetworks:
     def _run_all_flows(self, net):
-        for name, flow in FLOWS.items():
-            result = flow(net)
+        for name in ("bds-maj", "bds-pga", "abc", "dc"):
+            result = get_pipeline(name).run(net)
             assert result.equivalence is not None, name
             assert result.equivalence.equivalent, name
 
@@ -81,7 +81,7 @@ class TestDegenerateNetworks:
         net.add_input("b")
         net.add_node("f", ("a", "b"), ("11", "10"))
         net.add_output("f")
-        result = bdsmaj_flow(net)
+        result = get_pipeline("bds-maj").run(net)
         assert result.equivalence.equivalent
         assert result.total_nodes == 0  # plain literal, no gates
 
@@ -94,8 +94,8 @@ class TestDegenerateNetworks:
         for i in range(3000):
             previous = net.add_and(f"n{i}", previous, "y")
         net.add_output(previous)
-        for flow in (bdsmaj_flow, abc_flow, dc_flow):
-            result = flow(net)
+        for flow in ("bds-maj", "abc", "dc"):
+            result = get_pipeline(flow).run(net)
             assert result.equivalence.equivalent
 
     def test_wide_fanin_node(self):
