@@ -10,7 +10,7 @@ identity folding keep the graph reduced during construction.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 
 class Aig:

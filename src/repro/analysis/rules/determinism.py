@@ -21,7 +21,7 @@ import ast
 from typing import Iterator
 
 from ..core import REGISTRY, Finding, Rule
-from ..scopes import ModuleContext, order_insensitive_builtins
+from ..scopes import ModuleContext
 
 #: The report-affecting modules.  ``repro.api`` (the stages every flow
 #: runs) and ``repro.core`` (the decomposition engine) hold each flow's

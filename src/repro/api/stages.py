@@ -133,8 +133,12 @@ class Decompose:
         trace = scratch["trace"]
         builder = scratch["builder"]
         roots = scratch["roots"]
+        # One decision memo per flow run (one circuit), shared by every
+        # supernode's engine: no state outlives the run, so reports do
+        # not depend on which worker ran which circuits before.
+        memo: dict = {}
         for supernode, mgr, root in scratch["partitions"]:
-            engine = DecompositionEngine(mgr, builder, ctx.config.engine)
+            engine = DecompositionEngine(mgr, builder, ctx.config.engine, memo)
             roots[supernode.output] = engine.decompose(root)
             trace.add_cache_stats(engine.cache_report())
             trace.majority_steps += engine.stats.majority

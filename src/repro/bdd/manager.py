@@ -64,6 +64,10 @@ DEFAULT_MAX_GROWTH = 4.0
 #: (:meth:`BDD.sift_converge`).
 DEFAULT_MAX_PASSES = 8
 
+#: A function's structure with node ids and levels renamed
+#: (:meth:`BDD.shape`): ``(root, ((position, high, low), ...))``.
+Shape = tuple[int, tuple[tuple[int, int, int], ...]]
+
 #: Default live-node count that arms the first growth-triggered reorder
 #: (:meth:`BDD.enable_dynamic_reordering`).  Modelled on CUDD's "first
 #: reordering" trigger, scaled down to this package's workloads.
@@ -2067,6 +2071,73 @@ class BDD:
             return rebuilt ^ (e & 1)
 
         return walk(edge)
+
+    # ------------------------------------------------------------------
+    # Canonical shapes (manager- and name-independent function keys)
+    # ------------------------------------------------------------------
+    def support_shape(self, edge: int) -> tuple[list[int], Shape]:
+        """``(levels, shape)``: the support levels of ``edge`` in
+        order, and :meth:`shape` of ``edge`` over them.
+
+        Reduced BDDs with complement edges are canonical, so two edges
+        get equal shapes exactly when they compute the same function
+        up to an order-preserving renaming of their supports — in any
+        two managers, whatever their allocation histories.
+        """
+        nodes = self.nodes_reachable([edge])
+        levels = sorted({self._level[index] for index in nodes})
+        return levels, self._shape(edge, nodes, levels)
+
+    def shape(self, edge: int, levels: Sequence[int]) -> Shape:
+        """The structure of ``edge`` with node ids and levels renamed.
+
+        A shape is ``(root, nodes)``.  ``nodes`` holds one
+        ``(position, high, low)`` triple per node in
+        :meth:`nodes_reachable` preorder, where ``position`` is the
+        node's level as an index into ``levels`` (which must cover the
+        support of ``edge``), and edges are re-encoded as
+        ``(rank << 1) | complement`` with rank 0 the terminal and rank
+        ``i + 1`` the ``i``-th node; ``root`` is ``edge`` so encoded.
+        """
+        return self._shape(edge, self.nodes_reachable([edge]), levels)
+
+    def _shape(self, edge: int, nodes: list[int], levels: Sequence[int]) -> Shape:
+        position = {level: p for p, level in enumerate(levels)}
+        rank = {0: 0}
+        for r, index in enumerate(nodes, start=1):
+            rank[index] = r
+        node_levels = self._level
+        highs = self._high
+        lows = self._low
+        body = tuple(
+            (
+                position[node_levels[index]],
+                rank[highs[index] >> 1] << 1 | highs[index] & 1,
+                rank[lows[index] >> 1] << 1 | lows[index] & 1,
+            )
+            for index in nodes
+        )
+        return rank[edge >> 1] << 1 | edge & 1, body
+
+    def from_shape(self, shape: Shape, levels: Sequence[int]) -> int:
+        """Rebuild ``shape`` in this manager with position ``p`` at
+        ``levels[p]`` (increasing levels keep the order valid).
+
+        Nodes are built deepest position first: the preorder of a
+        shape is not topological, but an edge always points to a
+        deeper position.  The rebuild goes straight through the unique
+        table, never the operation cache.
+        """
+        root, body = shape
+        edges = [self.ONE] * (len(body) + 1)
+        for rank in sorted(range(len(body)), key=lambda r: body[r][0], reverse=True):
+            position, high, low = body[rank]
+            edges[rank + 1] = self._mk(
+                levels[position],
+                edges[high >> 1] ^ (high & 1),
+                edges[low >> 1] ^ (low & 1),
+            )
+        return edges[root >> 1] ^ (root & 1)
 
     # ------------------------------------------------------------------
     # Transfer / iteration helpers

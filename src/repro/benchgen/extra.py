@@ -17,7 +17,7 @@ All are verified against Python integer semantics in the test suite.
 from __future__ import annotations
 
 from ..network import LogicNetwork
-from .arithmetic import _Namer, _bus, _const, _full_adder, _out_bus, _reduce_columns
+from .arithmetic import _Namer, _bus, _const, _out_bus, _reduce_columns
 
 
 def kogge_stone_adder(width: int = 32, name: str = "ks") -> LogicNetwork:

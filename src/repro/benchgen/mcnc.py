@@ -19,11 +19,9 @@ from ..network import LogicNetwork
 from .arithmetic import (
     _Namer,
     _bus,
-    _full_adder,
     _mux_bus,
     _out_bus,
     _ripple_add,
-    _subtract,
     array_multiplier,
 )
 from .ecc import hamming_corrector

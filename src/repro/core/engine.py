@@ -16,10 +16,17 @@ Setting ``enable_majority=False`` turns the engine into the BDS-PGA
 baseline: identical machinery minus step 2, which is exactly the
 comparison Table I draws.
 
-Results are memoized per BDD edge, so logic sharing inside a supernode
-is detected through BDD canonicity (Section IV.C), and the shared
-:class:`~repro.core.tree.TreeBuilder` extends the sharing across
-supernodes of the same network.
+Results are memoized twice.  Per BDD edge, so logic sharing inside a
+supernode is detected through BDD canonicity (Section IV.C), and the
+shared :class:`~repro.core.tree.TreeBuilder` extends the sharing across
+supernodes of the same network.  And per function *shape*
+(:meth:`~repro.bdd.BDD.support_shape`: the canonical BDD with node ids
+and levels renamed), across every supernode manager of one flow run:
+the same small function recurs once per bit slice over other input
+names, and its decision — which split, with the children as shapes over
+the parent's support — is taken once, then replayed in each manager.
+Every tie-break of the decision is structural, so a replay builds
+exactly the tree a fresh decision would.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from ..bdd.dominators import (
     best_simple_decomposition,
     find_simple_decompositions,
 )
+from ..bdd.manager import Shape
 from .majority import MajorityConfig, accepts_globally, decompose_majority
 from .tree import TreeBuilder
 
@@ -64,6 +72,8 @@ class EngineStats:
     literal: int = 0
     constant: int = 0
     cache_hits: int = 0
+    #: Decisions replayed from the shared shape memo.
+    memo_hits: int = 0
     #: Snapshot of the BDD manager's unified operation-cache counters
     #: (see :meth:`repro.bdd.BDD.cache_stats`), refreshed by
     #: :meth:`DecompositionEngine.cache_report`.
@@ -78,25 +88,40 @@ class EngineStats:
             "literal": self.literal,
             "constant": self.constant,
             "cache_hits": self.cache_hits,
+            "memo_hits": self.memo_hits,
         }
         for key, value in self.bdd_cache.items():
             result[f"bdd_cache_{key}"] = value
         return result
 
 
+#: An engine decision: ``("maj", fa, fb, fc)``, ``(kind, upper, lower)``
+#: for a simple-dominator split, or ``("mux",)``; children are
+#: :data:`~repro.bdd.manager.Shape` values over the parent's support.
+Decision = tuple
+
+
 class DecompositionEngine:
-    """Decompose functions of one BDD manager into factoring trees."""
+    """Decompose functions of one BDD manager into factoring trees.
+
+    ``memo`` maps function shapes to decisions.  Engines of one flow
+    run share it (one dict per run, so parallel reports stay
+    byte-identical); every engine sharing it must have an equal
+    ``config``.  Without it each engine keeps its own.
+    """
 
     def __init__(
         self,
         mgr: BDD,
         builder: TreeBuilder | None = None,
         config: EngineConfig | None = None,
+        memo: dict[Shape, Decision] | None = None,
     ) -> None:
         self.mgr = mgr
         self.builder = builder if builder is not None else TreeBuilder()
         self.config = config if config is not None else EngineConfig()
         self.stats = EngineStats()
+        self._memo = memo if memo is not None else {}
         self._cache: dict[int, int] = {}
         # Reachable-size memo, keyed by regular edge (a function and its
         # complement share one entry): every decomposition step asks for
@@ -107,7 +132,6 @@ class DecompositionEngine:
 
     def decompose(self, f: int) -> int:
         """Return the factoring-tree id computing the function ``f``."""
-        mgr = self.mgr
         builder = self.builder
 
         cached = self._cache.get(f)
@@ -152,14 +176,31 @@ class DecompositionEngine:
             self.stats.constant += 1
             return builder.CONST0
 
-        size = self._size(f)
-        if size == 1:
+        if self._size(f) == 1:
             # Canonical single-node functions are exactly the literals.
             self.stats.literal += 1
             literal = builder.literal(mgr.top_var_name(f))
             return builder.not_(literal) if f & 1 else literal
 
+        levels, shape = mgr.support_shape(f)
+        return self._replay(f, self._decision(f, shape, levels), levels)
+
+    def _decision(self, f: int, shape: Shape, levels: list[int]) -> Decision:
+        """The memoized decision for ``f`` (whose shape is ``shape``)."""
+        decision = self._memo.get(shape)
+        if decision is None:
+            decision = self._decide(f, levels)
+            self._memo[shape] = decision
+        else:
+            self.stats.memo_hits += 1
+        return decision
+
+    def _decide(self, f: int, levels: list[int]) -> Decision:
+        """Choose the split of ``f``; children are returned as shapes
+        over ``levels``, the support of ``f``."""
+        mgr = self.mgr
         config = self.config
+        size = self._size(f)
         # One certification scan serves both the AND/OR/XOR search and
         # the m-dominator exclusion filter (condition (i) of III.B).
         simple_candidates = find_simple_decompositions(mgr, f)
@@ -172,29 +213,40 @@ class DecompositionEngine:
                 mgr, f, config.majority, simple_dominators=simple_nodes
             )
             if majority is not None and accepts_globally(mgr, f, majority, config.global_k):
-                self.stats.majority += 1
-                return builder.maj(
-                    self.decompose(majority.fa),
-                    self.decompose(majority.fb),
-                    self.decompose(majority.fc),
-                )
+                return ("maj", *(mgr.shape(part, levels) for part in majority.parts()))
 
         simple = best_simple_decomposition(mgr, f, simple_candidates)
         if simple is not None:
-            upper_tree = self.decompose(simple.upper)
-            lower_tree = self.decompose(simple.lower)
-            if simple.kind == KIND_AND:
-                self.stats.and_or += 1
-                return builder.and_(upper_tree, lower_tree)
-            if simple.kind == KIND_OR:
-                self.stats.and_or += 1
-                return builder.or_(upper_tree, lower_tree)
-            self.stats.xor += 1
-            return builder.xor(upper_tree, lower_tree)
-
+            return (
+                simple.kind,
+                mgr.shape(simple.upper, levels),
+                mgr.shape(simple.lower, levels),
+            )
         # Last resort: Shannon cofactoring against the top variable.
-        self.stats.mux += 1
-        top_level = mgr.level_of_edge(f)
-        high, low = mgr._cofactors(f, top_level)
-        select = builder.literal(mgr.name_of(top_level))
-        return builder.mux(select, self.decompose(high), self.decompose(low))
+        return ("mux",)
+
+    def _replay(self, f: int, decision: Decision, levels: list[int]) -> int:
+        """Carry out ``decision`` on ``f``: rebuild each child here and
+        decompose it."""
+        mgr = self.mgr
+        builder = self.builder
+        kind = decision[0]
+        if kind == "mux":
+            self.stats.mux += 1
+            top_level = mgr.level_of_edge(f)
+            high, low = mgr._cofactors(f, top_level)
+            select = builder.literal(mgr.name_of(top_level))
+            return builder.mux(select, self.decompose(high), self.decompose(low))
+
+        trees = [self.decompose(mgr.from_shape(child, levels)) for child in decision[1:]]
+        if kind == "maj":
+            self.stats.majority += 1
+            return builder.maj(*trees)
+        if kind == KIND_AND:
+            self.stats.and_or += 1
+            return builder.and_(*trees)
+        if kind == KIND_OR:
+            self.stats.and_or += 1
+            return builder.or_(*trees)
+        self.stats.xor += 1
+        return builder.xor(*trees)

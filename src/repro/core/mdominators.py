@@ -18,7 +18,7 @@ the overall decomposition near-linear in practice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..bdd import BDD
 from ..bdd.dominators import simple_dominator_nodes
@@ -60,7 +60,8 @@ def find_m_dominators(
     config: MDominatorConfig | None = None,
     simple_dominators: set[int] | None = None,
 ) -> list[MDominator]:
-    """Non-trivial m-dominator candidates of ``root``, best first.
+    """Non-trivial m-dominator candidates of ``root``, best first
+    (most regular fan-in, then most total fan-in, then preorder).
 
     The root's own node is excluded (it would only produce the trivial
     ``Maj(F, F, anything)`` decomposition).  ``simple_dominators`` lets
@@ -84,7 +85,10 @@ def find_m_dominators(
     if not candidates and config.relax_if_empty and config.min_regular_fanin > 1:
         candidates = _collect(mgr, root, stats, excluded, 1)
 
-    candidates.sort(key=lambda c: (-c.regular_fanin, -c.total_fanin, c.node))
+    # Stable over nodes_reachable preorder: ties go to the candidate met
+    # first, a structural choice (node ids are allocation history), so
+    # the ranking is a function of the BDD's shape alone.
+    candidates.sort(key=lambda c: (-c.regular_fanin, -c.total_fanin))
     if config.max_candidates > 0:
         candidates = candidates[: config.max_candidates]
     return candidates

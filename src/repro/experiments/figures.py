@@ -15,7 +15,7 @@ from ..api import get_pipeline
 from ..bdd import BDD, to_dot
 from ..bdd.substitute import function_at
 from ..benchgen import build_benchmark
-from ..core import construct, decompose_majority, find_m_dominators, optimize
+from ..core import construct, find_m_dominators, optimize
 
 
 @dataclass

@@ -19,7 +19,7 @@ library, MUX, or raw SOP nodes) are pre-expanded into AND/OR/NOT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..network import LogicNetwork, NetworkError, Node
 from .library import Cell, CellLibrary, cmos22_library

@@ -8,7 +8,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..bdd import BDD, DEFAULT_CACHE_CAPACITY
 from .netlist import LogicNetwork, NetworkError, Node

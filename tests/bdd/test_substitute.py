@@ -17,7 +17,7 @@ from repro.bdd import (
     replace_node,
 )
 
-from ..conftest import all_assignments, random_function
+from ..conftest import random_function
 
 
 class TestFunctionAt:

@@ -1,0 +1,157 @@
+"""The engine's shape-keyed decision memo.
+
+Engines of one flow run share a memo from function shapes to decisions
+(:meth:`repro.bdd.BDD.support_shape`), so a function that recurs in
+other supernode managers over other input names is decided once and
+replayed.  That is only sound if a decision is a function of the shape
+alone.  The oracle here recomputes the decision on every memo hit and
+compares; the end-to-end checks require shared-memo and per-engine-memo
+runs to build the very same trees and step counts.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import get_pipeline
+from repro.bdd import BDD
+from repro.benchgen import build_benchmark
+from repro.benchgen.random_logic import random_control_network
+from repro.core import DecompositionEngine, TreeBuilder, find_m_dominators
+
+from ..conftest import random_function
+
+
+class CheckingEngine(DecompositionEngine):
+    """Recomputes the decision of every memo hit and asserts that it
+    equals the stored one."""
+
+    def _decision(self, f, shape, levels):
+        hits = self.stats.memo_hits
+        decision = super()._decision(f, shape, levels)
+        if self.stats.memo_hits > hits:
+            assert self._decide(f, levels) == decision, (
+                f"memo hit disagrees with a fresh decision on {shape}"
+            )
+        return decision
+
+
+def tree_nodes(builder):
+    """Every interned tree node, in creation order."""
+    return [(builder.op(i), builder.children(i), builder.payload(i)) for i in range(len(builder))]
+
+
+def decompose_network(network, flow, engine_class=DecompositionEngine, shared=True):
+    """Run ``flow`` up to its reorder stage, then decompose every
+    supernode the way the ``decompose`` stage does.
+
+    Returns ``(tree_nodes, roots, steps, memo_hits)``.
+    """
+    ctx = get_pipeline(flow).up_to("reorder").run_context(network)
+    builder = TreeBuilder()
+    memo: dict = {}
+    roots = {}
+    steps = {"majority": 0, "and_or": 0, "xor": 0, "mux": 0}
+    memo_hits = 0
+    for supernode, mgr, root in ctx.scratch["partitions"]:
+        engine = engine_class(mgr, builder, ctx.config.engine, memo if shared else None)
+        roots[supernode.output] = engine.decompose(root)
+        for key in steps:
+            steps[key] += getattr(engine.stats, key)
+        memo_hits += engine.stats.memo_hits
+    return tree_nodes(builder), roots, steps, memo_hits
+
+
+def assert_memo_is_transparent(network, flow):
+    """Shared memo (checked on every hit) vs one memo per engine:
+    identical trees, roots and steps; returns the shared run's hits."""
+    shared = decompose_network(network, flow, CheckingEngine, shared=True)
+    private = decompose_network(network, flow, shared=False)
+    assert shared[:3] == private[:3]
+    return shared[3]
+
+
+@pytest.mark.parametrize("flow", ["bds-maj", "bds-pga"])
+@pytest.mark.parametrize("circuit", ["alu2", "c6288", "add4x16"])
+def test_registry_memo_hits_replay_fresh_decisions(circuit, flow):
+    network = build_benchmark(circuit)
+    hits = assert_memo_is_transparent(network, flow)
+    if circuit == "c6288":
+        assert hits > 0  # the multiplier's bit slices repeat
+
+
+@pytest.mark.parametrize("flow", ["bds-maj", "bds-pga"])
+def test_decompose_stage_matches_per_engine_memos(flow):
+    """The ``decompose`` stage's shared memo builds the trees, node
+    counts and steps of engines that each decide everything afresh."""
+    network = build_benchmark("add4x16")
+    ctx = get_pipeline(flow).up_to("decompose").run_context(network)
+    trace = ctx.scratch["trace"]
+    tree, roots, steps, _ = decompose_network(network, flow, shared=False)
+    assert tree_nodes(ctx.scratch["builder"]) == tree
+    assert ctx.scratch["roots"] == roots
+    assert steps == {
+        "majority": trace.majority_steps,
+        "and_or": trace.and_or_steps,
+        "xor": trace.xor_steps,
+        "mux": trace.mux_steps,
+    }
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    xor_fraction=st.sampled_from([0.08, 0.3, 0.6]),
+    flow=st.sampled_from(["bds-maj", "bds-pga"]),
+)
+def test_property_memo_is_transparent_on_random_networks(seed, xor_fraction, flow):
+    network = random_control_network("rnd", 8, 4, 40, seed=seed, xor_fraction=xor_fraction)
+    assert_memo_is_transparent(network, flow)
+
+
+def _build_with_history(table, names, junk_seed):
+    """``table`` built in a fresh manager after random functions drawn
+    from ``junk_seed`` consumed node ids."""
+    mgr = BDD(names)
+    rng = random.Random(junk_seed)
+    for _ in range(junk_seed % 7 * 5):  # seed 0: a fresh manager
+        random_function(mgr, names, rng, depth=4)
+    return mgr, mgr.from_truth_table(table, names)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    table=st.integers(min_value=0, max_value=(1 << 32) - 1),
+    junk_seed=st.integers(min_value=1, max_value=10_000).filter(lambda s: s % 7),
+)
+def test_m_dominator_ranking_ignores_allocation_history(table, junk_seed):
+    """One function in two managers whose node ids were allocated in
+    different orders: the candidates are the same preorder positions."""
+    names = list("abcde")
+    positions = []
+    for seed in (0, junk_seed):
+        mgr, f = _build_with_history(table, names, seed)
+        preorder = mgr.nodes_reachable([f])
+        positions.append([preorder.index(c.node) for c in find_m_dominators(mgr, f)])
+    assert positions[0] == positions[1]
+
+
+def test_shapes_agree_across_managers_and_rebuild_exactly():
+    """Equal functions up to an order-preserving renaming have equal
+    shapes, and ``from_shape`` rebuilds the edge it was taken from."""
+    rng = random.Random(3)
+    first = BDD(list("abcdef"))
+    second = BDD(list("uvwxyz"))
+    for _ in range(40):
+        f = random_function(first, "abcdef", rng, depth=5)
+        table = first.truth_table(f, list("abcdef"))
+        g = second.from_truth_table(table, list("uvwxyz"))
+        levels, shape = first.support_shape(f)
+        other_levels, other_shape = second.support_shape(g)
+        assert shape == other_shape
+        assert second.from_shape(shape, other_levels) == g
+        assert first.from_shape(shape, levels) == f

@@ -6,9 +6,10 @@ mcnc`` with the default policy (``reorder="once"``).  Node counts,
 decomposition steps and op-cache counters must stay **byte-identical**
 to it; the ``converge``/``dynamic`` reordering policies are strictly
 opt-in and move nothing published.  The golden was last regenerated
-when the simple-dominator scan stopped certifying AND/OR identities
-that the nodes' reference parities rule out: every QoR field stayed
-the same and only the ``cache`` counters fell.
+when the engine began deciding each distinct function shape once per
+circuit and replaying the decision in other supernode managers: every
+QoR field stayed the same and only the ``cache`` counters fell, since a
+replay rebuilds the children through the unique table alone.
 
 If an intentional change moves these numbers, regenerate the golden
 with::

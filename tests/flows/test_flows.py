@@ -112,7 +112,7 @@ class TestDcFlow:
 
 class TestFlowRegistry:
     def test_four_flows_in_paper_order(self):
-        assert pipeline_names()[:4] == list(PAPER_FLOWS)
+        assert pipeline_names() == list(PAPER_FLOWS)
 
     def test_all_flows_on_small_alu(self):
         net = build_benchmark("alu2")

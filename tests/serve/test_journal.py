@@ -10,9 +10,7 @@ resubmission of replayed work from the rehydrated result cache.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
-import signal
 import sys
 from pathlib import Path
 

@@ -22,6 +22,11 @@ from repro.serve.shard import HashRing
 from .client import http_json, http_request, poll_job
 
 
+#: Bound on the proxied events read: an alu2 job streams to its terminal
+#: event in a few seconds, and a lost wake-up must fail, not hang.
+EVENTS_TIMEOUT = 60.0
+
+
 def run(coro):
     return asyncio.run(coro)
 
@@ -141,9 +146,19 @@ class TestEndToEnd:
                 host, port, "POST", "/jobs", {"circuits": ["alu2"]}
             )
             assert status == 202
-            status, raw = await http_request(
-                host, port, "GET", f"/jobs/{job['id']}/events"
-            )
+            events_path = f"/jobs/{job['id']}/events"
+            try:
+                status, raw = await asyncio.wait_for(
+                    http_request(host, port, "GET", events_path),
+                    timeout=EVENTS_TIMEOUT,
+                )
+            except asyncio.TimeoutError:
+                pytest.fail(
+                    f"proxied event stream GET {events_path} did not end within "
+                    f"{EVENTS_TIMEOUT:.0f} s (ShardDispatcher._stream_events -> "
+                    "SynthesisService._stream_events): a lost wake-up or a "
+                    "missed terminal event"
+                )
             assert status == 200
             events = [json.loads(line) for line in raw.splitlines() if line]
             assert events, "event stream came back empty"
