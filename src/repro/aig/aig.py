@@ -180,10 +180,11 @@ class Aig:
             level[node] = 1 + max(level[f0 >> 1], level[f1 >> 1])
         return level
 
-    def reference_counts(self) -> dict[int, int]:
-        """Fanout counts over the PO-reachable subgraph (PO refs count)."""
+    def reference_counts(self, order: list[int] | None = None) -> dict[int, int]:
+        """Fanout counts over the PO-reachable subgraph (PO refs count).
+        ``order`` is :meth:`reachable_ands`, when the caller has it."""
         refs: dict[int, int] = {}
-        for node in self.reachable_ands():
+        for node in self.reachable_ands() if order is None else order:
             for literal in self._fanins[node]:
                 refs[literal >> 1] = refs.get(literal >> 1, 0) + 1
         for _, literal in self._outputs:

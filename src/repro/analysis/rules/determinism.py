@@ -5,7 +5,8 @@ serve reports are **byte-identical** across worker counts, warm vs
 cold pools, shards and journal replay.  Three language features break
 that silently, so in the report-affecting modules (``repro.api``,
 ``repro.core``, ``repro.flows``, ``repro.network``, ``repro.bdd``,
-``repro.serve.wire``) they are banned:
+``repro.aig``, ``repro.sop``, ``repro.mapping``, ``repro.serve.wire``)
+they are banned:
 
 * iterating a ``set`` in an order-sensitive position (DET001) — set
   order varies with ``PYTHONHASHSEED`` and insertion history;
@@ -25,13 +26,17 @@ from ..scopes import ModuleContext
 
 #: The report-affecting modules.  ``repro.api`` (the stages every flow
 #: runs) and ``repro.core`` (the decomposition engine) hold each flow's
-#: report-affecting code.
+#: report-affecting code; ``repro.aig`` and ``repro.sop`` build the abc
+#: and dc flows' graphs, and ``repro.mapping`` every flow's netlist.
 DET_MODULES = (
     "repro.api",
     "repro.core",
     "repro.flows",
     "repro.network",
     "repro.bdd",
+    "repro.aig",
+    "repro.sop",
+    "repro.mapping",
     "repro.serve.wire",
 )
 

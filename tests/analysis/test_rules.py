@@ -90,6 +90,14 @@ def test_det001_scoped_to_report_affecting_modules():
     assert "DET001" not in rules_fired(source, module="repro.experiments.cli")
 
 
+@pytest.mark.parametrize(
+    "module", ["repro.aig.opt", "repro.sop.algebraic", "repro.mapping.mapper"]
+)
+def test_det001_covers_the_abc_dc_and_mapping_modules(module):
+    source = "for item in {1, 2}:\n    print(item)\n"
+    assert "DET001" in rules_fired(source, module=module)
+
+
 # ---------------------------------------------------------------------------
 # DET002 — builtin hash()
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ class CheckingEngine(DecompositionEngine):
         hits = self.stats.memo_hits
         decision = super()._decision(f, shape, levels)
         if self.stats.memo_hits > hits:
-            assert self._decide(f, levels) == decision, (
+            assert self._decide(f, shape, levels) == decision, (
                 f"memo hit disagrees with a fresh decision on {shape}"
             )
         return decision
