@@ -6,7 +6,10 @@ Recursively decomposes a BDD into a factoring tree:
 2. **majority decomposition is tried first** — a radix-3 split is
    potentially much more advantageous than the radix-2 ones — and is
    accepted under the *global majority selection* metric (k = 1.6
-   against the original BDD size);
+   against the original BDD size).  It is skipped when the BDD has
+   one node per support variable (``size == support``): the metric
+   must reject every triple of such a function (see
+   :func:`~repro.core.majority.accepts_globally`);
 3. otherwise the best certified simple-dominator decomposition
    (AND / OR / XOR) is applied;
 4. as a last resort the function is cofactored against its top
@@ -55,9 +58,8 @@ class EngineConfig:
     global_k: float = 1.6
     #: Algorithm 1 configuration (local k = 1.5, 5 balancing iterations).
     majority: MajorityConfig = field(default_factory=MajorityConfig)
-    #: Skip the majority search outside this BDD-size window (runtime
-    #: guard; Section III.F's "tight selection constraints").
-    min_majority_size: int = 3
+    #: Skip the majority search above this BDD size (runtime guard;
+    #: Section III.F's "tight selection constraints").
     max_majority_size: int = 250
 
 
@@ -194,10 +196,10 @@ class DecompositionEngine:
         # One certification scan serves both the AND/OR/XOR search and
         # the m-dominator exclusion filter (condition (i) of III.B).
         simple_candidates = find_simple_decompositions(mgr, f)
-        if (
-            config.enable_majority
-            and config.min_majority_size <= size <= config.max_majority_size
-        ):
+        # A function with no more nodes than support variables has no
+        # triple that accepts_globally could take (the bound in its
+        # docstring), so its search is skipped; ``<`` is tight.
+        if config.enable_majority and len(levels) < size <= config.max_majority_size:
             simple_nodes = {d.node for d in simple_candidates}
             majority = decompose_majority(
                 mgr, f, config.majority, simple_dominators=simple_nodes

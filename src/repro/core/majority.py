@@ -194,6 +194,15 @@ def accepts_globally(
     Requires the summed size to beat the original *and* every component
     to be k times smaller — the latter also guarantees structural
     progress, hence termination of the recursive engine.
+
+    Support bound: no triple of ``f`` is accepted when ``f_size`` equals
+    the support size of ``f``.  ``Maj(Fa, Fb, Fc) = f`` implies that
+    every support variable of ``f`` is in the support of ``Fa``, ``Fb``
+    or ``Fc``, and a reduced BDD has at least one node per support
+    variable, so the summed size is at least ``|supp(f)|`` and the
+    first test fails.  The engine skips
+    Algorithm 1 on such functions.  The bound is tight: accepted
+    triples with ``f_size = |supp(f)| + 1`` occur (e.g. on alu2).
     """
     sizes = decomposition.sizes(mgr)
     if sum(sizes) >= f_size:

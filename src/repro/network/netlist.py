@@ -77,7 +77,12 @@ class Node:
 
 
 class LogicNetwork:
-    """A combinational multi-level logic network."""
+    """A combinational multi-level logic network.
+
+    :meth:`topological_order` is computed once and cached until a
+    mutator (``add_input``, ``add_node``, ``replace_node``,
+    ``remove_node``, ``sweep_dangling``) changes the node set.
+    """
 
     def __init__(self, name: str = "top") -> None:
         self.name = name
@@ -85,6 +90,7 @@ class LogicNetwork:
         self._input_set: set[str] = set()
         self._outputs: list[str] = []
         self._nodes: dict[str, Node] = {}
+        self._order: tuple[str, ...] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -94,6 +100,7 @@ class LogicNetwork:
             raise NetworkError(f"signal {name!r} already defined")
         self._inputs.append(name)
         self._input_set.add(name)
+        self._order = None
         return name
 
     def add_output(self, name: str) -> str:
@@ -112,6 +119,7 @@ class LogicNetwork:
         if name in self._nodes or name in self._input_set:
             raise NetworkError(f"signal {name!r} already defined")
         self._nodes[name] = Node(name, tuple(fanins), tuple(cover), inverted)
+        self._order = None
         return name
 
     def replace_node(
@@ -125,11 +133,13 @@ class LogicNetwork:
         if name not in self._nodes:
             raise NetworkError(f"no node named {name!r}")
         self._nodes[name] = Node(name, tuple(fanins), tuple(cover), inverted)
+        self._order = None
 
     def remove_node(self, name: str) -> None:
         if name not in self._nodes:
             raise NetworkError(f"no node named {name!r}")
         del self._nodes[name]
+        self._order = None
 
     # Gate-level convenience constructors -------------------------------
     def add_const(self, name: str, value: bool) -> str:
@@ -219,9 +229,11 @@ class LogicNetwork:
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
-    def topological_order(self) -> list[str]:
+    def topological_order(self) -> tuple[str, ...]:
         """Internal node names, fanins before fanouts.  Raises on cycles
         or references to undefined signals."""
+        if self._order is not None:
+            return self._order
         state: dict[str, int] = {}
         order: list[str] = []
 
@@ -258,7 +270,8 @@ class LogicNetwork:
                 if not advanced:
                     state[name] = 2
                     order.append(name)
-        return order
+        self._order = tuple(order)
+        return self._order
 
     def validate(self) -> None:
         """Check structural sanity: acyclic, all signals defined."""
@@ -353,6 +366,8 @@ class LogicNetwork:
         dangling = [name for name in self._nodes if name not in keep]
         for name in dangling:
             del self._nodes[name]
+        if dangling:
+            self._order = None
         return len(dangling)
 
     def copy(self, name: str | None = None) -> "LogicNetwork":

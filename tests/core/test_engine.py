@@ -134,11 +134,18 @@ class TestSharing:
 
 class TestConfigGuards:
     def test_size_window_skips_majority(self, mgr):
-        engine = engine_for(mgr, min_majority_size=100)
         f = mgr.from_expr("a & b | b & c | a & c")
+        assert mgr.size(f) == 4
+        # MAJ3's 4 nodes are outside a window ending at 3 ...
+        engine = engine_for(mgr, max_majority_size=3)
         root = engine.decompose(f)
         assert engine.stats.majority == 0
         assert engine.builder.count_ops([root])["maj"] == 0
+        # ... and inside one ending at 4.
+        engine = engine_for(mgr, max_majority_size=4)
+        root = engine.decompose(f)
+        assert engine.stats.majority == 1
+        assert engine.builder.count_ops([root])["maj"] == 1
 
     def test_global_k_influences_acceptance(self, mgr):
         # With an absurd k nothing passes the global gate.

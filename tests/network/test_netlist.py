@@ -89,6 +89,36 @@ class TestStructure:
         net.add_output("x5000")
         assert len(net.topological_order()) == 5000
 
+    def test_topological_order_is_cached_until_a_mutation(self):
+        net = LogicNetwork()
+        net.add_input("a")
+        net.add_buf("p", "a")
+        net.add_buf("q", "a")
+        net.add_output("q")
+
+        def fresh(network):
+            # copy() rebuilds the node table in order, with no cache.
+            duplicate = network.copy()
+            assert duplicate._order is None
+            return duplicate.topological_order()
+
+        order = net.topological_order()
+        assert order == ("p", "q") == fresh(net)
+        assert net.topological_order() is order
+
+        mutations = [
+            ("add_input", lambda: net.add_input("b"), ("p", "q")),
+            ("add_node", lambda: net.add_and("r", "p", "b"), ("p", "q", "r")),
+            ("replace_node", lambda: net.replace_node("p", ("q",), ("1",)), ("q", "p", "r")),
+            ("remove_node", lambda: net.remove_node("r"), ("q", "p")),
+            ("sweep_dangling", net.sweep_dangling, ("q",)),
+        ]
+        for mutator, mutate, expected in mutations:
+            net.topological_order()
+            mutate()
+            assert net._order is None, f"{mutator} kept a stale order"
+            assert net.topological_order() == expected == fresh(net), mutator
+
     def test_support_and_fanin_cone(self):
         net = full_adder()
         assert net.support_of(["sum"]) == {"a", "b", "cin"}
