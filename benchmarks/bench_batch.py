@@ -31,7 +31,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.bdd import CACHE_POLICIES
 from repro.benchgen.registry import benchmark_keys
 from repro.flows import BatchConfig, WarmPoolManager, run_batch
 
@@ -72,30 +71,6 @@ def bench_batch_mcnc(benchmark, workers):
     assert summary["failed"] == 0
 
 
-@pytest.mark.parametrize("policy", list(CACHE_POLICIES))
-def bench_batch_cache_policy(benchmark, policy):
-    """Hit-rate comparison row for the eviction policies (fifo / lru /
-    2random) under capacity pressure: a deliberately small cache forces
-    evictions so the policies actually differ."""
-    report = run_once(
-        benchmark,
-        run_batch,
-        ["alu2", "f51m", "vda"],
-        BatchConfig(flow="bds-maj", cache_policy=policy, cache_capacity=1 << 10),
-    )
-    summary = report.summary()
-    benchmark.extra_info.update(
-        cache_policy=policy,
-        cache_hit_rate=round(summary["cache_hit_rate"], 4),
-        cache_evictions=summary["cache_evictions"],
-        per_circuit_hit_rates={
-            c.benchmark: round(float(c.cache["hit_rate"]), 4)
-            for c in report.ok_circuits
-        },
-    )
-    assert summary["failed"] == 0
-
-
 def bench_batch_determinism_check(benchmark):
     """Byte-identical reports for 1 vs 4 workers (runs the missing
     configuration itself if the parametrized runs were filtered out)."""
@@ -112,7 +87,6 @@ def bench_batch_determinism_check(benchmark):
 # pytest-benchmark collects functions named test_* too; use test_ alias
 # so plain `pytest benchmarks/` discovers the harness.
 test_batch_mcnc = bench_batch_mcnc
-test_batch_cache_policy = bench_batch_cache_policy
 test_batch_determinism_check = bench_batch_determinism_check
 
 

@@ -9,9 +9,9 @@ Public surface:
   balanced :func:`xor_split` used by the γ optimization phase;
 * :func:`replace_node` / :func:`edge_statistics` — structural rewrites
   and fan-in counts behind the m-dominator search;
-* :func:`sift` / :meth:`BDD.sift` — in-place Rudell sifting (per-level
-  subtables + adjacent level swaps), with :func:`reorder` /
-  :func:`sift_rebuild` as the rebuild-based constructions;
+* :meth:`BDD.sift` — in-place Rudell sifting (per-level subtables +
+  adjacent level swaps), with :func:`reorder` / :func:`sift_rebuild`
+  as the rebuild-based constructions;
 * :func:`to_dot` — Graphviz export (Figure 1);
 * :class:`BddArena` — read-only shared-memory snapshots of the flat
   node-store arrays, so pool workers copy-on-miss instead of rebuilding
@@ -49,7 +49,6 @@ from .dot import to_dot
 from .manager import (
     BDD,
     BDDError,
-    CACHE_POLICIES,
     DEFAULT_CACHE_CAPACITY,
     DEFAULT_MAX_GROWTH,
     DEFAULT_MAX_PASSES,
@@ -62,14 +61,7 @@ from .manager import (
 )
 from .isop import bdd_isop, isop_cover_rows
 from .quantify import count_paths, exists, forall, iter_cubes
-from .reorder import (
-    reorder,
-    sift,
-    sift_converge,
-    sift_groups,
-    sift_rebuild,
-    symmetry_groups,
-)
+from .reorder import reorder, sift_rebuild
 from .substitute import (
     EdgeStatistics,
     NodeFanin,
@@ -87,7 +79,6 @@ __all__ = [
     "BDD",
     "BDDError",
     "BddArena",
-    "CACHE_POLICIES",
     "SharedNodeStore",
     "SharedStoreFull",
     "SharedStoreHandle",
@@ -130,12 +121,8 @@ __all__ = [
     "reorder",
     "replace_node",
     "restrict",
-    "sift",
-    "sift_converge",
-    "sift_groups",
     "sift_rebuild",
     "simple_dominator_nodes",
-    "symmetry_groups",
     "to_dot",
     "xor_split",
 ]

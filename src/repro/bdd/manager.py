@@ -88,79 +88,27 @@ class BDDError(Exception):
     """Raised for invalid BDD operations (unknown variable, bad edge...)."""
 
 
-#: Eviction policies :class:`OperationCache` understands.
-CACHE_POLICIES = ("fifo", "lru", "2random")
-
-_MASK64 = (1 << 64) - 1
-
-
 class OperationCache:
     """Size-bounded memo table shared by every BDD operator.
 
     One keyed dict serves the apply kernels, ``ite``, ``cofactor`` and
     ``exists``; entries are ``(op_tag, operands...) -> result_edge``.
-    When the bound is reached an entry is evicted.  Three policies are
-    supported, all fully deterministic for a given operation sequence
-    (a requirement of the byte-identical batch reports):
-
-    * ``"fifo"`` (default) — oldest *inserted* entry goes first.  FIFO
-      never reorders entries, so it is the safest baseline and the one
-      all published counters were measured with.
-    * ``"lru"`` — a cache hit refreshes the entry's recency, so the
-      oldest *used* entry goes first.
-    * ``"2random"`` — power-of-two-choices eviction: a private xorshift
-      PRNG (fixed seed, so runs are reproducible) draws two candidate
-      entries and the one touched longest ago is evicted.  Approximates
-      LRU's hit rate without its per-hit dict churn.
+    When the bound is reached the oldest *inserted* entry is evicted
+    (FIFO).  FIFO never reorders entries, so eviction is fully
+    deterministic for a given operation sequence (a requirement of the
+    byte-identical batch reports).
     """
 
-    __slots__ = (
-        "capacity",
-        "policy",
-        "hits",
-        "misses",
-        "evictions",
-        "_data",
-        "_keys",
-        "_pos",
-        "_last",
-        "_tick",
-        "_rng",
-    )
+    __slots__ = ("capacity", "hits", "misses", "evictions", "_data")
 
-    #: Fixed xorshift64 seed for the ``2random`` candidate draws.
-    _RNG_SEED = 0x9E3779B97F4A7C15
-
-    def __init__(
-        self, capacity: int = DEFAULT_CACHE_CAPACITY, policy: str = "fifo"
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
-        if policy not in CACHE_POLICIES:
-            raise ValueError(
-                f"unknown cache policy {policy!r} (known: {CACHE_POLICIES})"
-            )
         self.capacity = capacity
-        self.policy = policy
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self._data: dict[tuple, int] = {}
-        # 2random bookkeeping: an array of keys (for O(1) random picks
-        # via swap-remove), each key's array position and last-use tick.
-        self._keys: list[tuple] = []
-        self._pos: dict[tuple, int] = {}
-        self._last: dict[tuple, int] = {}
-        self._tick = 0
-        self._rng = self._RNG_SEED
-
-    def _rand(self, bound: int) -> int:
-        x = self._rng
-        x = (x ^ (x << 13)) & _MASK64
-        x ^= x >> 7
-        x = (x ^ (x << 17)) & _MASK64
-        self._rng = x
-        return x % bound
 
     def get(self, key: tuple) -> int | None:
         result = self._data.get(key)
@@ -168,57 +116,18 @@ class OperationCache:
             self.misses += 1
         else:
             self.hits += 1
-            if self.policy == "lru":
-                # Refresh recency: move the entry to the back of the
-                # insertion order, which `put` evicts from the front of.
-                del self._data[key]
-                self._data[key] = result
-            elif self.policy == "2random":
-                self._tick += 1
-                self._last[key] = self._tick
         return result
 
     def put(self, key: tuple, value: int) -> None:
         data = self._data
-        if self.policy == "2random":
-            if key not in data:
-                if len(data) >= self.capacity:
-                    self._evict_2random()
-                self._pos[key] = len(self._keys)
-                self._keys.append(key)
-            self._tick += 1
-            self._last[key] = self._tick
-            data[key] = value
-            return
         if key not in data and len(data) >= self.capacity:
             del data[next(iter(data))]
             self.evictions += 1
         data[key] = value
 
-    def _evict_2random(self) -> None:
-        keys = self._keys
-        count = len(keys)
-        first = keys[self._rand(count)]
-        second = keys[self._rand(count)]
-        last = self._last
-        victim = first if last[first] <= last[second] else second
-        # Swap-remove the victim from the key array.
-        position = self._pos[victim]
-        tail = keys[-1]
-        keys[position] = tail
-        self._pos[tail] = position
-        keys.pop()
-        del self._pos[victim]
-        del self._last[victim]
-        del self._data[victim]
-        self.evictions += 1
-
     def clear(self) -> None:
         """Drop all entries; counters keep accumulating."""
         self._data.clear()
-        self._keys.clear()
-        self._pos.clear()
-        self._last.clear()
 
     def reset_counters(self) -> None:
         self.hits = 0
@@ -234,7 +143,6 @@ class OperationCache:
         )
         result["entries"] = len(self._data)
         result["capacity"] = self.capacity
-        result["policy"] = self.policy
         return result
 
 
@@ -302,7 +210,6 @@ class BDD:
         self,
         var_names: Iterable[str] = (),
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-        cache_policy: str = "fifo",
         store: "SharedNodeStore | None" = None,
     ) -> None:
         # Node store (parallel arrays, index = node id).  Node 0 is the
@@ -332,7 +239,7 @@ class BDD:
             self._free: list[int] = []
             self._created = 0
             self._subtables: list[dict[tuple[int, int], int]] = []
-            self._cache = OperationCache(cache_capacity, cache_policy)
+            self._cache = OperationCache(cache_capacity)
             self._op_overlay: dict[tuple, int] | None = None
             self._protected: dict[int, int] = {}
             self._reorder_threshold: int | None = None
@@ -354,7 +261,7 @@ class BDD:
         # Unique table, split per level so a level swap touches exactly
         # two subtables.  Keys are (high_edge, low_edge).
         self._subtables = []
-        self._cache = OperationCache(cache_capacity, cache_policy)
+        self._cache = OperationCache(cache_capacity)
         # Per-top-level-call memo overlay for ite (see the comment in
         # :meth:`ite`): None outside a call, a dict inside one.
         self._op_overlay: dict[tuple, int] | None = None

@@ -4,17 +4,17 @@ The BDS-MAJ decomposition engine reorders each supernode BDD before
 searching for dominators (paper Section IV.B: "As a first step, it
 performs variable reordering to compact the size of the input BDD").
 
-:func:`sift` is a true in-place Rudell sifting pass: the manager's
+The engine itself sifts in place (:meth:`BDD.sift`,
+:meth:`BDD.sift_converge`, :meth:`BDD.sift_groups`): the manager's
 per-level unique subtables let :meth:`BDD.swap_adjacent` exchange two
 adjacent variables by local node surgery, so trying a variable at every
 position costs O(total nodes) instead of one full rebuild *per
-position*.  That makes reordering cheap enough to run on every
-supernode — there are no size guards anymore (the ``max_vars`` /
-``max_nodes`` parameters remain for callers that want to opt out).
+position*.  This module holds the rebuild-based constructions.
 
-:func:`sift_rebuild` keeps the historical transfer-based sifter: each
-candidate position is realized by rebuilding the functions in a fresh
-manager.  It searches the same neighborhood with the same tie-breaks,
+:func:`reorder` transfers functions into a fresh manager with a given
+order.  :func:`sift_rebuild` keeps the historical transfer-based
+sifter: each candidate position is realized by rebuilding the functions
+in a fresh manager.  It searches the same neighborhood with the same tie-breaks,
 so it reaches the same final order — it is retained as the
 equivalence/benchmark baseline (``benchmarks/bench_reorder.py`` pins
 the in-place engine to ≥ its quality and a multiple of its speed).
@@ -22,20 +22,7 @@ the in-place engine to ≥ its quality and a multiple of its speed).
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .manager import (
-    BDD,
-    DEFAULT_MAX_GROWTH,
-    DEFAULT_MAX_PASSES,
-    DEFAULT_REORDER_THRESHOLD,
-    SiftResult,
-)
-
-#: Historical guard defaults of the rebuild-based sifter (kept for the
-#: benchmark baseline; the in-place :func:`sift` no longer guards).
-DEFAULT_MAX_SIFT_VARS = 14
-DEFAULT_MAX_SIFT_NODES = 600
+from .manager import BDD
 
 
 def reorder(mgr: BDD, roots: list[int], order: list[str]) -> tuple[BDD, list[int]]:
@@ -46,74 +33,8 @@ def reorder(mgr: BDD, roots: list[int], order: list[str]) -> tuple[BDD, list[int
     """
     if sorted(order) != sorted(mgr.var_names):
         raise ValueError("order must be a permutation of the manager's variables")
-    target = BDD(
-        order,
-        cache_capacity=mgr.op_cache.capacity,
-        cache_policy=mgr.op_cache.policy,
-    )
+    target = BDD(order, cache_capacity=mgr.op_cache.capacity)
     return target, [mgr.transfer(root, target) for root in roots]
-
-
-def sift(
-    mgr: BDD,
-    roots: list[int],
-    max_vars: int | None = None,
-    max_nodes: int | None = None,
-    max_growth: float | None = DEFAULT_MAX_GROWTH,
-) -> tuple[BDD, list[int]]:
-    """One greedy in-place sifting pass (Rudell-style).
-
-    Reorders ``mgr`` itself via :meth:`BDD.sift`; the returned manager
-    is the input manager and the returned edges equal ``roots`` (level
-    swaps preserve every edge's function), so callers can keep their
-    handles.  Edges *not* listed in ``roots`` are invalidated by the
-    initial garbage collection.
-
-    ``max_vars`` / ``max_nodes`` opt out of sifting for oversized
-    inputs (both default to ``None`` — no guard: the in-place engine is
-    cheap enough to always run).  Callers that need the pass outcome
-    (did the order change, how many swaps) should call
-    :meth:`BDD.sift` directly, which returns a :class:`SiftResult`.
-    """
-    if max_vars is not None and mgr.num_vars > max_vars:
-        return mgr, list(roots)
-    if max_nodes is not None and mgr.size_many(roots) > max_nodes:
-        return mgr, list(roots)
-    mgr.sift(roots, max_growth=max_growth)
-    return mgr, list(roots)
-
-
-def sift_converge(
-    mgr: BDD,
-    roots: list[int],
-    max_passes: int = DEFAULT_MAX_PASSES,
-    max_growth: float | None = DEFAULT_MAX_GROWTH,
-) -> tuple[BDD, list[int]]:
-    """Converge-to-fixpoint sifting (:meth:`BDD.sift_converge`) with the
-    same return shape as :func:`sift`, for callers written against the
-    rebuild-era interface.  The manager and edges are returned
-    unchanged; callers that need the pass outcome should call
-    :meth:`BDD.sift_converge` directly."""
-    mgr.sift_converge(roots, max_passes=max_passes, max_growth=max_growth)
-    return mgr, list(roots)
-
-
-def sift_groups(
-    mgr: BDD,
-    roots: list[int],
-    groups: Sequence[Sequence[str]] | None = None,
-    max_growth: float | None = DEFAULT_MAX_GROWTH,
-) -> tuple[BDD, list[int]]:
-    """Symmetric group sifting (:meth:`BDD.sift_groups`) with the same
-    return shape as :func:`sift`.  ``groups`` defaults to the detected
-    :meth:`BDD.symmetry_groups` of ``roots``."""
-    mgr.sift_groups(roots, groups=groups, max_growth=max_growth)
-    return mgr, list(roots)
-
-
-def symmetry_groups(mgr: BDD, roots: int | Sequence[int]) -> list[list[str]]:
-    """Module-level alias of :meth:`BDD.symmetry_groups`."""
-    return mgr.symmetry_groups(roots)
 
 
 def sift_rebuild(
@@ -171,17 +92,4 @@ def _occurrence_counts(mgr: BDD, roots: list[int]) -> dict[str, int]:
     return counts
 
 
-__all__ = [
-    "DEFAULT_MAX_GROWTH",
-    "DEFAULT_MAX_PASSES",
-    "DEFAULT_MAX_SIFT_NODES",
-    "DEFAULT_MAX_SIFT_VARS",
-    "DEFAULT_REORDER_THRESHOLD",
-    "SiftResult",
-    "reorder",
-    "sift",
-    "sift_converge",
-    "sift_groups",
-    "sift_rebuild",
-    "symmetry_groups",
-]
+__all__ = ["reorder", "sift_rebuild"]

@@ -37,7 +37,7 @@ from ..api import (
     pipeline_names,
     resolve_source,
 )
-from ..bdd.manager import CACHE_POLICIES, DEFAULT_CACHE_CAPACITY
+from ..bdd.manager import DEFAULT_CACHE_CAPACITY
 from ..benchgen import BENCHMARKS
 from ..benchgen.registry import benchmark_keys
 from ..flows import BATCH_FLOWS, REORDER_POLICIES, BatchConfig, run_batch
@@ -156,14 +156,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="retries per circuit after a timeout or worker death "
         "before the error row is final (default: 2)",
-    )
-    batch.add_argument(
-        "--cache-policy",
-        choices=list(CACHE_POLICIES),
-        default="fifo",
-        help="BDD operation-cache eviction policy (fifo keeps the "
-        "published counters; lru and 2random trade determinism-safe "
-        "recency tracking for higher hit rates under pressure)",
     )
     batch.add_argument(
         "--cache-capacity",
@@ -455,7 +447,6 @@ def main(argv: list[str] | None = None) -> int:
             flow=args.flow,
             workers=args.workers,
             verify=args.verify,
-            cache_policy=args.cache_policy,
             cache_capacity=args.cache_capacity,
             reorder=args.reorder,
             circuit_timeout=args.circuit_timeout,

@@ -27,10 +27,8 @@ workers**:
 * results are emitted in input order, never completion order;
 * every reported quantity (node counts, decomposition steps, unified
   op-cache counters) is a deterministic function of the circuit alone —
-  the cache uses int-only keys and deterministic eviction (FIFO by
-  default; ``cache_policy="lru"`` and ``"2random"`` are deterministic
-  too), so its hit/miss counts do not depend on ``PYTHONHASHSEED`` or
-  scheduling;
+  the cache uses int-only keys and deterministic FIFO eviction, so its
+  hit/miss counts do not depend on ``PYTHONHASHSEED`` or scheduling;
 * wall-clock timings are collected but excluded from serialization
   unless ``include_timing=True`` is requested explicitly.
 
@@ -90,7 +88,6 @@ from ..bdd.arena import (
 )
 from ..bdd.manager import (
     BDD,
-    CACHE_POLICIES,
     DEFAULT_CACHE_CAPACITY,
     BDDError,
     combine_cache_stats,
@@ -153,10 +150,6 @@ class BatchConfig:
     workers: int = 1
     #: Equivalence-check every synthesized circuit (slow on big ones).
     verify: bool = False
-    #: BDD operation-cache eviction policy for the flows' managers
-    #: ("fifo" | "lru" | "2random").  The FIFO default keeps every published
-    #: counter unchanged.
-    cache_policy: str = "fifo"
     #: BDD operation-cache capacity per manager (entries, not bytes).
     #: The default keeps every published counter unchanged.
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
@@ -183,11 +176,6 @@ class BatchConfig:
             raise ValueError(f"unknown batch flow {self.flow!r} (known: {BATCH_FLOWS})")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.cache_policy not in CACHE_POLICIES:
-            raise ValueError(
-                f"unknown cache policy {self.cache_policy!r} "
-                f"(known: {CACHE_POLICIES})"
-            )
         if self.cache_capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         normalize_reorder_policy(self.reorder)
@@ -394,7 +382,6 @@ def _flow_config(config: BatchConfig):
         return AbcFlowConfig()
     else:
         flow_config = DcFlowConfig()
-    flow_config.partition.cache_policy = config.cache_policy
     flow_config.partition.cache_capacity = config.cache_capacity
     return flow_config
 

@@ -90,7 +90,6 @@ def supernode_bdd(
     members: set[str],
     input_order: Sequence[str],
     max_nodes: int | None = None,
-    cache_policy: str = "fifo",
     cache_capacity: int = DEFAULT_CACHE_CAPACITY,
     dynamic_reorder: bool = False,
     reorder_threshold: int | None = None,
@@ -99,8 +98,8 @@ def supernode_bdd(
 
     Signals outside ``members`` are treated as free variables in
     ``input_order``.  Raises :class:`BddSizeExceeded` past ``max_nodes``.
-    ``cache_policy`` / ``cache_capacity`` configure the manager's
-    operation cache (see :class:`repro.bdd.OperationCache`).
+    ``cache_capacity`` bounds the manager's operation cache (see
+    :class:`repro.bdd.OperationCache`).
 
     ``dynamic_reorder=True`` arms growth-triggered reordering during
     the construction itself (:meth:`BDD.enable_dynamic_reordering`):
@@ -114,7 +113,7 @@ def supernode_bdd(
     manager has dynamic reordering disabled again (downstream
     decomposition holds unprotected edges).
     """
-    mgr = BDD(list(input_order), cache_capacity=cache_capacity, cache_policy=cache_policy)
+    mgr = BDD(list(input_order), cache_capacity=cache_capacity)
     if dynamic_reorder:
         if reorder_threshold is None:
             reorder_threshold = (

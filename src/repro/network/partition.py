@@ -45,11 +45,9 @@ class PartitionConfig:
     #: Node names that must stay supernode outputs and are never
     #: absorbed or duplicated (e.g. XOR gates the DC-like flow keeps).
     hard_signals: frozenset[str] = frozenset()
-    #: Eviction policy of every local BDD manager's operation cache
-    #: ("fifo" | "lru" | "2random"); FIFO is the measured baseline.
-    cache_policy: str = "fifo"
-    #: Capacity (entries) of every local BDD manager's operation cache;
-    #: the default keeps the published counters unchanged.
+    #: Capacity (entries) of every local BDD manager's operation cache
+    #: (FIFO eviction); the default keeps the published counters
+    #: unchanged.
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
     #: Growth-triggered reordering *during* local-BDD construction
     #: (``reorder="dynamic"`` at the flow/batch layer): clusters whose
@@ -189,7 +187,6 @@ def build_local_bdd(
         supernode.members,
         supernode.inputs,
         max_nodes=config.max_bdd_nodes,
-        cache_policy=config.cache_policy,
         cache_capacity=config.cache_capacity,
         dynamic_reorder=config.dynamic_reorder,
         reorder_threshold=config.reorder_threshold,
@@ -221,7 +218,6 @@ def partition_with_bdds(
             singleton.members,
             singleton.inputs,
             max_nodes=None,
-            cache_policy=config.cache_policy,
             cache_capacity=config.cache_capacity,
         )
         mgr.gc([root])

@@ -71,7 +71,6 @@ class JobRequest:
     flow: str = "bds-maj"
     workers: int = 1
     verify: bool = False
-    cache_policy: str = "fifo"
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
     reorder: str = "once"
     priority: int = 0
@@ -83,7 +82,6 @@ class JobRequest:
             flow=self.flow,
             workers=self.workers,
             verify=self.verify,
-            cache_policy=self.cache_policy,
             cache_capacity=self.cache_capacity,
             reorder=self.reorder,
         )

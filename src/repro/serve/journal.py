@@ -154,7 +154,6 @@ def _request_payload(request: JobRequest) -> dict[str, Any]:
         "flow": request.flow,
         "workers": request.workers,
         "verify": request.verify,
-        "cache_policy": request.cache_policy,
         "cache_capacity": request.cache_capacity,
         "reorder": request.reorder,
         "priority": request.priority,
@@ -167,7 +166,6 @@ def _request_from_payload(payload: dict[str, Any]) -> JobRequest:
         flow=payload["flow"],
         workers=payload["workers"],
         verify=payload["verify"],
-        cache_policy=payload["cache_policy"],
         cache_capacity=payload["cache_capacity"],
         reorder=payload["reorder"],
         priority=payload["priority"],

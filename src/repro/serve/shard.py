@@ -314,6 +314,10 @@ class ShardDispatcher(AsyncHttpServer):
         #: Backends the supervisor brought back from the dead.
         self.respawns = 0
         self._supervisor_task: asyncio.Task | None = None
+        # Set by shutdown and checked by the supervisor loop: on Python
+        # 3.11 `asyncio.wait_for` swallows a cancel that lands as its
+        # inner await completes, so the cancel alone may not end it.
+        self._stopping = False
 
     # ------------------------------------------------------------------
     # Backend process management
@@ -375,6 +379,7 @@ class ShardDispatcher(AsyncHttpServer):
     async def shutdown(self) -> None:
         """Stop the supervisor first (it must not respawn what we are
         about to terminate), then the backends, then the listener."""
+        self._stopping = True
         if self._supervisor_task is not None:
             self._supervisor_task.cancel()
             try:
@@ -398,7 +403,7 @@ class ShardDispatcher(AsyncHttpServer):
         before one half-open probe is allowed.  Only a probe that
         survives the rapid window closes the breaker.
         """
-        while True:
+        while not self._stopping:
             await asyncio.sleep(self._health_interval)
             for backend in self.backends:
                 now = time.monotonic()

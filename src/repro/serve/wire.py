@@ -60,7 +60,7 @@ def parse_submission(raw: bytes) -> JobRequest:
     """Validate a ``POST /jobs`` body into a :class:`JobRequest`.
 
     The wire layer owns the *structural* checks (JSON shape, unknown
-    fields, types); the value checks — known flow and cache policy,
+    fields, types); the value checks — known flow and reorder policy,
     positive worker/capacity counts — are delegated to
     :class:`~repro.flows.BatchConfig`, the single owner of those rules,
     by building the equivalent config once.
@@ -94,9 +94,6 @@ def parse_submission(raw: bytes) -> JobRequest:
     flow = payload.get("flow", "bds-maj")
     if not isinstance(flow, str):
         raise WireError(f"'flow' must be a string, got {flow!r}")
-    cache_policy = payload.get("cache_policy", "fifo")
-    if not isinstance(cache_policy, str):
-        raise WireError(f"'cache_policy' must be a string, got {cache_policy!r}")
     reorder = payload.get("reorder", "once")
     if not isinstance(reorder, str):
         raise WireError(f"'reorder' must be a string, got {reorder!r}")
@@ -109,7 +106,6 @@ def parse_submission(raw: bytes) -> JobRequest:
         flow=flow,
         workers=_int_field(payload, "workers", 1),
         verify=verify,
-        cache_policy=cache_policy,
         cache_capacity=_int_field(payload, "cache_capacity", DEFAULT_CACHE_CAPACITY),
         reorder=reorder,
         priority=_int_field(payload, "priority", 0),

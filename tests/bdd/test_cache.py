@@ -21,7 +21,6 @@ class TestOperationCache:
             "evictions": 0,
             "entries": 0,
             "capacity": DEFAULT_CACHE_CAPACITY,
-            "policy": "fifo",
             "hit_rate": 0.0,
         }
 
@@ -46,10 +45,6 @@ class TestOperationCache:
         with pytest.raises(ValueError):
             OperationCache(capacity=0)
 
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            OperationCache(policy="random")
-
     def test_clear_keeps_counters(self):
         cache = OperationCache()
         cache.put((0, 1), 2)
@@ -58,61 +53,6 @@ class TestOperationCache:
         assert len(cache) == 0 and cache.hits == 1
         cache.reset_counters()
         assert cache.hits == 0
-
-
-class TestLruPolicy:
-    def test_hit_refreshes_recency(self):
-        """An accessed entry survives an eviction that would have taken
-        it under FIFO."""
-        fifo = OperationCache(capacity=2, policy="fifo")
-        lru = OperationCache(capacity=2, policy="lru")
-        for cache in (fifo, lru):
-            cache.put((0, 1), 10)
-            cache.put((0, 2), 20)
-            assert cache.get((0, 1)) == 10  # refresh (LRU only)
-            cache.put((0, 3), 30)  # evicts one entry
-        # FIFO evicts the oldest *inserted* key — the one just accessed.
-        assert fifo.get((0, 1)) is None
-        assert fifo.get((0, 2)) == 20
-        # LRU evicts the least recently *used* key instead.
-        assert lru.get((0, 1)) == 10
-        assert lru.get((0, 2)) is None
-
-    def test_counters_and_bound_still_hold(self):
-        cache = OperationCache(capacity=3, policy="lru")
-        for i in range(10):
-            cache.put((0, i), i)
-            cache.get((0, 0))
-        assert len(cache) == 3
-        assert cache.stats()["policy"] == "lru"
-        assert cache.evictions > 0
-
-    def test_manager_accepts_policy_and_results_match_fifo(self):
-        """Eviction policy may change hit counts, never function values."""
-        fifo_mgr = BDD(list("abcde"), cache_capacity=32, cache_policy="fifo")
-        lru_mgr = BDD(list("abcde"), cache_capacity=32, cache_policy="lru")
-        rng_a, rng_b = random.Random(11), random.Random(11)
-        for _ in range(10):
-            f_fifo = random_function(fifo_mgr, "abcde", rng_a, depth=4)
-            f_lru = random_function(lru_mgr, "abcde", rng_b, depth=4)
-            for assignment in all_assignments("abcde"):
-                assert fifo_mgr.eval(f_fifo, assignment) == lru_mgr.eval(
-                    f_lru, assignment
-                )
-        assert lru_mgr.cache_stats()["policy"] == "lru"
-
-    def test_lru_deterministic_across_runs(self):
-        """LRU recency is a pure function of the operation sequence, so
-        two identical runs produce identical counters."""
-
-        def run() -> dict[str, int | float]:
-            mgr = BDD(list("abcdef"), cache_capacity=64, cache_policy="lru")
-            rng = random.Random(7)
-            for _ in range(12):
-                random_function(mgr, "abcdef", rng, depth=5)
-            return mgr.cache_stats()
-
-        assert run() == run()
 
 
 class TestManagerCacheStats:

@@ -3,9 +3,8 @@
 Twin managers run one random operation sequence, one through the live
 ``and_``/``xor``/``ite``/``cofactor`` methods and one through
 :mod:`.reference_kernels`.  Result edges, allocation counts and cache
-counters must agree after every step, under every eviction policy, with
-a cache small enough to evict and with growth-triggered reordering
-firing mid-sequence.
+counters must agree after every step, with a cache small enough to
+evict and with growth-triggered reordering firing mid-sequence.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdd import BDD
-from repro.bdd.manager import CACHE_POLICIES
 
 from .reference_kernels import ref_and, ref_cofactor, ref_ite, ref_or, ref_xor
 
@@ -40,8 +38,8 @@ REFERENCE = {
 }
 
 
-def _twin(policy: str, capacity: int, threshold: int | None) -> BDD:
-    mgr = BDD(NAMES, cache_capacity=capacity, cache_policy=policy)
+def _twin(capacity: int, threshold: int | None) -> BDD:
+    mgr = BDD(NAMES, cache_capacity=capacity)
     if threshold is not None:
         mgr.enable_dynamic_reordering(threshold)
     return mgr
@@ -68,13 +66,12 @@ def _run(mgr: BDD, kernels: dict, seed: int, steps: int) -> list[tuple]:
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=(1 << 32) - 1),
-    policy=st.sampled_from(CACHE_POLICIES),
     capacity=st.sampled_from([8, 64, 1 << 12]),
     threshold=st.sampled_from([None, 24, 64]),
 )
-def test_property_flattened_kernels_match_reference(seed, policy, capacity, threshold):
-    live = _twin(policy, capacity, threshold)
-    reference = _twin(policy, capacity, threshold)
+def test_property_flattened_kernels_match_reference(seed, capacity, threshold):
+    live = _twin(capacity, threshold)
+    reference = _twin(capacity, threshold)
     assert _run(live, LIVE, seed, 40) == _run(reference, REFERENCE, seed, 40)
     assert live.reorderings == reference.reorderings
     assert live.var_names == reference.var_names
@@ -83,7 +80,7 @@ def test_property_flattened_kernels_match_reference(seed, policy, capacity, thre
 
 def test_oracle_exercises_reordering_and_eviction():
     """The drawn settings reach the paths the oracle is meant to pin."""
-    mgr = _twin("fifo", 8, 24)
+    mgr = _twin(8, 24)
     _run(mgr, LIVE, 1, 40)
     assert mgr.reorderings >= 1
     assert mgr.cache_stats()["evictions"] >= 1

@@ -1,7 +1,7 @@
-"""Tests for variable reordering (the :mod:`repro.bdd.reorder` facade:
-in-place sifting behind the historical ``sift`` signature, plus the
-rebuild-based ``reorder`` construction).  The in-place machinery's own
-property tests live in ``test_sift_inplace.py``."""
+"""Tests for variable reordering: the rebuild-based ``reorder``
+construction and in-place sifting through :meth:`BDD.sift`.  The
+in-place machinery's own property tests live in
+``test_sift_inplace.py``."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.bdd import BDD, reorder, sift
+from repro.bdd import BDD, reorder
 
 from ..conftest import all_assignments, random_function
 
@@ -46,36 +46,29 @@ class TestSift:
             mgr = BDD(list("abcdef"))
             f = random_function(mgr, "abcdef", rng, depth=5)
             before = mgr.size(f)
-            new_mgr, (g,) = sift(mgr, [f])
-            assert new_mgr.size(g) <= before
+            mgr.sift([f])
+            assert mgr.size(f) <= before
 
     def test_sift_preserves_function(self):
         rng = random.Random(67)
         mgr = BDD(list("abcde"))
         f = random_function(mgr, "abcde", rng, depth=5)
-        new_mgr, (g,) = sift(mgr, [f])
-        for assignment in all_assignments("abcde"):
-            assert mgr.eval(f, assignment) == new_mgr.eval(g, assignment)
+        before = [mgr.eval(f, assignment) for assignment in all_assignments("abcde")]
+        mgr.sift([f])
+        assert [mgr.eval(f, assignment) for assignment in all_assignments("abcde")] == before
 
     def test_sift_finds_interleaved_order(self):
         mgr = BDD(["a1", "a2", "a3", "b1", "b2", "b3"])
         f = mgr.from_expr("a1 & b1 | a2 & b2 | a3 & b3")
-        new_mgr, (g,) = sift(mgr, [f])
+        mgr.sift([f])
         # Optimal size for n=3 comparator-style function is 6 nodes.
-        assert new_mgr.size(g) <= 7
-
-    def test_sift_skips_oversized_inputs(self):
-        mgr = BDD(list("ab"))
-        f = mgr.from_expr("a & b")
-        same_mgr, roots = sift(mgr, [f], max_vars=1)
-        assert same_mgr is mgr
-        assert roots == [f]
+        assert mgr.size(f) <= 7
 
     def test_sift_multiple_roots_consistent(self):
         mgr = BDD(list("abcd"))
         f = mgr.from_expr("a & c")
         g = mgr.from_expr("b | d")
-        new_mgr, (f2, g2) = sift(mgr, [f, g])
-        for assignment in all_assignments("abcd"):
-            assert mgr.eval(f, assignment) == new_mgr.eval(f2, assignment)
-            assert mgr.eval(g, assignment) == new_mgr.eval(g2, assignment)
+        assignments = list(all_assignments("abcd"))
+        before = [(mgr.eval(f, a), mgr.eval(g, a)) for a in assignments]
+        mgr.sift([f, g])
+        assert [(mgr.eval(f, a), mgr.eval(g, a)) for a in assignments] == before

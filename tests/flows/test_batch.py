@@ -31,10 +31,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             BatchConfig(workers=0)
 
-    def test_rejects_unknown_cache_policy(self):
-        with pytest.raises(ValueError):
-            BatchConfig(cache_policy="random")
-
 
 class TestDeterminism:
     @pytest.fixture(scope="class")
@@ -214,22 +210,6 @@ class TestNonBddFlows:
         assert serial.to_json() == parallel.to_json()
 
 
-class TestCachePolicy:
-    def test_lru_batch_is_deterministic(self):
-        config = BatchConfig(cache_policy="lru")
-        first = run_batch(["f51m"], config)
-        second = run_batch(["f51m"], config)
-        assert first.to_json() == second.to_json()
-        assert first.circuits[0].cache["hits"] > 0
-
-    def test_fifo_default_counters_unchanged(self):
-        """The default policy must reproduce the historical counters
-        (FIFO eviction order is part of the determinism contract)."""
-        default = run_batch(["f51m"], BatchConfig())
-        explicit = run_batch(["f51m"], BatchConfig(cache_policy="fifo"))
-        assert default.to_json() == explicit.to_json()
-
-
 class TestCli:
     def test_batch_subcommand_writes_report(self, tmp_path, capsys):
         from repro.experiments.cli import main as cli_main
@@ -325,18 +305,6 @@ class TestCli:
         payload = json.loads(out.read_text())
         names = [c["benchmark"] for c in payload["circuits"]]
         assert names == [*benchmark_keys("mcnc"), "zz_extra"]
-
-    def test_batch_cache_policy_flag(self, capsys):
-        from repro.experiments.cli import main as cli_main
-
-        assert (
-            cli_main(
-                ["batch", "--benchmarks", "f51m", "--cache-policy", "lru", "--format", "csv"]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert out.startswith("benchmark,flow,status,")
 
 
 class TestEmptyBatch:

@@ -10,19 +10,24 @@ resubmission of replayed work from the rehydrated result cache.
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import json
 import os
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.flows import BatchConfig, run_batch
+from repro.api import InputItem
+from repro.flows import BatchConfig, BatchReport, run_batch
 from repro.serve import JobRequest, JobStore, SynthesisService
+from repro.serve.cache import submission_key
 from repro.serve.journal import (
     JobJournal,
     JournalError,
     _decode_line,
     _encode_record,
+    _report_payload,
 )
 
 from .client import http_json, http_request, poll_job
@@ -157,6 +162,94 @@ class TestReplay:
         store.create(JobRequest(circuits=("f51m",)), [])
         assert journal.compactions == first_compactions
         journal.close()
+
+
+class TestEarlierFormat:
+    """Journals written before the op cache lost its eviction-policy
+    knob still replay: their ``submit`` requests carry a
+    ``cache_policy`` key, and their result-cache keys hashed it."""
+
+    REQUEST = {
+        "circuits": ["alu2"],
+        "flow": "bds-maj",
+        "workers": 2,
+        "verify": False,
+        "cache_policy": "lru",
+        "cache_capacity": 1024,
+        "reorder": "once",
+        "priority": 3,
+    }
+
+    @classmethod
+    def _earlier_key(cls) -> str:
+        """The result-cache key the earlier format computed for REQUEST."""
+        config = {
+            key: cls.REQUEST[key]
+            for key in ("flow", "verify", "cache_policy", "cache_capacity", "reorder")
+        }
+        payload = {"config": config, "items": [["registry", "alu2"]]}
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def _write_journal(self, path: Path) -> BatchReport:
+        """An earlier-format journal: job 1 finished, job 2 interrupted."""
+        report = run_batch(["alu2"], BatchConfig(cache_capacity=1024))
+        records = [
+            {
+                "v": 1,
+                "type": "submit",
+                "id": "job-000001",
+                "request": self.REQUEST,
+                "items": ["alu2"],
+            },
+            {
+                "v": 1,
+                "type": "finish",
+                "id": "job-000001",
+                "cache_key": self._earlier_key(),
+                "report": _report_payload(report),
+            },
+            {
+                "v": 1,
+                "type": "submit",
+                "id": "job-000002",
+                "request": dict(self.REQUEST, circuits=["f51m"]),
+                "items": ["f51m"],
+            },
+        ]
+        path.write_bytes(b"".join(_encode_record(record) for record in records))
+        return report
+
+    def test_submit_with_cache_policy_replays(self, tmp_path):
+        path = tmp_path / "jobs.journal"
+        report = self._write_journal(path)
+
+        replay = JobJournal(path, fsync=False).open()
+        assert replay.corrupt_lines == 0
+        done, interrupted = replay.jobs
+        assert done.request == JobRequest(
+            circuits=("alu2",), workers=2, cache_capacity=1024, priority=3
+        )
+        assert done.state == "done"
+        assert done.report is not None
+        assert done.report.to_json() == report.to_json()
+        # The interrupted job re-enqueues under the same knobs.
+        assert interrupted.state is None
+        assert interrupted.request == JobRequest(
+            circuits=("f51m",), workers=2, cache_capacity=1024, priority=3
+        )
+
+    def test_replayed_job_keeps_its_stored_cache_key(self, tmp_path):
+        path = tmp_path / "jobs.journal"
+        self._write_journal(path)
+
+        done, _ = JobJournal(path, fsync=False).open().jobs
+        assert done.cache_key == self._earlier_key()
+        # Old keys hashed the policy, so no new submission of the same
+        # work can be answered from a report stored under one.
+        new_key = submission_key([InputItem(name="alu2")], done.request.batch_config())
+        assert new_key is not None
+        assert new_key != done.cache_key
 
 
 async def _with_service(test, **kwargs):

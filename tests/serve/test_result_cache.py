@@ -43,9 +43,7 @@ class TestSubmissionKey:
     def test_key_tracks_report_affecting_config(self):
         base = submission_key(self.ITEMS, BatchConfig())
         assert base != submission_key(self.ITEMS, BatchConfig(verify=True))
-        assert base != submission_key(
-            self.ITEMS, BatchConfig(cache_policy="lru")
-        )
+        assert base != submission_key(self.ITEMS, BatchConfig(cache_capacity=1 << 10))
         assert base != submission_key(self.ITEMS, BatchConfig(reorder="converge"))
 
     def test_key_tracks_item_order_and_identity(self):

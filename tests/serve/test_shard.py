@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.flows import BatchConfig, run_batch
 from repro.serve import ShardDispatcher, WireError
-from repro.serve.shard import HashRing
+from repro.serve.shard import BREAKER_CLOSED, HashRing
 
 from .client import http_json, http_request, poll_job
 
@@ -88,6 +89,53 @@ async def _with_dispatcher(test, **kwargs):
         return await test(dispatcher, host, port)
     finally:
         await dispatcher.shutdown()
+
+
+class TestShutdown:
+    def test_shutdown_ends_a_supervisor_whose_cancel_was_swallowed(self):
+        """On Python 3.11 ``asyncio.wait_for`` returns its inner result
+        instead of raising when a cancel lands as that result arrives.
+        A health probe can sit in that window when shutdown cancels the
+        supervisor, and shutdown must still end it."""
+
+        async def scenario():
+            dispatcher = ShardDispatcher(backends=1, health_interval=0.01)
+            reply = asyncio.get_running_loop().create_future()
+            parked = asyncio.Event()
+            probes = []
+
+            async def probe(backend, method, path, timeout=60.0):
+                probes.append(path)
+                parked.set()
+                return await asyncio.wait_for(reply, timeout)
+
+            async def stop():
+                pass
+
+            dispatcher.backends = [
+                SimpleNamespace(
+                    breaker_state=BREAKER_CLOSED,
+                    process=None,
+                    alive=True,
+                    health_failures=0,
+                    started_at=float("-inf"),
+                    failure_streak=0,
+                    open_streak=0,
+                    stop=stop,
+                )
+            ]
+            dispatcher._backend_request = probe
+            supervisor = asyncio.ensure_future(dispatcher._supervise())
+            dispatcher._supervisor_task = supervisor
+            await parked.wait()
+            reply.set_result((200, {}, b""))
+            closing = asyncio.ensure_future(dispatcher.shutdown())
+            done, _ = await asyncio.wait({closing}, timeout=2.0)
+            supervisor.cancel()  # lets a failing run end
+            assert closing in done, "shutdown is still waiting on the supervisor"
+            assert probes == ["/healthz"]
+
+        run(scenario())
 
 
 class TestEndToEnd:

@@ -35,7 +35,6 @@ class TestParseSubmission:
                 flow="dc",
                 workers=4,
                 verify=True,
-                cache_policy="lru",
                 cache_capacity=1024,
                 priority=-5,
             )
@@ -43,7 +42,6 @@ class TestParseSubmission:
         assert request.flow == "dc"
         assert request.workers == 4
         assert request.verify is True
-        assert request.cache_policy == "lru"
         assert request.cache_capacity == 1024
         assert request.priority == -5
 
@@ -73,8 +71,15 @@ class TestParseSubmission:
             parse_submission(_body(circuits=["alu2"], flow=7))
 
     def test_rejects_unknown_cache_policy(self):
-        with pytest.raises(WireError, match="cache policy"):
-            parse_submission(_body(circuits=["alu2"], cache_policy="arc"))
+        """The op cache has one eviction rule, so a body still naming a
+        policy is a client error, not a silently ignored knob."""
+        with pytest.raises(WireError) as excinfo:
+            parse_submission(_body(circuits=["alu2"], cache_policy="fifo"))
+        assert excinfo.value.status == 400
+        assert str(excinfo.value) == (
+            "unknown submission fields: cache_policy "
+            "(known: cache_capacity, circuits, flow, priority, reorder, verify, workers)"
+        )
 
     @pytest.mark.parametrize("workers", [0, -2, "4", 1.5, True])
     def test_rejects_bad_workers(self, workers):
