@@ -97,8 +97,8 @@ class BuildBdds:
 class ReorderVariables:
     """Per-supernode variable reordering via in-place sifting (IV.B).
 
-    Every supernode is sifted — the in-place engine swaps adjacent
-    levels by local node surgery, so there is no size guard anymore.
+    Every supernode is handed to the in-place sifter (no size guard);
+    one with a node per support variable, most of them, costs no swap.
     The manager and the root edge survive the pass unchanged (only the
     variable order moves), so the partition tuples are reused as-is.
     ``config.reorder`` selects the policy: ``"once"`` (and

@@ -129,11 +129,6 @@ class OperationCache:
         """Drop all entries; counters keep accumulating."""
         self._data.clear()
 
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
     def __len__(self) -> int:
         return len(self._data)
 
@@ -783,6 +778,9 @@ class BDD:
         ``max_growth`` times the size the variable started from
         (``None`` disables the abort).
 
+        A pass that cannot gain makes no swap (the lower bound is
+        proved in :meth:`_sift_pinned`).
+
         ``roots`` edges remain valid and keep denoting the same
         functions; only the variable order (and therefore the node
         population) changes.  :meth:`protect`-ed edges are implicitly
@@ -799,20 +797,33 @@ class BDD:
                 self.unpin(edge)
 
     def _sift_pinned(self, max_growth: float | None) -> SiftResult:
+        """One pass over the pinned, garbage-free store.
+
+        A reduced BDD has at least one node per support variable in
+        *every* order, and a walk moves its variable only on a strict
+        gain.  So a store with one node per occupied level (plus the
+        terminal) returns at once without a swap, and empty levels
+        (variables outside the support, whose walks change no size) are
+        not walked.  The order stays, so the op cache is kept.
+        """
         count = len(self._names)
         initial = self.live_nodes()
-        if count < 2:
-            return SiftResult(initial, initial, 0, False)
         # Visit order: decreasing node population (ties keep the
         # current level order — `sorted` is stable).
         population = {
             name: len(self._subtables[level])
             for level, name in enumerate(self._names)
         }
+        walked = sorted(
+            (name for name in self._names if population[name]),
+            key=lambda n: -population[n],
+        )
+        if initial == len(walked) + 1:
+            return SiftResult(initial, initial, 0, False)
         current_size = initial
         swaps = 0
         changed = False
-        for name in sorted(self._names, key=lambda n: -population[n]):
+        for name in walked:
             position = self._level_by_name[name]
             sizes = {position: current_size}
             limit = None if max_growth is None else max_growth * current_size

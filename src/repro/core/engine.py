@@ -81,21 +81,6 @@ class EngineStats:
     #: :meth:`DecompositionEngine.cache_report`.
     bdd_cache: dict[str, int | float] = field(default_factory=dict)
 
-    def as_dict(self) -> dict[str, int | float]:
-        result: dict[str, int | float] = {
-            "majority": self.majority,
-            "and_or": self.and_or,
-            "xor": self.xor,
-            "mux": self.mux,
-            "literal": self.literal,
-            "constant": self.constant,
-            "cache_hits": self.cache_hits,
-            "memo_hits": self.memo_hits,
-        }
-        for key, value in self.bdd_cache.items():
-            result[f"bdd_cache_{key}"] = value
-        return result
-
 
 #: An engine decision: ``("maj", fa, fb, fc)``, ``(kind, upper, lower)``
 #: for a simple-dominator split, or ``("mux",)``; children are

@@ -1,5 +1,6 @@
 """Reference copies of the BDD manager's apply kernels, as they were
-before the kernels were flattened.
+before the kernels were flattened, and of the sifting pass, as it was
+before it learned to skip walks that cannot move a variable.
 
 Each function takes the manager as its first argument and drives the
 same private node store, unique table, operation cache and reorder safe
@@ -8,12 +9,14 @@ points the methods of :class:`repro.bdd.BDD` use.  The oracle tests in
 these copies and through the live kernels on twin managers and require
 equal result edges, allocation counts and cache counters: the flattened
 kernels must issue the very same ``OperationCache.get``/``put`` keys and
-``_mk`` calls, in the same order.
+``_mk`` calls, in the same order.  ``test_sift_bound.py`` requires the
+bounded sifter to end on the same order, size and ``changed`` flag as
+:func:`ref_sift`, which walks every variable.
 """
 
 from __future__ import annotations
 
-from repro.bdd import BDD
+from repro.bdd import BDD, SiftResult
 from repro.bdd.manager import _OP_AND, _OP_COFACTOR, _OP_ITE, _OP_XOR
 
 
@@ -281,3 +284,63 @@ def ref_cofactor(mgr: BDD, edge: int, level: int, value: bool) -> int:
         return cached ^ complement
 
     return walk(edge)
+
+
+def ref_sift(mgr: BDD, roots: list[int], max_growth: float | None) -> SiftResult:
+    """:meth:`BDD.sift` with the unbounded pass: every variable, in or
+    out of the support, walks the whole order."""
+    pins = list(roots) + mgr.protected_edges()
+    mgr.gc(pins)
+    for edge in pins:
+        mgr.pin(edge)
+    try:
+        return ref_sift_pinned(mgr, max_growth)
+    finally:
+        for edge in pins:
+            mgr.unpin(edge)
+
+
+def ref_sift_pinned(mgr: BDD, max_growth: float | None) -> SiftResult:
+    count = len(mgr._names)
+    initial = mgr.live_nodes()
+    if count < 2:
+        return SiftResult(initial, initial, 0, False)
+    population = {name: len(mgr._subtables[level]) for level, name in enumerate(mgr._names)}
+    current_size = initial
+    swaps = 0
+    changed = False
+    for name in sorted(mgr._names, key=lambda n: -population[n]):
+        position = mgr._level_by_name[name]
+        sizes = {position: current_size}
+        limit = None if max_growth is None else max_growth * current_size
+        pos = position
+        while pos > 0:
+            size = mgr.swap_adjacent(pos - 1)
+            swaps += 1
+            pos -= 1
+            sizes[pos] = size
+            if limit is not None and size > limit:
+                break
+        while pos < count - 1:
+            size = mgr.swap_adjacent(pos)
+            swaps += 1
+            pos += 1
+            sizes[pos] = size
+            if limit is not None and size > limit:
+                break
+        best_size, best_pos = sizes[position], position
+        for candidate in sorted(sizes):
+            if candidate != position and sizes[candidate] < best_size:
+                best_size, best_pos = sizes[candidate], candidate
+        while pos > best_pos:
+            mgr.swap_adjacent(pos - 1)
+            swaps += 1
+            pos -= 1
+        while pos < best_pos:
+            mgr.swap_adjacent(pos)
+            swaps += 1
+            pos += 1
+        current_size = best_size
+        if best_pos != position:
+            changed = True
+    return SiftResult(initial, current_size, swaps, changed)
