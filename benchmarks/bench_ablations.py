@@ -86,6 +86,28 @@ def test_ablation_balancing_off_vs_on(benchmark):
     assert sum(on.values()) <= sum(off.values())
 
 
+def test_ablation_reorder_stage(benchmark):
+    """Section IV.B sifts every supernode once before decomposing.  The
+    no-reordering baseline is the same prefix without the ``reorder``
+    stage."""
+
+    def run():
+        network = mac_network()
+        sifted = get_pipeline("bds-maj").optimize_prefix()
+        unsifted = sifted.with_stages(
+            [stage for stage in sifted.stages if stage.name != "reorder"]
+        )
+        return (
+            sifted.run_context(network).node_counts,
+            unsifted.run_context(network).node_counts,
+        )
+
+    once, none = run_once(benchmark, run)
+    benchmark.extra_info.update(
+        total_reorder=sum(once.values()), total_no_reorder=sum(none.values())
+    )
+
+
 def test_ablation_nand_only_library(benchmark):
     """Direct assignment needs the MAJ/XOR cells: mapping the BDS-MAJ
     result onto a NAND/NOR/INV-only library forfeits the area edge."""

@@ -1,29 +1,18 @@
-"""Benchmark: the in-place sifting engine and its dynamic-reordering
-extensions vs the rebuild-based baseline.
+"""Benchmark: the in-place sifting engine vs the rebuild-based baseline.
 
 For each benchmark circuit this harness partitions the network exactly
 like the BDS flows do, picks the largest supernode BDDs, and reorders
-each one four ways from the same starting order:
+each one two ways from the same starting order:
 
 * ``rebuild`` — :func:`repro.bdd.reorder.sift_rebuild`, the historical
   transfer-based sifter (one full reconstruction per candidate
   position);
 * ``inplace`` — :meth:`repro.bdd.BDD.sift`, the in-place engine
-  (adjacent level swaps over per-level subtables);
-* ``converge`` — :meth:`repro.bdd.BDD.sift_converge`, passes repeated
-  to a fixpoint (asserted: final sizes ≤ the single in-place pass on
-  every supernode — each pass only ever backtracks to the best seen);
-* ``groups`` — :meth:`repro.bdd.BDD.sift_groups`, symmetric variables
-  detected by cofactor equality and sifted as contiguous blocks.
+  (adjacent level swaps over per-level subtables).
 
-The rebuild/in-place searches use the same visit order and tie-breaks,
-so those final sizes must agree (asserted: in-place ≤ rebuild).  The
-report also carries a ``dynamic_rescue`` section: a separated-order
-comparator whose static construction raises ``BddSizeExceeded`` under
-the node budget but completes under ``reorder="dynamic"``
-(growth-triggered sifting during construction) — the evidence row for
-the batch layer's dynamic policy.  Results are written to
-``BENCH_reorder.json``.
+The two searches use the same visit order and tie-breaks, so their
+final sizes must agree (asserted: in-place ≤ rebuild).  Results are
+written to ``BENCH_reorder.json``.
 
 Run directly (no pytest needed — CI's perf-smoke job does)::
 
@@ -37,22 +26,16 @@ import json
 import sys
 import time
 
-from repro.bdd.reorder import reorder, sift_rebuild
+from repro.bdd.reorder import sift_rebuild
 from repro.flows.bds import BdsFlowConfig
-from repro.network import LogicNetwork, partition_with_bdds
-from repro.network.bdds import BddSizeExceeded, supernode_bdd
+from repro.network import partition_with_bdds
 
 #: The acceptance circuits (the paper rows the ≥5× criterion names).
 DEFAULT_CIRCUITS = ("alu2", "f51m", "vda")
 
-#: Dynamic-rescue scenario: comparator pairs and the node budget the
-#: separated construction order blows through.
-RESCUE_PAIRS = 8
-RESCUE_BUDGET = 60
-
 
 def bench_circuit(key: str, top: int) -> dict:
-    """Reorder the ``top`` largest supernodes of ``key`` four ways."""
+    """Reorder the ``top`` largest supernodes of ``key`` both ways."""
     from repro.benchgen import build_benchmark
 
     partitions = partition_with_bdds(
@@ -61,15 +44,9 @@ def bench_circuit(key: str, top: int) -> dict:
     partitions.sort(key=lambda entry: -entry[1].size(entry[2]))
     supernodes = []
     rebuild_seconds = inplace_seconds = 0.0
-    converge_seconds = groups_seconds = 0.0
     for supernode, mgr, root in partitions[:top]:
         size_before = mgr.size(root)
         num_vars = mgr.num_vars
-
-        # Clone the starting order before the in-place pass mutates it,
-        # so converge and group sifting search from the same start.
-        converge_mgr, (converge_root,) = reorder(mgr, [root], list(mgr.var_names))
-        groups_mgr, (groups_root,) = reorder(mgr, [root], list(mgr.var_names))
 
         start = time.perf_counter()
         rebuilt_mgr, (rebuilt_root,) = sift_rebuild(mgr, [root])
@@ -81,31 +58,13 @@ def bench_circuit(key: str, top: int) -> dict:
         inplace_elapsed = time.perf_counter() - start
         inplace_size = mgr.size(root)
 
-        start = time.perf_counter()
-        converge_result = converge_mgr.sift_converge([converge_root])
-        converge_elapsed = time.perf_counter() - start
-        converge_size = converge_mgr.size(converge_root)
-
-        start = time.perf_counter()
-        symmetry = groups_mgr.symmetry_groups(groups_root)
-        groups_result = groups_mgr.sift_groups([groups_root], groups=symmetry)
-        groups_elapsed = time.perf_counter() - start
-        groups_size = groups_mgr.size(groups_root)
-
         if inplace_size > rebuild_size:
             raise AssertionError(
                 f"{key}/{supernode.output}: in-place sift ended at "
                 f"{inplace_size} nodes, rebuild baseline at {rebuild_size}"
             )
-        if converge_size > inplace_size:
-            raise AssertionError(
-                f"{key}/{supernode.output}: converge sift ended at "
-                f"{converge_size} nodes, single pass at {inplace_size}"
-            )
         rebuild_seconds += rebuild_elapsed
         inplace_seconds += inplace_elapsed
-        converge_seconds += converge_elapsed
-        groups_seconds += groups_elapsed
         supernodes.append(
             {
                 "output": supernode.output,
@@ -121,20 +80,6 @@ def bench_circuit(key: str, top: int) -> dict:
                     "swaps": result.swaps,
                     "changed": result.changed,
                 },
-                "converge": {
-                    "seconds": round(converge_elapsed, 6),
-                    "size": converge_size,
-                    "swaps": converge_result.swaps,
-                    "passes": converge_result.passes,
-                },
-                "groups": {
-                    "seconds": round(groups_elapsed, 6),
-                    "size": groups_size,
-                    "swaps": groups_result.swaps,
-                    "symmetric_groups": sum(
-                        1 for group in symmetry if len(group) > 1
-                    ),
-                },
             }
         )
     return {
@@ -142,70 +87,12 @@ def bench_circuit(key: str, top: int) -> dict:
         "supernodes": supernodes,
         "rebuild_seconds": round(rebuild_seconds, 6),
         "inplace_seconds": round(inplace_seconds, 6),
-        "converge_seconds": round(converge_seconds, 6),
-        "groups_seconds": round(groups_seconds, 6),
         "speedup": round(rebuild_seconds / inplace_seconds, 2)
         if inplace_seconds
         else None,
         "nodes_before": sum(s["size_before"] for s in supernodes),
         "nodes_rebuild": sum(s["rebuild"]["size"] for s in supernodes),
         "nodes_inplace": sum(s["inplace"]["size"] for s in supernodes),
-        "nodes_converge": sum(s["converge"]["size"] for s in supernodes),
-        "nodes_groups": sum(s["groups"]["size"] for s in supernodes),
-    }
-
-
-def separated_comparator(pairs: int) -> LogicNetwork:
-    """``y = OR_i (a_i & b_i)`` with the pathological separated fanin
-    order baked in (exponential BDD under the construction order,
-    linear once interleaved)."""
-    net = LogicNetwork("sepcmp")
-    names = [f"a{i}" for i in range(pairs)] + [f"b{i}" for i in range(pairs)]
-    for name in names:
-        net.add_input(name)
-    rows = []
-    for i in range(pairs):
-        row = ["-"] * (2 * pairs)
-        row[i] = "1"
-        row[pairs + i] = "1"
-        rows.append("".join(row))
-    net.add_node("y", names, rows)
-    net.add_output("y")
-    return net
-
-
-def bench_dynamic_rescue(pairs: int = RESCUE_PAIRS, budget: int = RESCUE_BUDGET) -> dict:
-    """The ``reorder="dynamic"`` evidence row: a build that raises
-    ``BddSizeExceeded`` statically but completes with growth-triggered
-    sifting armed."""
-    net = separated_comparator(pairs)
-    static_outcome = "completed"
-    try:
-        supernode_bdd(net, "y", {"y"}, list(net.inputs), max_nodes=budget)
-    except BddSizeExceeded:
-        static_outcome = "BddSizeExceeded"
-    if static_outcome != "BddSizeExceeded":
-        raise AssertionError(
-            f"separated comparator ({pairs} pairs) no longer exceeds the "
-            f"{budget}-node budget statically — pick a tighter scenario"
-        )
-    start = time.perf_counter()
-    mgr, root = supernode_bdd(
-        net, "y", {"y"}, list(net.inputs), max_nodes=budget, dynamic_reorder=True
-    )
-    elapsed = time.perf_counter() - start
-    mgr.gc([root])
-    return {
-        "circuit": f"separated-comparator-{pairs}",
-        "budget": budget,
-        "static": static_outcome,
-        "dynamic": {
-            "completed": True,
-            "seconds": round(elapsed, 6),
-            "live_nodes": mgr.live_nodes(),
-            "size": mgr.size(root),
-            "reorderings": mgr.reorderings,
-        },
     }
 
 
@@ -256,37 +143,19 @@ def main(argv: list[str] | None = None) -> int:
             f"inplace {entry['inplace_seconds'] * 1000:7.1f}ms  "
             f"speedup {entry['speedup']}x  "
             f"sizes {entry['nodes_before']} -> {entry['nodes_inplace']} "
-            f"(rebuild {entry['nodes_rebuild']}, "
-            f"converge {entry['nodes_converge']}, "
-            f"groups {entry['nodes_groups']})",
+            f"(rebuild {entry['nodes_rebuild']})",
             flush=True,
         )
 
-    rescue = bench_dynamic_rescue()
-    print(
-        f"{rescue['circuit']:24s} budget {rescue['budget']}: "
-        f"static {rescue['static']}, dynamic completed at "
-        f"{rescue['dynamic']['size']} nodes "
-        f"({rescue['dynamic']['reorderings']} mid-build reorders)",
-        flush=True,
-    )
-
     payload = {
-        "schema": "bdsmaj-bench-reorder/v2",
+        "schema": "bdsmaj-bench-reorder/v3",
         "top_supernodes_per_circuit": top,
         "circuits": results,
-        "dynamic_rescue": rescue,
         "total_rebuild_seconds": round(
             sum(r["rebuild_seconds"] for r in results), 6
         ),
         "total_inplace_seconds": round(
             sum(r["inplace_seconds"] for r in results), 6
-        ),
-        "total_converge_seconds": round(
-            sum(r["converge_seconds"] for r in results), 6
-        ),
-        "total_groups_seconds": round(
-            sum(r["groups_seconds"] for r in results), 6
         ),
     }
     total_inplace = payload["total_inplace_seconds"]
@@ -325,7 +194,6 @@ def bench_reorder_inplace_vs_rebuild(benchmark):
     )
     for entry in results:
         assert entry["nodes_inplace"] <= entry["nodes_rebuild"], entry
-        assert entry["nodes_converge"] <= entry["nodes_inplace"], entry
     benchmark.extra_info.update(
         speedups={r["circuit"]: r["speedup"] for r in results},
         sizes={

@@ -63,28 +63,15 @@ class LoadInput:
 # BDS-MAJ / BDS-PGA stages (paper Figure 3)
 # ----------------------------------------------------------------------
 class BuildBdds:
-    """Partition into supernodes and build every local BDD (IV.A).
-
-    Under ``config.reorder == "dynamic"`` the local BDDs are built with
-    growth-triggered reordering armed (see
-    :class:`~repro.network.PartitionConfig`): clusters whose
-    construction-order BDD overflows the node budget are sifted
-    mid-build instead of demoted.
-    """
+    """Partition into supernodes and build every local BDD (IV.A)."""
 
     name = "build-bdds"
     optimize_timed = True
 
     def run(self, ctx: SynthesisContext) -> SynthesisContext:
-        config = ctx.config
-        partition = config.partition
-        if config.reorder == "dynamic" and not partition.dynamic_reorder:
-            # On a copy: the caller's partition config is never mutated.
-            partition = dataclasses.replace(partition, dynamic_reorder=True)
-        partitions = partition_with_bdds(ctx.require("network"), partition)
+        partitions = partition_with_bdds(ctx.require("network"), ctx.config.partition)
         trace = BdsTrace()
         trace.supernodes = len(partitions)
-        trace.reorderings = sum(mgr.reorderings for _s, mgr, _r in partitions)
         ctx.scratch.update(
             partitions=partitions,
             trace=trace,
@@ -101,23 +88,17 @@ class ReorderVariables:
     one with a node per support variable, most of them, costs no swap.
     The manager and the root edge survive the pass unchanged (only the
     variable order moves), so the partition tuples are reused as-is.
-    ``config.reorder`` selects the policy: ``"once"`` (and
-    ``"dynamic"``, whose construction-time reorders already ran in
-    ``build-bdds``) run one pass, ``"converge"`` repeats passes to a
-    fixpoint, ``"none"`` skips the stage.
+    A flow without reordering is a pipeline without this stage
+    (:meth:`~repro.api.Pipeline.with_stages`).
     """
 
     name = "reorder"
     optimize_timed = True
 
     def run(self, ctx: SynthesisContext) -> SynthesisContext:
-        policy = ctx.config.reorder
-        if policy == "none":
-            return ctx
         trace = ctx.scratch["trace"]
         for _supernode, mgr, root in ctx.scratch["partitions"]:
-            sift = mgr.sift_converge if policy == "converge" else mgr.sift
-            if sift([root]).changed:
+            if mgr.sift([root]).changed:
                 trace.sifted += 1
         return ctx
 

@@ -51,8 +51,6 @@ from .manager import (
     BDDError,
     DEFAULT_CACHE_CAPACITY,
     DEFAULT_MAX_GROWTH,
-    DEFAULT_MAX_PASSES,
-    DEFAULT_REORDER_THRESHOLD,
     OperationCache,
     SiftResult,
     TERMINAL_LEVEL,
@@ -89,8 +87,6 @@ __all__ = [
     "CareSetError",
     "DEFAULT_CACHE_CAPACITY",
     "DEFAULT_MAX_GROWTH",
-    "DEFAULT_MAX_PASSES",
-    "DEFAULT_REORDER_THRESHOLD",
     "SiftResult",
     "DominatorDecomposition",
     "EdgeStatistics",

@@ -60,18 +60,9 @@ DEFAULT_CACHE_CAPACITY = 1 << 18
 #: the variable started from.
 DEFAULT_MAX_GROWTH = 4.0
 
-#: Default bound on converge-to-fixpoint sifting passes
-#: (:meth:`BDD.sift_converge`).
-DEFAULT_MAX_PASSES = 8
-
 #: A function's structure with node ids and levels renamed
 #: (:meth:`BDD.shape`): ``(root, ((position, high, low), ...))``.
 Shape = tuple[int, tuple[tuple[int, int, int], ...]]
-
-#: Default live-node count that arms the first growth-triggered reorder
-#: (:meth:`BDD.enable_dynamic_reordering`).  Modelled on CUDD's "first
-#: reordering" trigger, scaled down to this package's workloads.
-DEFAULT_REORDER_THRESHOLD = 512
 
 # Operation tags for the unified cache keys.  Small ints keep the key
 # tuples compact and hash deterministically (no string hashing, so the
@@ -163,8 +154,7 @@ def combine_cache_stats(
 
 @dataclass(frozen=True)
 class SiftResult:
-    """Outcome of an in-place sifting run (:meth:`BDD.sift`,
-    :meth:`BDD.sift_converge`, :meth:`BDD.sift_groups`)."""
+    """Outcome of an in-place sifting pass (:meth:`BDD.sift`)."""
 
     #: Live nodes (incl. terminal) when the run started, post-GC.
     initial_size: int
@@ -175,9 +165,6 @@ class SiftResult:
     #: True when the run left the variable order different from the
     #: one it started with.
     changed: bool
-    #: Sifting passes executed (1 for a plain :meth:`BDD.sift` pass;
-    #: :meth:`BDD.sift_converge` counts every pass it ran).
-    passes: int = 1
 
 
 class BDD:
@@ -236,10 +223,6 @@ class BDD:
             self._subtables: list[dict[tuple[int, int], int]] = []
             self._cache = OperationCache(cache_capacity)
             self._op_overlay: dict[tuple, int] | None = None
-            self._protected: dict[int, int] = {}
-            self._reorder_threshold: int | None = None
-            self._kernel_depth = 0
-            self._reorderings = 0
             self._names: list[str] = []
             self._level_by_name: dict[str, int] = {}
             self._sync_store_vars()
@@ -260,16 +243,6 @@ class BDD:
         # Per-top-level-call memo overlay for ite (see the comment in
         # :meth:`ite`): None outside a call, a dict inside one.
         self._op_overlay: dict[tuple, int] | None = None
-        # Dynamic (growth-triggered) reordering state: the registry of
-        # externally held edges that must survive an automatic sift
-        # (edge -> protect count), the live-node trigger (None while
-        # dynamic reordering is disabled), a kernel-depth guard so a
-        # reorder only ever fires at the entry of an *outermost* apply
-        # call, and a counter of reorders performed.
-        self._protected: dict[int, int] = {}
-        self._reorder_threshold: int | None = None
-        self._kernel_depth = 0
-        self._reorderings = 0
         self._names: list[str] = []
         self._level_by_name: dict[str, int] = {}
         for name in var_names:
@@ -540,97 +513,6 @@ class BDD:
         if edge >> 1:
             self._ref[edge >> 1] -= 1
 
-    # ------------------------------------------------------------------
-    # Dynamic (growth-triggered) reordering
-    # ------------------------------------------------------------------
-    def protect(self, edge: int) -> int:
-        """Register ``edge`` as a root every automatic reorder preserves.
-
-        With dynamic reordering enabled (:meth:`enable_dynamic_reordering`)
-        an apply kernel may sift — and therefore :meth:`gc` — the store
-        at its entry point.  The sift's roots are the protected edges
-        plus the kernel's own operands, so a builder must protect every
-        edge it holds *across* kernel calls (and :meth:`unprotect` it
-        when the handle dies).  Protection nests: each call adds one
-        count.  Returns ``edge`` so builders can protect inline."""
-        self._protected[edge] = self._protected.get(edge, 0) + 1
-        return edge
-
-    def unprotect(self, edge: int) -> None:
-        """Drop one :meth:`protect` count from ``edge``."""
-        count = self._protected.get(edge, 0)
-        if count <= 1:
-            if count == 0:
-                raise BDDError(f"edge {edge} is not protected")
-            del self._protected[edge]
-        else:
-            self._protected[edge] = count - 1
-
-    def protected_edges(self) -> list[int]:
-        """The currently protected edges (sorted, each listed once)."""
-        return sorted(self._protected)
-
-    def clear_protected(self) -> None:
-        """Empty the protection registry (builders call this once their
-        construction is complete and ordinary root discipline resumes)."""
-        self._protected.clear()
-
-    def enable_dynamic_reordering(
-        self, threshold: int = DEFAULT_REORDER_THRESHOLD
-    ) -> None:
-        """Arm growth-triggered reordering, CUDD-style.
-
-        Once :meth:`live_nodes` exceeds ``threshold`` at the entry of an
-        outermost apply call (``and_``/``xor``/``ite`` and everything
-        built on them), the manager sifts the protected edges plus the
-        call's operands, then re-arms the trigger at double the size the
-        store settled at (the doubling schedule keeps reorder cost
-        amortized against construction cost).  **Contract:** while
-        enabled, callers must :meth:`protect` every edge they hold
-        across kernel calls — the sift garbage-collects everything else.
-        """
-        self._require_private("dynamic reordering")
-        if threshold < 1:
-            raise BDDError("reorder threshold must be positive")
-        self._reorder_threshold = threshold
-
-    def disable_dynamic_reordering(self) -> None:
-        """Disarm growth-triggered reordering (the protection registry
-        is kept; :meth:`clear_protected` drops it)."""
-        self._reorder_threshold = None
-
-    @property
-    def reorder_threshold(self) -> int | None:
-        """Current live-node trigger (None = dynamic reordering off)."""
-        return self._reorder_threshold
-
-    @property
-    def reorderings(self) -> int:
-        """Growth-triggered reorders performed by this manager."""
-        return self._reorderings
-
-    def note_reordering(self) -> None:
-        """Count an externally driven growth-triggered reorder — the
-        construction-rescue path (:func:`repro.network.bdds.supernode_bdd`)
-        sifts via the public API, which must still show up in
-        :attr:`reorderings` telemetry."""
-        self._reorderings += 1
-
-    def _maybe_reorder(self, operands: tuple[int, ...]) -> None:
-        """Entry-point check of the apply kernels: sift when the store
-        outgrew the trigger.  Only called at kernel depth 0, so no
-        in-flight recursion holds unprotected intermediate edges."""
-        threshold = self._reorder_threshold
-        if threshold is None or self.live_nodes() <= threshold:
-            return
-        roots = list(self._protected)
-        roots.extend(operands)
-        self.sift(roots)
-        self._reorderings += 1
-        # Doubling schedule: re-arm at twice the settled size so each
-        # reorder buys a construction phase proportional to the store.
-        self._reorder_threshold = max(2 * threshold, 2 * self.live_nodes())
-
     def gc(self, roots: Iterable[int] = ()) -> int:
         """Mark-and-sweep: free every node not reachable from ``roots``.
 
@@ -641,9 +523,7 @@ class BDD:
 
         **Every edge not reachable from ``roots`` is invalidated** —
         callers must re-derive any other handles they hold (variable
-        edges are recreated on demand by :meth:`var`).  Edges in the
-        :meth:`protect` registry are implicit roots: a manual gc can
-        never leave the dynamic-reordering registry dangling.
+        edges are recreated on demand by :meth:`var`).
         """
         self._require_private("gc")
         levels = self._level
@@ -652,7 +532,6 @@ class BDD:
         reachable = bytearray(len(levels))
         reachable[0] = 1
         stack = [edge >> 1 for edge in roots]
-        stack.extend(edge >> 1 for edge in self._protected)
         while stack:
             index = stack.pop()
             if reachable[index]:
@@ -783,17 +662,15 @@ class BDD:
 
         ``roots`` edges remain valid and keep denoting the same
         functions; only the variable order (and therefore the node
-        population) changes.  :meth:`protect`-ed edges are implicitly
-        pinned roots too.
+        population) changes.
         """
-        pins = list(roots) + self.protected_edges()
-        self.gc(pins)
-        for edge in pins:
+        self.gc(roots)
+        for edge in roots:
             self.pin(edge)
         try:
             return self._sift_pinned(max_growth)
         finally:
-            for edge in pins:
+            for edge in roots:
                 self.unpin(edge)
 
     def _sift_pinned(self, max_growth: float | None) -> SiftResult:
@@ -862,283 +739,6 @@ class BDD:
                 changed = True
         return SiftResult(initial, current_size, swaps, changed)
 
-    def sift_converge(
-        self,
-        roots: Sequence[int],
-        max_passes: int = DEFAULT_MAX_PASSES,
-        max_growth: float | None = DEFAULT_MAX_GROWTH,
-    ) -> SiftResult:
-        """Sift to a fixpoint: repeat :meth:`sift` passes until a pass
-        yields no size gain, bounded by ``max_passes``.
-
-        One greedy pass can unlock further gains (moving variable *a*
-        may open a better position for *b* that the first pass already
-        visited), so converging never produces a larger diagram than a
-        single pass from the same starting order — each pass backtracks
-        to the best position it saw.  Same root contract as
-        :meth:`sift`: **edges not reachable from ``roots`` are
-        invalidated** by the initial garbage collection.
-        """
-        if max_passes < 1:
-            raise BDDError("max_passes must be positive")
-        pins = list(roots) + self.protected_edges()
-        self.gc(pins)
-        for edge in pins:
-            self.pin(edge)
-        try:
-            initial = self.live_nodes()
-            swaps = 0
-            changed = False
-            passes = 0
-            while passes < max_passes:
-                result = self._sift_pinned(max_growth)
-                passes += 1
-                swaps += result.swaps
-                changed = changed or result.changed
-                if result.final_size >= result.initial_size:
-                    break  # fixpoint: the pass yielded no gain
-            return SiftResult(initial, self.live_nodes(), swaps, changed, passes)
-        finally:
-            for edge in pins:
-                self.unpin(edge)
-
-    # ------------------------------------------------------------------
-    # Symmetric-variable detection and group sifting
-    # ------------------------------------------------------------------
-    def symmetric_pair(self, roots: Sequence[int], i: int, j: int) -> bool:
-        """True when every function in ``roots`` is invariant under
-        swapping the variables at levels ``i`` and ``j``.
-
-        The classic cofactor test: ``f`` is symmetric in ``(x, y)`` iff
-        ``f[x=1, y=0] == f[x=0, y=1]`` — an edge-handle comparison,
-        thanks to canonicity.  Cofactor results are memoized in the
-        shared operation cache, so scanning all pairs of a sift sweep
-        reuses most of the work.
-        """
-        for root in roots:
-            high = self.cofactor(self.cofactor(root, i, True), j, False)
-            low = self.cofactor(self.cofactor(root, i, False), j, True)
-            if high != low:
-                return False
-        return True
-
-    def symmetry_groups(self, roots: int | Sequence[int]) -> list[list[str]]:
-        """Partition the variables into symmetry groups of ``roots``.
-
-        Two variables belong to one group when *every* root function is
-        invariant under swapping them (checked pairwise with
-        :meth:`symmetric_pair`; pairwise symmetry is transitive, so the
-        union-find closure is exact).  Variables outside every root's
-        support are mutually symmetric and form their own group.
-        Returns the groups as name lists in current level order,
-        top-down (singletons included), so the result is a full
-        partition :meth:`sift_groups` can consume directly.
-        """
-        if isinstance(roots, int):
-            roots = [roots]
-        roots = list(roots)
-        count = len(self._names)
-        parent = list(range(count))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in range(count):
-            for j in range(i + 1, count):
-                root_i, root_j = find(i), find(j)
-                if root_i == root_j:
-                    continue
-                if self.symmetric_pair(roots, i, j):
-                    parent[max(root_i, root_j)] = min(root_i, root_j)
-        groups: dict[int, list[str]] = {}
-        for level in range(count):
-            groups.setdefault(find(level), []).append(self._names[level])
-        return [groups[key] for key in sorted(groups)]
-
-    def sift_groups(
-        self,
-        roots: Sequence[int],
-        groups: Sequence[Sequence[str]] | None = None,
-        max_growth: float | None = DEFAULT_MAX_GROWTH,
-    ) -> SiftResult:
-        """One Rudell pass over variable *blocks* instead of variables.
-
-        ``groups`` partitions the variable names into blocks that move
-        as contiguous units (default: the detected
-        :meth:`symmetry_groups` of ``roots`` — symmetric variables gain
-        nothing from relative reordering, so sifting them as one block
-        searches a smaller, better-shaped neighborhood).  Names missing
-        from ``groups`` sift as singleton blocks.  The pass first
-        gathers each block contiguous (members keep their relative
-        order, pulled up to the topmost member), then walks every block
-        through every block position with best-position backtracking —
-        block swaps are realized as ``width * width`` runs of
-        :meth:`swap_adjacent` surgery.  Same root contract as
-        :meth:`sift`.
-        """
-        roots = list(roots)
-        if groups is None:
-            detect_roots = [edge for edge in roots if edge >> 1]
-            groups = (
-                self.symmetry_groups(detect_roots)
-                if detect_roots
-                else [[name] for name in self._names]
-            )
-        blocks = self._normalize_groups(groups)
-        pins = roots + self.protected_edges()
-        self.gc(pins)
-        for edge in pins:
-            self.pin(edge)
-        try:
-            return self._sift_blocks_pinned(blocks, max_growth)
-        finally:
-            for edge in pins:
-                self.unpin(edge)
-
-    def _normalize_groups(
-        self, groups: Sequence[Sequence[str]]
-    ) -> list[tuple[str, ...]]:
-        """Validate ``groups`` into a full partition of the variables:
-        unknown or duplicated names raise; unmentioned names become
-        singleton blocks.  Blocks are ordered by their topmost member."""
-        seen: set[str] = set()
-        blocks: list[tuple[str, ...]] = []
-        for group in groups:
-            members = tuple(group)
-            if not members:
-                continue
-            for name in members:
-                if name not in self._level_by_name:
-                    raise BDDError(f"unknown variable {name!r} in group")
-                if name in seen:
-                    raise BDDError(f"variable {name!r} appears in two groups")
-                seen.add(name)
-            blocks.append(tuple(sorted(members, key=self._level_by_name.__getitem__)))
-        blocks.extend((name,) for name in self._names if name not in seen)
-        blocks.sort(key=lambda block: self._level_by_name[block[0]])
-        return blocks
-
-    def _gather_block(self, block: tuple[str, ...]) -> int:
-        """Make ``block``'s members contiguous (relative order kept),
-        pulled up to the topmost member.  Returns swaps performed."""
-        swaps = 0
-        anchor = self._level_by_name[block[0]]
-        for offset, name in enumerate(block[1:], start=1):
-            level = self._level_by_name[name]
-            while level > anchor + offset:
-                self.swap_adjacent(level - 1)
-                swaps += 1
-                level -= 1
-        return swaps
-
-    def _swap_adjacent_blocks(self, level: int, upper: int, lower: int) -> tuple[int, int]:
-        """Exchange the adjacent variable blocks occupying levels
-        ``[level, level+upper)`` and ``[level+upper, level+upper+lower)``
-        (each block's internal order preserved).  Returns
-        ``(live_nodes_after, swaps_performed)``."""
-        size = self.live_nodes()
-        swaps = 0
-        for i in range(upper):
-            # Bubble the current bottom variable of the upper block down
-            # through the whole lower block.
-            start = level + upper - 1 - i
-            for step in range(lower):
-                size = self.swap_adjacent(start + step)
-            swaps += lower
-        return size, swaps
-
-    def _sift_blocks_pinned(
-        self, blocks: list[tuple[str, ...]], max_growth: float | None
-    ) -> SiftResult:
-        initial = self.live_nodes()
-        swaps = 0
-        changed_order = tuple(self._names)
-        for block in blocks:
-            if len(block) > 1:
-                swaps += self._gather_block(block)
-        if len(blocks) < 2:
-            final = self.live_nodes()
-            return SiftResult(
-                initial, final, swaps, tuple(self._names) != changed_order
-            )
-        # Visit order: decreasing total node population over the block's
-        # levels (stable sort keeps current block order for ties).
-        population = {
-            block: sum(
-                len(self._subtables[self._level_by_name[name]]) for name in block
-            )
-            for block in blocks
-        }
-
-        current_size = self.live_nodes()
-        for block in sorted(blocks, key=lambda b: -population[b]):
-            # Current top-down block order (blocks stay contiguous, and
-            # each block's first member stays its topmost variable).
-            order = sorted(blocks, key=lambda b: self._level_by_name[b[0]])
-            position = order.index(block)
-            widths = [len(b) for b in order]
-            sizes = {position: current_size}
-            limit = None if max_growth is None else max_growth * current_size
-            pos = position
-            while pos > 0:
-                start = sum(widths[: pos - 1])
-                size, done = self._swap_adjacent_blocks(
-                    start, widths[pos - 1], widths[pos]
-                )
-                swaps += done
-                order[pos - 1], order[pos] = order[pos], order[pos - 1]
-                widths[pos - 1], widths[pos] = widths[pos], widths[pos - 1]
-                pos -= 1
-                sizes[pos] = size
-                if limit is not None and size > limit:
-                    break
-            while pos < len(order) - 1:
-                start = sum(widths[:pos])
-                size, done = self._swap_adjacent_blocks(
-                    start, widths[pos], widths[pos + 1]
-                )
-                swaps += done
-                order[pos], order[pos + 1] = order[pos + 1], order[pos]
-                widths[pos], widths[pos + 1] = widths[pos + 1], widths[pos]
-                pos += 1
-                sizes[pos] = size
-                if limit is not None and size > limit:
-                    break
-            # Best block position seen; ties keep the starting position,
-            # then prefer the topmost candidate (mirrors `sift`).
-            best_size, best_pos = sizes[position], position
-            for candidate in sorted(sizes):
-                if candidate != position and sizes[candidate] < best_size:
-                    best_size, best_pos = sizes[candidate], candidate
-            while pos > best_pos:
-                start = sum(widths[: pos - 1])
-                _, done = self._swap_adjacent_blocks(
-                    start, widths[pos - 1], widths[pos]
-                )
-                swaps += done
-                order[pos - 1], order[pos] = order[pos], order[pos - 1]
-                widths[pos - 1], widths[pos] = widths[pos], widths[pos - 1]
-                pos -= 1
-            while pos < best_pos:
-                start = sum(widths[:pos])
-                _, done = self._swap_adjacent_blocks(
-                    start, widths[pos], widths[pos + 1]
-                )
-                swaps += done
-                order[pos], order[pos + 1] = order[pos + 1], order[pos]
-                widths[pos], widths[pos + 1] = widths[pos + 1], widths[pos]
-                pos += 1
-            current_size = best_size
-        return SiftResult(
-            initial,
-            self.live_nodes(),
-            swaps,
-            tuple(self._names) != changed_order,
-        )
-
     def check_invariants(self) -> None:
         """Verify store and canonical-form invariants; raises
         :class:`BDDError` on the first violation (tests and debugging —
@@ -1200,11 +800,6 @@ class BDD:
         # Terminal cases: a constant operand, or both on one node.
         if f >> 1 == 0 or g >> 1 == 0 or f >> 1 == g >> 1:
             return f if f == g else g if f == self.ONE else f if g == self.ONE else self.ZERO
-        if self._reorder_threshold is not None and self._kernel_depth == 0:
-            # Safe point of dynamic reordering: no apply recursion is in
-            # flight, so the only live edges are the protected registry
-            # plus this call's own operands.
-            self._maybe_reorder((f, g))
         if (g >> 1) < (f >> 1):
             f, g = g, f
         levels = self._level
@@ -1306,8 +901,6 @@ class BDD:
         # come out as f ⊕ g ⊕ 1 in the edge encoding.
         if f >> 1 == 0 or g >> 1 == 0 or f >> 1 == g >> 1:
             return f ^ g ^ 1
-        if self._reorder_threshold is not None and self._kernel_depth == 0:
-            self._maybe_reorder((f, g))
         negate = (f ^ g) & 1
         f &= ~1
         g &= ~1
@@ -1409,16 +1002,6 @@ class BDD:
             return h
         if g == h:
             return g
-        if self._reorder_threshold is not None and self._kernel_depth == 0:
-            # Dynamic-reorder safe point; the depth guard below keeps
-            # recursive calls and two-operand dispatches from sifting
-            # while this call holds intermediate edges.
-            self._maybe_reorder((f, g, h))
-            self._kernel_depth += 1
-            try:
-                return self.ite(f, g, h)
-            finally:
-                self._kernel_depth -= 1
         if g == f:
             g = self.ONE
         elif g == f ^ 1:
@@ -1511,20 +1094,6 @@ class BDD:
 
     def maj(self, a: int, b: int, c: int) -> int:
         """Three-input majority ``ab + ac + bc`` — the paper's MAJ operator."""
-        if self._reorder_threshold is not None:
-            # Dynamic reordering: `a` and the OR intermediate are held
-            # across kernel calls, so they must survive a mid-expression
-            # growth-triggered sift.
-            self.protect(a)
-            try:
-                left = self.protect(self.or_(b, c))
-                try:
-                    right = self.and_(b, c)
-                finally:
-                    self.unprotect(left)
-            finally:
-                self.unprotect(a)
-            return self.ite(a, left, right)
         return self.ite(a, self.or_(b, c), self.and_(b, c))
 
     def and_many(self, edges: Iterable[int]) -> int:

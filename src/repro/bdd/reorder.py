@@ -4,12 +4,12 @@ The BDS-MAJ decomposition engine reorders each supernode BDD before
 searching for dominators (paper Section IV.B: "As a first step, it
 performs variable reordering to compact the size of the input BDD").
 
-The engine itself sifts in place (:meth:`BDD.sift`,
-:meth:`BDD.sift_converge`, :meth:`BDD.sift_groups`): the manager's
-per-level unique subtables let :meth:`BDD.swap_adjacent` exchange two
-adjacent variables by local node surgery, so trying a variable at every
-position costs O(total nodes) instead of one full rebuild *per
-position*.  This module holds the rebuild-based constructions.
+That is the only reordering the flows run: one in-place Rudell pass
+per supernode (:meth:`BDD.sift`).  The manager's per-level unique
+subtables let :meth:`BDD.swap_adjacent` exchange two adjacent variables
+by local node surgery, so trying a variable at every position costs
+O(total nodes) instead of one full rebuild *per position*.  This module
+holds the rebuild-based constructions.
 
 :func:`reorder` transfers functions into a fresh manager with a given
 order.  :func:`sift_rebuild` keeps the historical transfer-based

@@ -40,7 +40,7 @@ from ..api import (
 from ..bdd.manager import DEFAULT_CACHE_CAPACITY
 from ..benchgen import BENCHMARKS
 from ..benchgen.registry import benchmark_keys
-from ..flows import BATCH_FLOWS, REORDER_POLICIES, BatchConfig, run_batch
+from ..flows import BATCH_FLOWS, BatchConfig, run_batch
 from ..network import to_blif
 from .figures import figure1, figure2, figure3
 from .table1 import format_table1, run_table1
@@ -163,14 +163,6 @@ def main(argv: list[str] | None = None) -> int:
         default=DEFAULT_CACHE_CAPACITY,
         help="BDD operation-cache entries per manager (>= 1; the "
         "default keeps the published counters)",
-    )
-    batch.add_argument(
-        "--reorder",
-        choices=list(REORDER_POLICIES),
-        default="once",
-        help="BDS variable-reordering policy: once (published single "
-        "pass, the default), converge (sift to a fixpoint), dynamic "
-        "(growth-triggered sifting during BDD construction), none",
     )
     batch.add_argument("--format", choices=["json", "csv"], default="json")
     batch.add_argument("--output", help="write the report to a file (default: stdout)")
@@ -448,7 +440,6 @@ def main(argv: list[str] | None = None) -> int:
             workers=args.workers,
             verify=args.verify,
             cache_capacity=args.cache_capacity,
-            reorder=args.reorder,
             circuit_timeout=args.circuit_timeout,
             max_retries=args.max_retries,
         )

@@ -23,13 +23,12 @@ from .batch import (
     run_batch,
     synthesize_one,
 )
-from .bds import REORDER_POLICIES, BdsFlowConfig, BdsTrace, normalize_reorder_policy
+from .bds import BdsFlowConfig, BdsTrace
 from .common import FlowResult
 from .dc import DcFlowConfig
 
 __all__ = [
     "BATCH_FLOWS",
-    "REORDER_POLICIES",
     "AbcFlowConfig",
     "BatchCancelled",
     "BatchConfig",
@@ -41,7 +40,6 @@ __all__ = [
     "FlowResult",
     "WarmPoolManager",
     "batch_pool",
-    "normalize_reorder_policy",
     "run_batch",
     "synthesize_one",
 ]

@@ -96,7 +96,6 @@ from ..benchgen import build_benchmark
 from ..faults import active as faults_active
 from ..faults import inject as inject_fault
 from ..network import BddSizeExceeded, check_equivalence, global_bdds
-from .bds import normalize_reorder_policy
 
 if TYPE_CHECKING:  # pragma: no cover - hints only (runtime import is lazy)
     from ..api import InputItem, InputSource, Stage, StageEvent
@@ -153,12 +152,6 @@ class BatchConfig:
     #: BDD operation-cache capacity per manager (entries, not bytes).
     #: The default keeps every published counter unchanged.
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
-    #: Variable-reordering policy of the BDS flows
-    #: ("none" | "once" | "converge" | "dynamic"); the "once" default is
-    #: the published single-pass behavior and keeps every report
-    #: byte-identical.  Ignored by the abc/dc flows, which do not
-    #: reorder.
-    reorder: str = "once"
     #: Per-circuit wall-clock deadline in seconds (``None`` = none).  A
     #: parallel batch abandons the attempt at the deadline and retries
     #: or errors it; the serial path enforces the same budget post-hoc
@@ -178,7 +171,6 @@ class BatchConfig:
             raise ValueError("workers must be >= 1")
         if self.cache_capacity < 1:
             raise ValueError("cache capacity must be >= 1")
-        normalize_reorder_policy(self.reorder)
         if self.circuit_timeout is not None and self.circuit_timeout <= 0:
             raise ValueError("circuit_timeout must be positive (or None)")
         if self.max_retries < 0:
@@ -377,7 +369,7 @@ def _flow_config(config: BatchConfig):
     from .dc import DcFlowConfig
 
     if config.flow in ("bds-maj", "bds-pga"):
-        flow_config = BdsFlowConfig(reorder=config.reorder)
+        flow_config = BdsFlowConfig()
     elif config.flow == "abc":
         return AbcFlowConfig()
     else:

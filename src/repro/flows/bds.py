@@ -21,29 +21,6 @@ from ..core import EngineConfig
 from ..mapping.library import CellLibrary
 from ..network import PartitionConfig
 
-#: Variable-reordering policies of the BDS flows (Section IV.B and the
-#: dynamic-reordering subsystem on top of it):
-#:
-#: * ``"none"``    — no reordering at all (the ablation baseline);
-#: * ``"once"``    — one in-place sifting pass per supernode between
-#:   construction and decomposition (the published default);
-#: * ``"converge"``— sifting passes repeated to a fixpoint
-#:   (:meth:`BDD.sift_converge`);
-#: * ``"dynamic"`` — growth-triggered sifting *during* BDD construction
-#:   (CUDD-style doubling threshold) rescuing builds that would blow
-#:   the node budget, plus the standard single pass before
-#:   decomposition.
-REORDER_POLICIES = ("none", "once", "converge", "dynamic")
-
-
-def normalize_reorder_policy(value: object) -> str:
-    """Validate a reorder policy name; raises ``ValueError`` for
-    anything outside :data:`REORDER_POLICIES`."""
-    if value not in REORDER_POLICIES:
-        raise ValueError(f"unknown reorder policy {value!r} (known: {REORDER_POLICIES})")
-    return str(value)
-
-
 @dataclass
 class BdsFlowConfig:
     """Flow-level knobs (defaults follow the paper's Section IV).
@@ -57,15 +34,8 @@ class BdsFlowConfig:
         default_factory=lambda: PartitionConfig(max_support=10, max_bdd_nodes=220)
     )
     engine: EngineConfig = field(default_factory=EngineConfig)
-    #: Variable-reordering policy (one of :data:`REORDER_POLICIES`).
-    #: The in-place sifting engine is cheap enough to run on *every*
-    #: supernode — there are no size guards.
-    reorder: str = "once"
     verify: bool = True
     library: CellLibrary | None = None
-
-    def __post_init__(self) -> None:
-        self.reorder = normalize_reorder_policy(self.reorder)
 
 
 @dataclass
@@ -74,10 +44,6 @@ class BdsTrace:
 
     supernodes: int = 0
     sifted: int = 0
-    #: Growth-triggered reorders performed *during* BDD construction
-    #: (``reorder="dynamic"`` only; not part of the serialized reports,
-    #: whose schema the default policy keeps byte-identical).
-    reorderings: int = 0
     majority_steps: int = 0
     and_or_steps: int = 0
     xor_steps: int = 0

@@ -49,15 +49,6 @@ class PartitionConfig:
     #: (FIFO eviction); the default keeps the published counters
     #: unchanged.
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
-    #: Growth-triggered reordering *during* local-BDD construction
-    #: (``reorder="dynamic"`` at the flow/batch layer): clusters whose
-    #: construction-order BDD overflows ``max_bdd_nodes`` are sifted
-    #: mid-build instead of demoted, so cones that fit the budget under
-    #: a better order survive as supernodes.
-    dynamic_reorder: bool = False
-    #: Live-node trigger arming the first mid-build sift (``None`` =
-    #: half of ``max_bdd_nodes``; see :meth:`BDD.enable_dynamic_reordering`).
-    reorder_threshold: int | None = None
 
 
 @dataclass
@@ -188,8 +179,6 @@ def build_local_bdd(
         supernode.inputs,
         max_nodes=config.max_bdd_nodes,
         cache_capacity=config.cache_capacity,
-        dynamic_reorder=config.dynamic_reorder,
-        reorder_threshold=config.reorder_threshold,
     )
 
 

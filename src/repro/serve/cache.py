@@ -8,11 +8,11 @@ resubmission of the same work can answer from the previous
 :func:`submission_key` computes the cache key: a SHA-256 over a
 canonical JSON encoding of
 
-* the normalized config — ``flow``, ``verify``, ``cache_capacity``,
-  ``reorder``.  **Not** ``workers`` (the
-  determinism contract makes 1- and N-worker reports byte-identical)
-  and **not** ``priority`` (scheduling only); both hashing differently
-  would just split identical results across cache slots;
+* the normalized config — ``flow``, ``verify``, ``cache_capacity``.
+  **Not** ``workers`` (the determinism contract makes 1- and N-worker
+  reports byte-identical) and **not** ``priority`` (scheduling only);
+  both hashing differently would just split identical results across
+  cache slots;
 * one descriptor per resolved :class:`~repro.api.InputItem`, in order:
   registry items by name (the registry is immutable for a server's
   lifetime), BLIF items by name **and the SHA-256 of the file bytes**
@@ -68,7 +68,6 @@ def submission_key(
             "flow": config.flow,
             "verify": config.verify,
             "cache_capacity": config.cache_capacity,
-            "reorder": config.reorder,
         },
         "items": descriptors,
     }

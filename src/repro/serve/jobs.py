@@ -72,7 +72,6 @@ class JobRequest:
     workers: int = 1
     verify: bool = False
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
-    reorder: str = "once"
     priority: int = 0
 
     def batch_config(self) -> BatchConfig:
@@ -83,7 +82,6 @@ class JobRequest:
             workers=self.workers,
             verify=self.verify,
             cache_capacity=self.cache_capacity,
-            reorder=self.reorder,
         )
 
 

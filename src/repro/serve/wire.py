@@ -60,8 +60,8 @@ def parse_submission(raw: bytes) -> JobRequest:
     """Validate a ``POST /jobs`` body into a :class:`JobRequest`.
 
     The wire layer owns the *structural* checks (JSON shape, unknown
-    fields, types); the value checks — known flow and reorder policy,
-    positive worker/capacity counts — are delegated to
+    fields, types); the value checks — known flow, positive
+    worker/capacity counts — are delegated to
     :class:`~repro.flows.BatchConfig`, the single owner of those rules,
     by building the equivalent config once.
     """
@@ -94,9 +94,6 @@ def parse_submission(raw: bytes) -> JobRequest:
     flow = payload.get("flow", "bds-maj")
     if not isinstance(flow, str):
         raise WireError(f"'flow' must be a string, got {flow!r}")
-    reorder = payload.get("reorder", "once")
-    if not isinstance(reorder, str):
-        raise WireError(f"'reorder' must be a string, got {reorder!r}")
     verify = payload.get("verify", False)
     if not isinstance(verify, bool):
         raise WireError(f"'verify' must be a boolean, got {verify!r}")
@@ -107,7 +104,6 @@ def parse_submission(raw: bytes) -> JobRequest:
         workers=_int_field(payload, "workers", 1),
         verify=verify,
         cache_capacity=_int_field(payload, "cache_capacity", DEFAULT_CACHE_CAPACITY),
-        reorder=reorder,
         priority=_int_field(payload, "priority", 0),
     )
     try:
@@ -127,7 +123,6 @@ def job_payload(job: Job) -> dict[str, Any]:
         "circuits": [item.name for item in job.items],
         "priority": job.request.priority,
         "workers": job.request.workers,
-        "reorder": job.request.reorder,
         "cancel_requested": job.cancel_requested(),
         "attempts": job.attempts,
         "events": job.total_events,

@@ -239,6 +239,14 @@ class TestComposition:
         ctx = pipeline.run_context(build_benchmark("alu2"), BdsFlowConfig(verify=False))
         assert ctx.scratch["num_outputs"] == len(build_benchmark("alu2").outputs)
 
+    def test_dropping_the_reorder_stage_skips_sifting(self):
+        """No reordering is a pipeline without the ``reorder`` stage."""
+        full = get_pipeline("bds-maj").optimize_prefix()
+        bare = full.with_stages([s for s in full.stages if s.name != "reorder"])
+        network = build_benchmark("alu2")
+        assert full.run_context(network).scratch["trace"].sifted > 0
+        assert bare.run_context(network).scratch["trace"].sifted == 0
+
     def test_duplicate_stage_names_rejected(self):
         noop = FunctionStage("noop", lambda ctx: ctx)
         with pytest.raises(PipelineError, match="duplicate"):
@@ -271,7 +279,7 @@ class TestRegistry:
                     S.MapNetwork(),
                     S.VerifyEquivalence(),
                 ],
-                default_config=lambda: BdsFlowConfig(reorder="none", verify=False),
+                default_config=lambda: BdsFlowConfig(verify=False),
             )
         )
         assert get_pipeline(name) is pipeline

@@ -3,8 +3,8 @@ before the kernels were flattened, and of the sifting pass, as it was
 before it learned to skip walks that cannot move a variable.
 
 Each function takes the manager as its first argument and drives the
-same private node store, unique table, operation cache and reorder safe
-points the methods of :class:`repro.bdd.BDD` use.  The oracle tests in
+same private node store, unique table and operation cache the methods
+of :class:`repro.bdd.BDD` use.  The oracle tests in
 ``test_kernel_oracle.py`` run one random operation sequence through
 these copies and through the live kernels on twin managers and require
 equal result edges, allocation counts and cache counters: the flattened
@@ -58,8 +58,6 @@ def ref_and(mgr: BDD, f: int, g: int) -> int:
     result = _and_terminal(f, g)
     if result is not None:
         return result
-    if mgr._reorder_threshold is not None and mgr._kernel_depth == 0:
-        mgr._maybe_reorder((f, g))
     if (g >> 1) < (f >> 1):
         f, g = g, f
     levels = mgr._level
@@ -137,8 +135,6 @@ def ref_xor(mgr: BDD, f: int, g: int) -> int:
     result = _xor_terminal(f, g)
     if result is not None:
         return result
-    if mgr._reorder_threshold is not None and mgr._kernel_depth == 0:
-        mgr._maybe_reorder((f, g))
     negate = (f & 1) ^ (g & 1)
     f &= ~1
     g &= ~1
@@ -192,13 +188,6 @@ def ref_ite(mgr: BDD, f: int, g: int, h: int) -> int:
         return h
     if g == h:
         return g
-    if mgr._reorder_threshold is not None and mgr._kernel_depth == 0:
-        mgr._maybe_reorder((f, g, h))
-        mgr._kernel_depth += 1
-        try:
-            return ref_ite(mgr, f, g, h)
-        finally:
-            mgr._kernel_depth -= 1
     if g == f:
         g = mgr.ONE
     elif g == f ^ 1:
@@ -289,7 +278,7 @@ def ref_cofactor(mgr: BDD, edge: int, level: int, value: bool) -> int:
 def ref_sift(mgr: BDD, roots: list[int], max_growth: float | None) -> SiftResult:
     """:meth:`BDD.sift` with the unbounded pass: every variable, in or
     out of the support, walks the whole order."""
-    pins = list(roots) + mgr.protected_edges()
+    pins = list(roots)
     mgr.gc(pins)
     for edge in pins:
         mgr.pin(edge)

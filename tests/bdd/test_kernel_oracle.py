@@ -4,7 +4,7 @@ Twin managers run one random operation sequence, one through the live
 ``and_``/``xor``/``ite``/``cofactor`` methods and one through
 :mod:`.reference_kernels`.  Result edges, allocation counts and cache
 counters must agree after every step, with a cache small enough to
-evict and with growth-triggered reordering firing mid-sequence.
+evict.
 """
 
 from __future__ import annotations
@@ -38,18 +38,11 @@ REFERENCE = {
 }
 
 
-def _twin(capacity: int, threshold: int | None) -> BDD:
-    mgr = BDD(NAMES, cache_capacity=capacity)
-    if threshold is not None:
-        mgr.enable_dynamic_reordering(threshold)
-    return mgr
-
-
 def _run(mgr: BDD, kernels: dict, seed: int, steps: int) -> list[tuple]:
     """Apply ``steps`` random operations; return a per-step trace of
     (operation, result edge, allocations, live nodes, cache stats)."""
     rng = random.Random(seed)
-    pool = [mgr.protect(mgr.var(name)) for name in NAMES]
+    pool = [mgr.var(name) for name in NAMES]
     pool += [edge ^ 1 for edge in pool]
     pool += [mgr.ONE, mgr.ZERO]
     trace = []
@@ -57,7 +50,7 @@ def _run(mgr: BDD, kernels: dict, seed: int, steps: int) -> list[tuple]:
         op = rng.choice(sorted(kernels))
         f, g, h = (rng.choice(pool) for _ in range(3))
         level = rng.randrange(len(NAMES))
-        result = mgr.protect(kernels[op](mgr, f, g, h, level))
+        result = kernels[op](mgr, f, g, h, level)
         pool.append(result)
         trace.append((op, result, mgr.num_nodes(), mgr.live_nodes(), mgr.cache_stats()))
     return trace
@@ -67,20 +60,16 @@ def _run(mgr: BDD, kernels: dict, seed: int, steps: int) -> list[tuple]:
 @given(
     seed=st.integers(min_value=0, max_value=(1 << 32) - 1),
     capacity=st.sampled_from([8, 64, 1 << 12]),
-    threshold=st.sampled_from([None, 24, 64]),
 )
-def test_property_flattened_kernels_match_reference(seed, capacity, threshold):
-    live = _twin(capacity, threshold)
-    reference = _twin(capacity, threshold)
+def test_property_flattened_kernels_match_reference(seed, capacity):
+    live = BDD(NAMES, cache_capacity=capacity)
+    reference = BDD(NAMES, cache_capacity=capacity)
     assert _run(live, LIVE, seed, 40) == _run(reference, REFERENCE, seed, 40)
-    assert live.reorderings == reference.reorderings
-    assert live.var_names == reference.var_names
     live.check_invariants()
 
 
-def test_oracle_exercises_reordering_and_eviction():
-    """The drawn settings reach the paths the oracle is meant to pin."""
-    mgr = _twin(8, 24)
+def test_oracle_exercises_eviction():
+    """The drawn settings reach the path the oracle is meant to pin."""
+    mgr = BDD(NAMES, cache_capacity=8)
     _run(mgr, LIVE, 1, 40)
-    assert mgr.reorderings >= 1
     assert mgr.cache_stats()["evictions"] >= 1

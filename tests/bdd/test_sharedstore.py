@@ -223,8 +223,6 @@ class TestStoreBackedManager:
                 mgr.gc([edge])
             with pytest.raises(BDDError, match="append-only"):
                 mgr.swap_adjacent(0)
-            with pytest.raises(BDDError, match="append-only"):
-                mgr.enable_dynamic_reordering()
             # Refcounting is a no-op, never an error.
             mgr.pin(edge)
             mgr.unpin(edge)

@@ -127,16 +127,6 @@ class TestThinStoresAreNotWalked:
         assert mgr.sift([g]).swaps == 0
         assert len(mgr.op_cache) == entries
 
-    def test_converge_on_thin_bdd_runs_one_pass_without_swaps(self):
-        mgr = BDD(["a", "b", "c", "d", "e"])
-        a, b, c, d = (mgr.var(n) for n in "abcd")
-        f = mgr.or_(a, mgr.and_(b ^ 1, mgr.xor(c, d)))
-        result = mgr.sift_converge([f])
-        assert result.passes == 1
-        assert result.swaps == 0
-        assert result.changed is False
-        assert result.final_size == result.initial_size == 5
-
 
 class TestTightness:
     def test_one_node_of_slack_is_still_sifted(self):

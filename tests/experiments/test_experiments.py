@@ -179,6 +179,14 @@ class TestCliValidation:
         assert "usage:" in err
         assert ">= 1" in err or "integer" in err or "0..65535" in err
 
+    def test_reorder_flag_is_gone(self, capsys):
+        """One sift per supernode is the only reordering: the batch
+        command has no policy to choose."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["batch", "--benchmarks", "alu2", "--reorder", "once"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --reorder" in capsys.readouterr().err
+
     def test_batch_config_mirrors_the_guards(self):
         from repro.flows import BatchConfig
 

@@ -115,6 +115,9 @@ class TestReportContent:
     def test_verification_recorded(self, report):
         assert report.circuits[0].verified is True
 
+    def test_supernodes_are_sifted(self, report):
+        assert report.circuits[0].steps["sifted"] > 0
+
     def test_node_counts_match_table1_shape(self, report):
         counts = report.circuits[0].node_counts
         assert set(counts) == {"and", "or", "xor", "xnor", "maj"}

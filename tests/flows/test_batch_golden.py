@@ -2,16 +2,14 @@
 circuits, pinned byte-for-byte.
 
 ``golden_batch_mcnc.json`` is the output of ``bdsmaj batch --category
-mcnc`` with the default policy (``reorder="once"``).  Node counts,
-decomposition steps and op-cache counters must stay **byte-identical**
-to it; the ``converge``/``dynamic`` reordering policies are strictly
-opt-in and move nothing published.  The golden was last regenerated
-when the engine began deciding each distinct function shape once per
-circuit and replaying the decision in other supernode managers, and
-again when it stopped running the majority search on functions whose
-BDD has one node per support variable (no triple of those can pass the
-global test).  Both times every QoR field stayed the same and only the
-``cache`` counters fell.
+mcnc`` (one sifting pass per supernode).  Node counts, decomposition
+steps and op-cache counters must stay **byte-identical** to it.  The
+golden was last regenerated when the engine began deciding each
+distinct function shape once per circuit and replaying the decision in
+other supernode managers, and again when it stopped running the
+majority search on functions whose BDD has one node per support
+variable (no triple of those can pass the global test).  Both times
+every QoR field stayed the same and only the ``cache`` counters fell.
 
 If an intentional change moves these numbers, regenerate the golden
 with::

@@ -21,7 +21,10 @@ from repro.network import (
     partition_with_bdds,
     random_equivalent,
 )
+from repro.api import get_pipeline
 from repro.bdd import BDD
+from repro.flows import DcFlowConfig
+from repro.network.bdds import supernode_bdd
 
 
 def ripple_adder(bits: int, name: str = "rca") -> LogicNetwork:
@@ -41,6 +44,24 @@ def ripple_adder(bits: int, name: str = "rca") -> LogicNetwork:
             carry = net.add_maj(f"c{i}", a, b, carry)
         net.add_output(f"s{i}")
     net.add_output(carry)
+    return net
+
+
+def comparator_tree(pairs: int) -> LogicNetwork:
+    """``y = OR_i (a_i & b_i)`` as AND nodes under a wide OR.  The input
+    order ``a0..a(n-1) b0..b(n-1)`` separates the pairs, so the BDD of
+    the collapsed cluster is exponential in ``pairs``."""
+    net = LogicNetwork("sepcmp_tree")
+    for i in range(pairs):
+        net.add_input(f"a{i}")
+    for i in range(pairs):
+        net.add_input(f"b{i}")
+    for i in range(pairs):
+        net.add_node(f"t{i}", [f"a{i}", f"b{i}"], ["11"])
+    fanins = [f"t{i}" for i in range(pairs)]
+    rows = ["-" * i + "1" + "-" * (pairs - 1 - i) for i in range(pairs)]
+    net.add_node("y", fanins, rows)
+    net.add_output("y")
     return net
 
 
@@ -194,3 +215,38 @@ class TestPartition:
         net = ripple_adder(8)
         supernodes = partition(net)
         assert len(supernodes) < net.num_nodes
+
+
+class TestNodeBudget:
+    PAIRS = 8
+    BUDGET = 60
+
+    def test_separated_order_exceeds_budget(self):
+        net = comparator_tree(self.PAIRS)
+        members = {"y"} | {f"t{i}" for i in range(self.PAIRS)}
+        with pytest.raises(BddSizeExceeded):
+            supernode_bdd(net, "y", members, list(net.inputs), max_nodes=self.BUDGET)
+
+    def test_overflowing_cluster_is_demoted_to_singletons(self):
+        net = comparator_tree(self.PAIRS)
+        roomy = partition_with_bdds(
+            net, PartitionConfig(max_support=2 * self.PAIRS, max_bdd_nodes=10_000)
+        )
+        tight = partition_with_bdds(
+            net, PartitionConfig(max_support=2 * self.PAIRS, max_bdd_nodes=self.BUDGET)
+        )
+        assert len(roomy) == 1
+        assert len(tight) == self.PAIRS + 1
+
+    def test_dc_collapse_keeps_every_partition_field(self):
+        """The DC flow's collapse adds its hard signals to the caller's
+        partition config without dropping its other fields."""
+        net = comparator_tree(self.PAIRS)
+        partition = PartitionConfig(
+            max_support=2 * self.PAIRS, max_bdd_nodes=self.BUDGET, cache_capacity=64
+        )
+        pipeline = get_pipeline("dc").up_to("collapse")
+        ctx = pipeline.run_context(net, DcFlowConfig(partition=partition))
+        partitions = ctx.scratch["partitions"]
+        assert len(partitions) == self.PAIRS + 1
+        assert all(mgr.op_cache.capacity == 64 for _s, mgr, _r in partitions)

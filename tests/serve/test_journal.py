@@ -166,8 +166,9 @@ class TestReplay:
 
 class TestEarlierFormat:
     """Journals written before the op cache lost its eviction-policy
-    knob still replay: their ``submit`` requests carry a
-    ``cache_policy`` key, and their result-cache keys hashed it."""
+    knob, and before reordering lost its policy knob, still replay:
+    their ``submit`` requests carry ``cache_policy`` and ``reorder``
+    keys, and their result-cache keys hashed both."""
 
     REQUEST = {
         "circuits": ["alu2"],
@@ -181,39 +182,41 @@ class TestEarlierFormat:
     }
 
     @classmethod
-    def _earlier_key(cls) -> str:
-        """The result-cache key the earlier format computed for REQUEST."""
+    def _earlier_key(cls, request: dict | None = None) -> str:
+        """The result-cache key the earlier format computed for a request."""
+        request = cls.REQUEST if request is None else request
         config = {
-            key: cls.REQUEST[key]
+            key: request[key]
             for key in ("flow", "verify", "cache_policy", "cache_capacity", "reorder")
         }
         payload = {"config": config, "items": [["registry", "alu2"]]}
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def _write_journal(self, path: Path) -> BatchReport:
+    def _write_journal(self, path: Path, request: dict | None = None) -> BatchReport:
         """An earlier-format journal: job 1 finished, job 2 interrupted."""
+        request = self.REQUEST if request is None else request
         report = run_batch(["alu2"], BatchConfig(cache_capacity=1024))
         records = [
             {
                 "v": 1,
                 "type": "submit",
                 "id": "job-000001",
-                "request": self.REQUEST,
+                "request": request,
                 "items": ["alu2"],
             },
             {
                 "v": 1,
                 "type": "finish",
                 "id": "job-000001",
-                "cache_key": self._earlier_key(),
+                "cache_key": self._earlier_key(request),
                 "report": _report_payload(report),
             },
             {
                 "v": 1,
                 "type": "submit",
                 "id": "job-000002",
-                "request": dict(self.REQUEST, circuits=["f51m"]),
+                "request": dict(request, circuits=["f51m"]),
                 "items": ["f51m"],
             },
         ]
@@ -235,6 +238,24 @@ class TestEarlierFormat:
         assert done.report.to_json() == report.to_json()
         # The interrupted job re-enqueues under the same knobs.
         assert interrupted.state is None
+        assert interrupted.request == JobRequest(
+            circuits=("f51m",), workers=2, cache_capacity=1024, priority=3
+        )
+
+    def test_submit_with_converge_reorder_replays_as_default(self, tmp_path):
+        """A request that named a non-default reorder policy replays as
+        the default request, under the key its own policy hashed to."""
+        path = tmp_path / "jobs.journal"
+        request = dict(self.REQUEST, reorder="converge")
+        self._write_journal(path, request)
+
+        done, interrupted = JobJournal(path, fsync=False).open().jobs
+        assert done.request == JobRequest(
+            circuits=("alu2",), workers=2, cache_capacity=1024, priority=3
+        )
+        assert done.state == "done"
+        assert done.cache_key == self._earlier_key(request)
+        assert done.cache_key != self._earlier_key()
         assert interrupted.request == JobRequest(
             circuits=("f51m",), workers=2, cache_capacity=1024, priority=3
         )

@@ -44,7 +44,6 @@ class TestSubmissionKey:
         base = submission_key(self.ITEMS, BatchConfig())
         assert base != submission_key(self.ITEMS, BatchConfig(verify=True))
         assert base != submission_key(self.ITEMS, BatchConfig(cache_capacity=1 << 10))
-        assert base != submission_key(self.ITEMS, BatchConfig(reorder="converge"))
 
     def test_key_tracks_item_order_and_identity(self):
         base = submission_key(self.ITEMS, BatchConfig())

@@ -78,7 +78,18 @@ class TestParseSubmission:
         assert excinfo.value.status == 400
         assert str(excinfo.value) == (
             "unknown submission fields: cache_policy "
-            "(known: cache_capacity, circuits, flow, priority, reorder, verify, workers)"
+            "(known: cache_capacity, circuits, flow, priority, verify, workers)"
+        )
+
+    def test_rejects_reorder_field(self):
+        """One sift per supernode is the only reordering, so a body
+        still naming a policy is a client error too."""
+        with pytest.raises(WireError) as excinfo:
+            parse_submission(_body(circuits=["alu2"], reorder="once"))
+        assert excinfo.value.status == 400
+        assert str(excinfo.value) == (
+            "unknown submission fields: reorder "
+            "(known: cache_capacity, circuits, flow, priority, verify, workers)"
         )
 
     @pytest.mark.parametrize("workers", [0, -2, "4", 1.5, True])
