@@ -172,111 +172,6 @@ def bench_warm_serving(
     }
 
 
-def bench_shared_store(
-    circuits: list[str], workers: int, repeats: int
-) -> dict:
-    """The shared-vs-private build row: materializing the arena-hot
-    cones in a worker, private copy-on-miss rebuild versus the writable
-    shared unique table.
-
-    The PR 6 arena is read-only: every worker copies the hot cones out
-    of the snapshot into its *own* private manager, so a pool duplicates
-    the same construction ``workers`` times (O(workers x nodes)).  With
-    a :class:`~repro.bdd.SharedNodeStore` the first build lands the
-    cones in shared memory once; a parked worker's subsequent
-    materializations are find-or-create hits against its warm view — no
-    allocations, no refcounting, same canonical edges.  Rows:
-
-    * ``private_rebuild`` — fresh private manager per materialization
-      (what every worker pays today, every time).
-    * ``shared_first_build`` — the one-time construction that populates
-      the store.
-    * ``shared_attach`` — a brand-new worker's first materialization
-      through a cold view (shared-memory probes; reported, not gated).
-    * ``shared_hot`` — the parked-worker steady state the serve layer
-      runs in.  CI asserts ``shared_hot <= private_rebuild``.
-    """
-    from repro.bdd import BDD, BddArena, SharedNodeStore
-    from repro.benchgen import build_benchmark
-    from repro.network import global_bdds
-
-    manager = BDD([])
-    roots: dict[str, int] = {}
-    for name in circuits:
-        network = build_benchmark(name)
-        manager, edges = global_bdds(network, mgr=manager, max_nodes=500_000)
-        for output, edge in edges.items():
-            roots[f"{name}/{output}"] = edge
-    arena = BddArena.publish(manager, roots)
-    names = manager.var_names
-    store = SharedNodeStore.create(names)
-
-    def materialize(target: BDD) -> dict[str, int]:
-        binding = arena.binding(target)
-        return {key: binding.copy(key) for key in arena.roots}
-
-    runs = max(repeats, 2) * max(workers, 1)
-    try:
-        reference, first_build = _timed(
-            lambda: materialize(BDD(names, store=store))
-        )
-
-        private_runs: list[float] = []
-        for _ in range(runs):
-            edges, seconds = _timed(lambda: materialize(BDD(names)))
-            private_runs.append(seconds)
-            assert set(edges) == set(reference)
-
-        def cold_attach() -> dict[str, int]:
-            view = SharedNodeStore.attach(store.handle())
-            try:
-                return materialize(BDD(names, store=view))
-            finally:
-                view.close()
-
-        attach_runs: list[float] = []
-        for _ in range(runs):
-            edges, seconds = _timed(cold_attach)
-            attach_runs.append(seconds)
-            assert edges == reference  # global canonicity, cold view
-
-        shared_runs: list[float] = []
-        for _ in range(runs):
-            edges, seconds = _timed(
-                lambda: materialize(BDD(names, store=store))
-            )
-            shared_runs.append(seconds)
-            assert edges == reference  # same edge integers every time
-        counters = store.counters()
-    finally:
-        arena.unlink()
-        store.unlink()
-
-    private_mean = statistics.mean(private_runs)
-    shared_mean = statistics.mean(shared_runs)
-    return {
-        "circuits": list(circuits),
-        "workers": workers,
-        "materializations": runs,
-        "arena_nodes": counters["nodes"],
-        "private_rebuild_seconds": [round(s, 5) for s in private_runs],
-        "shared_first_build_seconds": round(first_build, 5),
-        "shared_attach_mean_seconds": round(statistics.mean(attach_runs), 5),
-        "shared_hot_seconds": [round(s, 5) for s in shared_runs],
-        "private_mean_seconds": round(private_mean, 5),
-        "shared_mean_seconds": round(shared_mean, 5),
-        "shared_speedup": round(private_mean / shared_mean, 3),
-        "duplicated_construction_avoided_seconds": round(
-            max(workers, 1) * private_mean - shared_mean * max(workers, 1), 5
-        ),
-        "store": {
-            key: counters[key]
-            for key in ("nodes", "capacity", "hits", "misses", "contention")
-        },
-        "canonical_edges_identical": True,
-    }
-
-
 def bench_retry_overhead(
     circuits: list[str], workers: int, repeats: int
 ) -> dict:
@@ -551,21 +446,12 @@ def main(argv: list[str] | None = None) -> int:
         f"guarded {retry['guarded_mean_seconds'] * 1000:8.1f}ms  "
         f"overhead {retry['overhead_percent']}%"
     )
-    shared = bench_shared_store(circuits, args.workers, repeats)
-    print(
-        f"store     private {shared['private_mean_seconds'] * 1000:8.1f}ms  "
-        f"shared {shared['shared_mean_seconds'] * 1000:8.1f}ms  "
-        f"speedup {shared['shared_speedup']}x  "
-        f"({shared['store']['nodes']} shared nodes, "
-        f"{shared['store']['hits']} hits)"
-    )
 
     results = {
         "warm_serving": entry,
         "sharded_throughput": sharded,
         "replay_startup": replay,
         "retry_overhead": retry,
-        "shared_store": shared,
     }
     with open(args.output, "w") as sink:
         json.dump(results, sink, indent=2, sort_keys=True)

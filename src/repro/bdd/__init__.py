@@ -14,24 +14,17 @@ Public surface:
   as the rebuild-based constructions;
 * :func:`to_dot` — Graphviz export (Figure 1);
 * :class:`BddArena` — read-only shared-memory snapshots of the flat
-  node-store arrays, so pool workers copy-on-miss instead of rebuilding
-  (the serving layer's cross-process sharing substrate);
-* :class:`SharedNodeStore` — the *writable* shared unique table:
-  cross-process find-or-create over the same flat columns, striped
-  insert locks, lock-free hit path (``BDD(store=...)`` targets it).
+  node-store arrays, so pool workers copy cones into their private
+  managers on a miss instead of rebuilding them (the serving layer's
+  verify shortcut).  Every manager owns its node store.
 """
 
 from .arena import (
     ArenaBinding,
     ArenaError,
     BddArena,
-    SharedNodeStore,
-    SharedStoreFull,
-    SharedStoreHandle,
-    WorkerArenaSpec,
     attach_worker_arena,
     current_arena,
-    current_store,
 )
 from .cofactor import CareSetError, constrain, generalized_cofactor, restrict
 from .dominators import (
@@ -77,13 +70,8 @@ __all__ = [
     "BDD",
     "BDDError",
     "BddArena",
-    "SharedNodeStore",
-    "SharedStoreFull",
-    "SharedStoreHandle",
-    "WorkerArenaSpec",
     "attach_worker_arena",
     "current_arena",
-    "current_store",
     "CareSetError",
     "DEFAULT_CACHE_CAPACITY",
     "DEFAULT_MAX_GROWTH",

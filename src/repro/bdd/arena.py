@@ -32,18 +32,13 @@ from __future__ import annotations
 
 import contextlib
 import json
-import multiprocessing
 import os
 import struct
-from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from ..faults import inject as inject_fault
-from .manager import TERMINAL_LEVEL, BDD
-
-if TYPE_CHECKING:  # pragma: no cover - hints only
-    pass
+from .manager import BDD
 
 #: Schema tag of the serialized header.
 ARENA_SCHEMA = "bdsmaj-arena/v1"
@@ -54,13 +49,6 @@ _INT64 = 8
 
 class ArenaError(RuntimeError):
     """Raised for malformed arena blocks or incompatible attach targets."""
-
-
-class SharedStoreFull(ArenaError):
-    """The shared unique table ran out of node slots (or one hash
-    stripe's bucket segment filled).  Callers fall back to a private
-    manager — the store is an accelerator, never a correctness
-    dependency."""
 
 
 def _tracked_name(block: shared_memory.SharedMemory) -> str:
@@ -322,492 +310,13 @@ class ArenaBinding:
 
 
 # ----------------------------------------------------------------------
-# Writable shared unique table
-# ----------------------------------------------------------------------
-#: Schema magic of a shared-store block ("BDSMAJS1" little-endian-ish).
-STORE_MAGIC = 0x4244534D414A5331
-
-#: Default node capacity of a shared store (3 int64 columns -> 24 MiB).
-DEFAULT_STORE_CAPACITY = 1 << 20
-
-#: Default stripe count for the bucket segments / insert locks.
-DEFAULT_STORE_STRIPES = 16
-
-#: Default byte budget for the JSON vars+roots directory region.
-DEFAULT_STORE_DIR_BYTES = 1 << 16
-
-#: Worker-local hits accumulated before flushing to the shared counter.
-_HIT_FLUSH = 256
-
-_MASK64 = (1 << 64) - 1
-
-# Header cell indices (int64 each; _CELLS slots reserved).
-_C_MAGIC = 0
-_C_CAPACITY = 1
-_C_STRIPES = 2
-_C_BUCKETS = 3
-_C_DIR_BYTES = 4
-_C_NEXT_FREE = 5
-_C_DIR_VERSION = 6
-_C_DIR_LEN = 7
-_C_HITS = 8
-_C_MISSES = 9
-_C_CONTENTION = 10
-_CELLS = 16
-
-
-def _mix(level: int, high: int, low: int) -> int:
-    """Deterministic 64-bit arithmetic hash of a node triple.
-
-    splitmix64-style finalizer over a linear combination — the same
-    value in every process on every run (the project's determinism
-    contract bans the salted builtin ``hash``)."""
-    x = (
-        level * 0x9E3779B97F4A7C15
-        + high * 0xBF58476D1CE4E5B9
-        + low * 0x94D049BB133111EB
-    ) & _MASK64
-    x ^= x >> 31
-    x = (x * 0xD6E8FEB86659FD93) & _MASK64
-    x ^= x >> 27
-    return x
-
-
-def _store_context() -> multiprocessing.context.BaseContext:
-    """Context the store's locks are created from.
-
-    ``forkserver``/``spawn`` locks are named semaphores that survive
-    pickling through pool ``initargs`` (a ``fork``-context lock is
-    unlinked at creation and cannot cross a spawn boundary); ``fork``
-    pools inherit them without pickling, so one context serves every
-    pool flavor the batch layer uses."""
-    try:
-        return multiprocessing.get_context("forkserver")
-    except ValueError:  # pragma: no cover - platform without forkserver
-        return multiprocessing.get_context("spawn")
-
-
-@dataclass(frozen=True)
-class SharedStoreHandle:
-    """Everything a worker needs to attach a :class:`SharedNodeStore`:
-    the block name plus the lock array.  Picklable only through
-    multiprocessing channels (pool ``initargs``) — the locks are
-    semaphores, not plain data."""
-
-    name: str
-    stripe_locks: tuple = field(repr=False)
-    alloc_lock: object = field(repr=False)
-    meta_lock: object = field(repr=False)
-
-
-class SharedNodeStore:
-    """A writable cross-process BDD unique table in shared memory.
-
-    Layout (one block)::
-
-        [16 int64 header cells]  magic, geometry, next_free high-water
-                                 mark, directory seqlock, counters
-        [3 x capacity int64]     level / high / low node columns
-        [buckets int64]          open-addressed slots, node_index + 1
-                                 (0 = empty), partitioned into
-                                 ``num_stripes`` contiguous segments
-        [dir_bytes]              JSON ``{"vars": [...], "roots": {...}}``
-
-    Concurrency discipline:
-
-    * **find-or-create** probes its stripe's bucket segment *lock-free*
-      first (inserts publish the bucket slot last, after the node
-      columns — on x86's total store order a racing reader sees either
-      an empty slot or a fully published node).  On a miss it takes
-      that stripe's lock, re-probes (another process may have inserted
-      meanwhile — counted as *contention*), allocates a node index
-      under the single ``alloc_lock`` bump allocator, writes the
-      columns, and only then publishes the bucket slot.
-    * The probe sequence wraps **within one stripe's segment**, so one
-      stripe lock fully serializes every key that can land in it.
-    * The store is **append-only**: nodes are never freed, moved or
-      reordered, which is what keeps every process' private operation
-      cache valid forever (indices are stable) and makes the lock-free
-      read safe.
-    * The vars+roots directory is a seqlock: writers (under
-      ``meta_lock``) bump the version odd, rewrite the JSON region,
-      bump it even; readers retry on a torn or odd version.
-    """
-
-    def __init__(
-        self,
-        block: shared_memory.SharedMemory,
-        handle: SharedStoreHandle,
-        owner: bool,
-    ) -> None:
-        self._block = block
-        self._handle = handle
-        self._owner = owner
-        self._closed = False
-        buffer = block.buf
-        cells = buffer[: _CELLS * _INT64].cast("q")
-        if cells[_C_MAGIC] != STORE_MAGIC:
-            cells.release()
-            block.close()
-            raise ArenaError(f"block {block.name!r} is not a shared node store")
-        self._cells = cells
-        self._capacity = int(cells[_C_CAPACITY])
-        self._num_stripes = int(cells[_C_STRIPES])
-        bucket_capacity = int(cells[_C_BUCKETS])
-        self._segment = bucket_capacity // self._num_stripes
-        dir_bytes = int(cells[_C_DIR_BYTES])
-        offset = _CELLS * _INT64
-        column = self._capacity * _INT64
-        self.levels = buffer[offset : offset + column].cast("q")
-        offset += column
-        self.highs = buffer[offset : offset + column].cast("q")
-        offset += column
-        self.lows = buffer[offset : offset + column].cast("q")
-        offset += column
-        self._buckets = buffer[offset : offset + bucket_capacity * _INT64].cast("q")
-        offset += bucket_capacity * _INT64
-        self._dir_buf = buffer[offset : offset + dir_bytes]
-        self._dir_bytes = dir_bytes
-        self._var_index: dict[str, int] = {}
-        #: Triple -> index memo.  The store is append-only and nodes are
-        #: never reclaimed, so a resolved mapping holds for the lifetime
-        #: of the block — repeat lookups from this view skip the shared
-        #: probe entirely (a parked pool worker keeps its view, and with
-        #: it the memo, across jobs).
-        self._memo: dict[tuple[int, int, int], int] = {}
-        #: Process-local lookup counters (exact shared miss/contention
-        #: counts live in the header cells; hits are flushed in batches).
-        self.local_hits = 0
-        self.local_misses = 0
-        self.local_contention = 0
-        self._pending_hits = 0
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def create(
-        cls,
-        var_names: "tuple[str, ...] | list[str]" = (),
-        capacity: int = DEFAULT_STORE_CAPACITY,
-        num_stripes: int = DEFAULT_STORE_STRIPES,
-        dir_bytes: int = DEFAULT_STORE_DIR_BYTES,
-        name: str | None = None,
-    ) -> "SharedNodeStore":
-        """Create an empty store seeded with ``var_names`` (in order).
-
-        ``capacity`` is the node budget; buckets are sized at twice the
-        capacity (load factor <= 0.5 keeps probes short), rounded up to
-        a multiple of ``num_stripes``."""
-        if capacity < 2:
-            raise ArenaError("store capacity must hold the terminal and a node")
-        if num_stripes < 1:
-            raise ArenaError("store needs at least one stripe")
-        bucket_capacity = 2 * capacity
-        bucket_capacity += (-bucket_capacity) % num_stripes
-        size = (
-            _CELLS * _INT64
-            + 3 * capacity * _INT64
-            + bucket_capacity * _INT64
-            + dir_bytes
-        )
-        block = shared_memory.SharedMemory(create=True, size=size, name=name)
-        cells = block.buf[: _CELLS * _INT64].cast("q")
-        cells[_C_CAPACITY] = capacity
-        cells[_C_STRIPES] = num_stripes
-        cells[_C_BUCKETS] = bucket_capacity
-        cells[_C_DIR_BYTES] = dir_bytes
-        cells[_C_NEXT_FREE] = 1  # node 0 is the terminal
-        cells[_C_MAGIC] = STORE_MAGIC  # publish the header last
-        cells.release()
-        context = _store_context()
-        handle = SharedStoreHandle(
-            name=block.name,
-            stripe_locks=tuple(context.Lock() for _ in range(num_stripes)),
-            alloc_lock=context.Lock(),
-            meta_lock=context.Lock(),
-        )
-        store = cls(block, handle, owner=True)
-        store.levels[0] = TERMINAL_LEVEL
-        store._write_directory({"vars": [], "roots": {}})
-        for var in var_names:
-            store.ensure_var(var)
-        return store
-
-    @classmethod
-    def attach(cls, handle: SharedStoreHandle) -> "SharedNodeStore":
-        """Attach a worker view of an existing store."""
-        return cls(_attach_block(handle.name), handle, owner=False)
-
-    def handle(self) -> SharedStoreHandle:
-        """The picklable attach token (pass through pool ``initargs``)."""
-        return self._handle
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self._block.name
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def count(self) -> int:
-        """Published high-water mark: nodes allocated so far (incl. the
-        terminal)."""
-        return int(self._cells[_C_NEXT_FREE])
-
-    def counters(self) -> dict[str, int]:
-        """Shared (exact miss/contention, batched hits) and
-        process-local lookup counters."""
-        return {
-            "nodes": self.count,
-            "capacity": self._capacity,
-            "hits": int(self._cells[_C_HITS]) + self._pending_hits,
-            "misses": int(self._cells[_C_MISSES]),
-            "contention": int(self._cells[_C_CONTENTION]),
-            "local_hits": self.local_hits,
-            "local_misses": self.local_misses,
-            "local_contention": self.local_contention,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<SharedNodeStore {self.name!r} nodes={self.count}/"
-            f"{self._capacity}{' owner' if self._owner else ''}>"
-        )
-
-    # ------------------------------------------------------------------
-    # Find-or-create
-    # ------------------------------------------------------------------
-    def find_or_create(self, level: int, high: int, low: int) -> int:
-        """Index of the node ``(level, high, low)``, inserting it if
-        absent.  Callers pass canonical triples (high edge regular,
-        ``high != low``); raises :class:`SharedStoreFull` when the node
-        budget or the key's bucket segment is exhausted."""
-        key = (level, high, low)
-        node = self._memo.get(key)
-        if node is not None:
-            self.local_hits += 1
-            self._pending_hits += 1
-            if self._pending_hits >= _HIT_FLUSH:
-                self._flush_hits()
-            return node
-        mixed = _mix(level, high, low)
-        stripe = mixed % self._num_stripes
-        segment = self._segment
-        base = stripe * segment
-        start = (mixed // self._num_stripes) % segment
-        buckets = self._buckets
-        levels = self.levels
-        highs = self.highs
-        lows = self.lows
-        index = start
-        for _ in range(segment):
-            slot = buckets[base + index]
-            if slot == 0:
-                break
-            node = slot - 1
-            if levels[node] == level and highs[node] == high and lows[node] == low:
-                self._memo[key] = node
-                self.local_hits += 1
-                self._pending_hits += 1
-                if self._pending_hits >= _HIT_FLUSH:
-                    self._flush_hits()
-                return node
-            index += 1
-            if index == segment:
-                index = 0
-        with self._handle.stripe_locks[stripe]:
-            index = start
-            probes = 0
-            while probes < segment:
-                slot = buckets[base + index]
-                if slot == 0:
-                    break
-                node = slot - 1
-                if (
-                    levels[node] == level
-                    and highs[node] == high
-                    and lows[node] == low
-                ):
-                    # Lost the race: another process inserted this very
-                    # node between our lock-free miss and the lock.
-                    self._memo[key] = node
-                    self.local_contention += 1
-                    self._cells[_C_CONTENTION] += 1
-                    return node
-                index += 1
-                if index == segment:
-                    index = 0
-                probes += 1
-            else:
-                raise SharedStoreFull(
-                    f"bucket segment of stripe {stripe} is full "
-                    f"({segment} slots)"
-                )
-            with self._handle.alloc_lock:
-                node = int(self._cells[_C_NEXT_FREE])
-                if node >= self._capacity:
-                    raise SharedStoreFull(
-                        f"store is full ({self._capacity} nodes)"
-                    )
-                self._cells[_C_NEXT_FREE] = node + 1
-            levels[node] = level
-            highs[node] = high
-            lows[node] = low
-            # Publish the bucket slot *last*: a lock-free reader that
-            # sees it non-zero sees fully written node columns.
-            buckets[base + index] = node + 1
-            self._memo[key] = node
-            self.local_misses += 1
-            self._cells[_C_MISSES] += 1
-            return node
-
-    def _flush_hits(self) -> None:
-        """Fold the batched process-local hits into the shared counter
-        (under the alloc lock — rare, so the cost stays off the hot
-        path)."""
-        pending, self._pending_hits = self._pending_hits, 0
-        if not pending:
-            return
-        with self._handle.alloc_lock:
-            self._cells[_C_HITS] += pending
-
-    # ------------------------------------------------------------------
-    # Vars + roots directory (seqlock over a JSON region)
-    # ------------------------------------------------------------------
-    def _read_directory(self) -> dict:
-        cells = self._cells
-        for _ in range(1000):
-            before = cells[_C_DIR_VERSION]
-            if before & 1:
-                continue  # writer mid-rewrite
-            length = int(cells[_C_DIR_LEN])
-            data = bytes(self._dir_buf[:length])
-            if cells[_C_DIR_VERSION] == before:
-                return json.loads(data) if data else {"vars": [], "roots": {}}
-        # Pathological contention: serialize with the writers instead
-        # of spinning forever.
-        with self._handle.meta_lock:
-            length = int(cells[_C_DIR_LEN])
-            data = bytes(self._dir_buf[:length])
-        return json.loads(data) if data else {"vars": [], "roots": {}}
-
-    def _write_directory(self, directory: dict) -> None:
-        """Rewrite the JSON region; caller holds ``meta_lock`` (or is
-        the creating process before the handle escapes)."""
-        data = json.dumps(directory, sort_keys=True).encode("utf-8")
-        if len(data) > self._dir_bytes:
-            raise SharedStoreFull(
-                f"directory needs {len(data)} bytes, region holds "
-                f"{self._dir_bytes}"
-            )
-        cells = self._cells
-        cells[_C_DIR_VERSION] += 1  # odd: readers back off
-        self._dir_buf[: len(data)] = data
-        cells[_C_DIR_LEN] = len(data)
-        cells[_C_DIR_VERSION] += 1  # even: readers trust again
-
-    def ensure_var(self, name: str) -> int:
-        """Level of variable ``name``, declaring it (appended at the
-        bottom of the global order) if new.  Globally consistent:
-        declaration is serialized under the meta lock, so every process
-        agrees on every variable's level forever."""
-        cached = self._var_index.get(name)
-        if cached is not None:
-            return cached
-        names = self._read_directory()["vars"]
-        if name not in names:
-            with self._handle.meta_lock:
-                directory = self._read_directory()
-                names = directory["vars"]
-                if name not in names:
-                    names.append(name)
-                    self._write_directory(directory)
-        self._var_index = {var: level for level, var in enumerate(names)}
-        return self._var_index[name]
-
-    def var_names(self) -> tuple[str, ...]:
-        """The global variable order (refreshed from shared memory)."""
-        names = self._read_directory()["vars"]
-        self._var_index = {var: level for level, var in enumerate(names)}
-        return tuple(names)
-
-    def publish_roots(self, roots: Mapping[str, int]) -> None:
-        """Merge ``roots`` (key -> edge) into the shared directory."""
-        with self._handle.meta_lock:
-            directory = self._read_directory()
-            directory["roots"].update(
-                {str(key): int(edge) for key, edge in roots.items()}
-            )
-            self._write_directory(directory)
-
-    def roots(self) -> dict[str, int]:
-        """The shared root directory (key -> edge), a snapshot."""
-        return {
-            str(key): int(edge)
-            for key, edge in self._read_directory()["roots"].items()
-        }
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release this view.  Idempotent."""
-        if self._closed:
-            return
-        with contextlib.suppress(Exception):
-            self._flush_hits()
-        self._closed = True
-        for view in (
-            self.levels,
-            self.highs,
-            self.lows,
-            self._buckets,
-            self._dir_buf,
-            self._cells,
-        ):
-            if view is not None:
-                view.release()
-        self.levels = self.highs = self.lows = None
-        self._buckets = self._dir_buf = self._cells = None
-        self._block.close()
-
-    def unlink(self) -> None:
-        """Destroy the block (owner only)."""
-        self.close()
-        if self._owner:
-            with contextlib.suppress(Exception):
-                resource_tracker.register(
-                    _tracked_name(self._block), "shared_memory"
-                )
-            self._block.unlink()
-
-
-# ----------------------------------------------------------------------
 # Worker-process attachment (multiprocessing pool initializer seam)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WorkerArenaSpec:
-    """What a pool worker should attach: a read-only arena snapshot
-    (by block name), a writable shared store (by handle), either, or
-    neither.  Travels through pool ``initargs`` like the bare arena
-    name always has."""
-
-    arena: "str | BddArena | None" = None
-    store: "SharedStoreHandle | SharedNodeStore | None" = None
-
-
 _worker_arena: BddArena | None = None
-_worker_store: SharedNodeStore | None = None
 
 
 def attach_worker_arena(
-    name: "str | BddArena | WorkerArenaSpec | None",
+    name: "str | BddArena | None",
     *,
     close_previous: bool = True,
 ) -> None:
@@ -819,59 +328,32 @@ def attach_worker_arena(
 
     Passing an existing :class:`BddArena` installs that view directly —
     the publishing server does this so its own serial jobs share the
-    snapshot without a second mapping.  A :class:`WorkerArenaSpec`
-    attaches its arena (same semantics) *and* its shared store (best
-    effort too: a failed store attach leaves :func:`current_store`
-    empty, and every consumer builds privately).  ``None`` detaches
-    both (closing previously attached views; an installed owner view is
-    closed too, which its later ``unlink`` tolerates).
+    snapshot without a second mapping.  ``None`` detaches (closing a
+    previously attached view; an installed owner view is closed too,
+    which its later :meth:`~BddArena.unlink` tolerates).
 
-    ``close_previous=False`` swaps without closing the outgoing views —
+    ``close_previous=False`` swaps without closing the outgoing view —
     the serve layer's snapshot *refresh* uses it so an executor thread
     mid-verify on the old arena never reads a released memoryview; the
     retired view's owner stays responsible for its eventual close.  A
-    previously installed object that is being re-installed is never
+    previously installed view that is being re-installed is never
     closed, regardless.
     """
-    global _worker_arena, _worker_store
+    global _worker_arena
     previous, _worker_arena = _worker_arena, None
-    previous_store, _worker_store = _worker_store, None
-    if name is not None:
-        store_handle: "SharedStoreHandle | SharedNodeStore | None" = None
-        if isinstance(name, WorkerArenaSpec):
-            store_handle = name.store
-            name = name.arena
-        if isinstance(store_handle, SharedNodeStore):
-            # The owning process installs its own view directly (no
-            # second mapping); its later unlink tolerates a close.
-            _worker_store = store_handle
-        elif store_handle is not None:
-            try:
-                _worker_store = SharedNodeStore.attach(store_handle)
-            except Exception:  # noqa: BLE001 - degraded beats dead
-                _worker_store = None
-        if isinstance(name, BddArena):
-            _worker_arena = name
-        elif name is not None:
-            try:
-                inject_fault("arena.attach", name)
-                _worker_arena = BddArena.attach(name)
-            except Exception:  # noqa: BLE001 - degraded beats dead
-                _worker_arena = None
-    if close_previous:
-        if previous is not None and previous is not _worker_arena:
-            with contextlib.suppress(Exception):
-                previous.close()
-        if previous_store is not None and previous_store is not _worker_store:
-            with contextlib.suppress(Exception):
-                previous_store.close()
+    if isinstance(name, BddArena):
+        _worker_arena = name
+    elif name is not None:
+        try:
+            inject_fault("arena.attach", name)
+            _worker_arena = BddArena.attach(name)
+        except Exception:  # noqa: BLE001 - degraded beats dead
+            _worker_arena = None
+    if close_previous and previous is not None and previous is not _worker_arena:
+        with contextlib.suppress(Exception):
+            previous.close()
 
 
 def current_arena() -> BddArena | None:
     """The arena this process attached to, if any."""
     return _worker_arena
-
-
-def current_store() -> SharedNodeStore | None:
-    """The writable shared store this process attached to, if any."""
-    return _worker_store

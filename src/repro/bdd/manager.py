@@ -4,7 +4,8 @@ This is the central substrate of the BDS-MAJ reproduction.  The design
 follows the classic Brace/Rudell/Bryant BDD package (DAC 1990, the
 paper's reference [19]):
 
-* nodes live in a shared store and are identified by integer indices;
+* nodes live in one store shared by every function of the manager and
+  are identified by integer indices;
 * an *edge* (the public handle for a Boolean function) is an integer
   ``(node_index << 1) | complement_bit``;
 * complement attributes are allowed only on 0-edges (the paper's
@@ -41,10 +42,7 @@ from __future__ import annotations
 import ast
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - hints only
-    from .arena import SharedNodeStore
+from typing import Iterable, Mapping, Sequence
 
 #: Level assigned to the terminal node; deeper than any real variable.
 TERMINAL_LEVEL = 1 << 30
@@ -192,7 +190,6 @@ class BDD:
         self,
         var_names: Iterable[str] = (),
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-        store: "SharedNodeStore | None" = None,
     ) -> None:
         # Node store (parallel arrays, index = node id).  Node 0 is the
         # terminal; its high/low entries are never read.  `_ref` counts
@@ -200,45 +197,15 @@ class BDD:
         # the operations that free nodes (sift) or declared as roots
         # (gc).  Freed slots carry _FREE_LEVEL and sit on `_free` until
         # `_mk` recycles them.
-        #
-        # With ``store=`` the manager is a *view over a shared unique
-        # table* (:class:`repro.bdd.arena.SharedNodeStore`): the three
-        # columns alias the store's shared-memory arrays, `_mk` goes
-        # through the store's cross-process find-or-create, and the
-        # append-only contract takes over — no gc, no reordering, no
-        # reference counts.  Variable levels are the store's *global*
-        # arrival-order levels, so edges are meaningful to every
-        # store-backed manager in every attached process.  The
-        # operation cache stays private: store indices are stable
-        # forever (nothing is freed or moved), so memoized entries
-        # never go stale.
-        self._store = store
-        if store is not None:
-            self._level = store.levels
-            self._high = store.highs
-            self._low = store.lows
-            self._ref: list[int] = []
-            self._free: list[int] = []
-            self._created = 0
-            self._subtables: list[dict[tuple[int, int], int]] = []
-            self._cache = OperationCache(cache_capacity)
-            self._op_overlay: dict[tuple, int] | None = None
-            self._names: list[str] = []
-            self._level_by_name: dict[str, int] = {}
-            self._sync_store_vars()
-            for name in var_names:
-                if name not in self._level_by_name:
-                    self.add_var(name)
-            return
-        self._level = [TERMINAL_LEVEL]
-        self._high = [0]
-        self._low = [0]
-        self._ref = [0]
-        self._free = []
+        self._level: list[int] = [TERMINAL_LEVEL]
+        self._high: list[int] = [0]
+        self._low: list[int] = [0]
+        self._ref: list[int] = [0]
+        self._free: list[int] = []
         self._created = 1
         # Unique table, split per level so a level swap touches exactly
         # two subtables.  Keys are (high_edge, low_edge).
-        self._subtables = []
+        self._subtables: list[dict[tuple[int, int], int]] = []
         self._cache = OperationCache(cache_capacity)
         # Per-top-level-call memo overlay for ite (see the comment in
         # :meth:`ite`): None outside a call, a dict inside one.
@@ -267,37 +234,10 @@ class BDD:
     # ------------------------------------------------------------------
     # Variable management
     # ------------------------------------------------------------------
-    def _sync_store_vars(self) -> None:
-        """Mirror the shared store's global variable table locally, so
-        levels, names and order agree with every other attached
-        manager (store mode only)."""
-        names = self._store.var_names()
-        self._names = list(names)
-        self._level_by_name = {var: level for level, var in enumerate(names)}
-
-    def _require_private(self, operation: str) -> None:
-        """Store-backed managers are append-only views: anything that
-        frees, moves or renumbers nodes is private-manager-only."""
-        if self._store is not None:
-            raise BDDError(
-                f"{operation} is not available on a shared-store-backed "
-                "manager (the store is append-only and never reordered)"
-            )
-
     def add_var(self, name: str) -> int:
-        """Append variable ``name`` at the bottom of the order; return its level.
-
-        On a store-backed manager the declaration goes through the
-        store's globally consistent table: the returned level is the
-        variable's *global* arrival-order level, and variables declared
-        by other attached managers become visible here as a side
-        effect."""
+        """Append variable ``name`` at the bottom of the order; return its level."""
         if name in self._level_by_name:
             raise BDDError(f"variable {name!r} already declared")
-        if self._store is not None:
-            self._store.ensure_var(name)
-            self._sync_store_vars()
-            return self._level_by_name[name]
         level = len(self._names)
         self._names.append(name)
         self._level_by_name[name] = level
@@ -317,17 +257,9 @@ class BDD:
         try:
             return self._level_by_name[name]
         except KeyError:
-            if self._store is not None:
-                # Another attached manager may have declared it since
-                # our last sync.
-                self._sync_store_vars()
-                if name in self._level_by_name:
-                    return self._level_by_name[name]
             raise BDDError(f"unknown variable {name!r}") from None
 
     def name_of(self, level: int) -> str:
-        if self._store is not None and level >= len(self._names):
-            self._sync_store_vars()
         return self._names[level]
 
     def var(self, name: str) -> int:
@@ -336,8 +268,6 @@ class BDD:
 
     def var_at(self, level: int) -> int:
         """Edge for the positive literal of the variable at ``level``."""
-        if self._store is not None and level >= len(self._names):
-            self._sync_store_vars()
         if not 0 <= level < len(self._names):
             raise BDDError(f"no variable at level {level}")
         return self._mk(level, self.ONE, self.ZERO)
@@ -383,20 +313,12 @@ class BDD:
         recycling never decrease it.  Use :meth:`live_nodes` for the
         current size of the store (the :class:`BddSizeExceeded
         <repro.network.BddSizeExceeded>` guards do).
-
-        Store-backed managers report the *shared* store's count — every
-        attached process' allocations, not just this manager's.
         """
-        if self._store is not None:
-            return self._store.count
         return self._created
 
     def live_nodes(self) -> int:
         """Nodes currently allocated (incl. terminal): created minus
-        freed by :meth:`gc` or reordering.  Store-backed managers
-        report the shared store's (never-decreasing) count."""
-        if self._store is not None:
-            return self._store.count
+        freed by :meth:`gc` or reordering."""
         return len(self._level) - len(self._free)
 
     # ------------------------------------------------------------------
@@ -411,12 +333,6 @@ class BDD:
         if negated:
             high ^= 1
             low ^= 1
-        if self._store is not None:
-            # Cross-process find-or-create; canonicalization above is
-            # identical to the private path, so the same function maps
-            # to the same shared node from every attached manager.
-            edge = self._store.find_or_create(level, high, low) << 1
-            return edge ^ 1 if negated else edge
         table = self._subtables[level]
         key = (high, low)
         index = table.get(key)
@@ -460,10 +376,7 @@ class BDD:
     # ------------------------------------------------------------------
     def _deref(self, edge: int) -> None:
         """Drop one DAG-parent reference from ``edge``'s node, freeing
-        it (and cascading into its children) when the count hits zero.
-        A no-op in store mode: shared nodes are never freed."""
-        if self._store is not None:
-            return
+        it (and cascading into its children) when the count hits zero."""
         ref = self._ref
         levels = self._level
         highs = self._high
@@ -498,18 +411,13 @@ class BDD:
         rewritten away; an external handle is invisible to the
         reference counts, so callers driving raw swaps must pin the
         edges they hold (:meth:`sift` pins its roots itself).  Pins are
-        dropped by :meth:`gc`, which re-derives exact counts.  A no-op
-        in store mode (nothing is ever freed, so nothing needs pins)."""
-        if self._store is not None:
-            return
+        dropped by :meth:`gc`, which re-derives exact counts."""
         if edge >> 1:
             self._ref[edge >> 1] += 1
 
     def unpin(self, edge: int) -> None:
         """Release a :meth:`pin`.  Never frees the node — an unpinned,
         unparented node stays live (like a fresh root) until gc."""
-        if self._store is not None:
-            return
         if edge >> 1:
             self._ref[edge >> 1] -= 1
 
@@ -525,7 +433,6 @@ class BDD:
         callers must re-derive any other handles they hold (variable
         edges are recreated on demand by :meth:`var`).
         """
-        self._require_private("gc")
         levels = self._level
         highs = self._high
         lows = self._low
@@ -576,7 +483,6 @@ class BDD:
         surgery are freed exactly, via the reference counts.  Returns
         :meth:`live_nodes` after the swap.
         """
-        self._require_private("swap_adjacent")
         if not 0 <= level < len(self._names) - 1:
             raise BDDError(f"no adjacent variable pair at level {level}")
         if len(self._cache):
@@ -646,7 +552,6 @@ class BDD:
     ) -> SiftResult:
         """One greedy Rudell sifting pass, in place.
 
-        Private managers only (store-backed managers never reorder).
         Starts with :meth:`gc` over ``roots`` (so the live size *is*
         the size of the functions being reordered — **edges not
         reachable from ``roots`` are invalidated**), then walks each
@@ -743,11 +648,6 @@ class BDD:
         """Verify store and canonical-form invariants; raises
         :class:`BDDError` on the first violation (tests and debugging —
         cost is O(live nodes))."""
-        if self._store is not None:
-            # The private subtable / refcount machinery doesn't exist
-            # in store mode; shared-column canonicity is the store
-            # tests' job.
-            return
         levels = self._level
         seen = 0
         for level, table in enumerate(self._subtables):

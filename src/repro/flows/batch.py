@@ -78,20 +78,8 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from ..bdd.arena import (
-    ArenaError,
-    SharedStoreFull,
-    WorkerArenaSpec,
-    attach_worker_arena,
-    current_arena,
-    current_store,
-)
-from ..bdd.manager import (
-    BDD,
-    DEFAULT_CACHE_CAPACITY,
-    BDDError,
-    combine_cache_stats,
-)
+from ..bdd.arena import attach_worker_arena, current_arena
+from ..bdd.manager import DEFAULT_CACHE_CAPACITY, combine_cache_stats
 from ..benchgen import build_benchmark
 from ..faults import active as faults_active
 from ..faults import inject as inject_fault
@@ -421,39 +409,17 @@ def _arena_verified(item: "InputItem", network, optimized) -> bool | None:
     keys = {output: f"{item.name}/{output}" for output in network.outputs}
     if any(key not in arena.roots for key in keys.values()):
         return None
-    # With a writable shared store attached, the verify manager targets
-    # it instead of a private table: spec cones and optimized rebuilds
-    # land in shared memory once, and every other worker's lookups of
-    # the same subfunctions are lock-free hits.  A store that filled up
-    # (or can't host the arena's variable order) is remembered as
-    # broken for this thread and verification continues privately.
-    store = current_store()
-    if store is not None and store is getattr(
-        _arena_verify_state, "broken_store", None
-    ):
-        store = None
     state = getattr(_arena_verify_state, "value", None)
-    if state is None or state[0] is not arena or state[1] is not store:
-        try:
-            target = arena.manager() if store is None else BDD((), store=store)
-            binding = arena.binding(target)
-        except (ArenaError, BDDError, SharedStoreFull):
-            if store is not None:
-                _arena_verify_state.broken_store = store
-            return None
-        state = (arena, store, target, binding, {})
+    if state is None or state[0] is not arena:
+        target = arena.manager()
+        state = (arena, target, arena.binding(target), {})
         _arena_verify_state.value = state
-    _, _, target, binding, spec_roots = state
+    _, target, binding, spec_roots = state
     try:
         for key in keys.values():
             spec_roots[key] = binding.copy(key)
         _, optimized_roots = global_bdds(
-            optimized,
-            mgr=target,
-            # The shared store's count covers *every* process' nodes, so
-            # a per-circuit budget would trip on other workers' work;
-            # the store's own capacity (SharedStoreFull) is the limit.
-            max_nodes=None if store is not None else _ARENA_VERIFY_MAX_NODES,
+            optimized, mgr=target, max_nodes=_ARENA_VERIFY_MAX_NODES
         )
     except BddSizeExceeded:
         # Too big for the verify budget: drop the optimized scratch
@@ -461,19 +427,11 @@ def _arena_verified(item: "InputItem", network, optimized) -> bool | None:
         # checking take over.
         target.gc(spec_roots.values())
         return None
-    except SharedStoreFull:
-        # Shared table exhausted: stop targeting it from this thread
-        # (append-only stores cannot gc their way back to headroom).
-        _arena_verify_state.broken_store = store
-        _arena_verify_state.value = None
-        return None
     equivalent = all(
         optimized_roots[output] == spec_roots[key] for output, key in keys.items()
     )
-    if store is None:
-        # Private verify managers shed the optimized scratch nodes;
-        # store-backed ones never free (that's the sharing contract).
-        target.gc(spec_roots.values())
+    # Shed the optimized scratch nodes; the spec cones stay memoized.
+    target.gc(spec_roots.values())
     return equivalent
 
 
@@ -629,11 +587,10 @@ def _init_pool_worker() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _init_pool_worker_arena(arena_name: "str | WorkerArenaSpec | None") -> None:
+def _init_pool_worker_arena(arena_name: str | None) -> None:
     """Pool initializer for arena-backed workers: restore signal
-    handling, then attach the shared BDD arena — and, when the spec
-    carries one, the writable shared node store (best effort — a failed
-    attach leaves the worker arena-less/store-less, not dead)."""
+    handling, then attach the shared BDD arena (best effort — a failed
+    attach leaves the worker arena-less, not dead)."""
     _init_pool_worker()
     attach_worker_arena(arena_name)
 
@@ -669,14 +626,12 @@ class WarmPoolManager:
 
     def __init__(
         self,
-        arena_name: "str | WorkerArenaSpec | None" = None,
+        arena_name: str | None = None,
         max_idle_per_size: int = 2,
         ping_timeout: float = 10.0,
     ) -> None:
-        #: Opaque attach token handed to every spawned worker's
-        #: initializer: an arena block name, a
-        #: :class:`~repro.bdd.arena.WorkerArenaSpec` (arena + shared
-        #: store), or None.  Mutable: the serve layer's ``--arena
+        #: Arena block name handed to every spawned worker's
+        #: initializer, or None.  Mutable: the serve layer's ``--arena
         #: refresh`` mode points it at each newly published snapshot so
         #: respawned pools attach the freshest one.
         self.arena_name = arena_name

@@ -55,13 +55,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..api import InputItem, InputSourceError, resolve_source
 from ..bdd import BDD
-from ..bdd.arena import (
-    DEFAULT_STORE_CAPACITY,
-    BddArena,
-    SharedNodeStore,
-    WorkerArenaSpec,
-    attach_worker_arena,
-)
+from ..bdd.arena import BddArena, attach_worker_arena
 from ..benchgen import build_benchmark
 from ..flows.batch import WarmPoolManager
 from ..network import global_bdds
@@ -384,7 +378,6 @@ class SynthesisService(AsyncHttpServer):
         arena_circuits: "tuple[str, ...] | list[str] | None" = None,
         arena_max_nodes: int = DEFAULT_ARENA_MAX_NODES,
         arena_refresh: bool = False,
-        store_capacity: int = DEFAULT_STORE_CAPACITY,
         journal_path: "str | os.PathLike | None" = None,
         journal_fsync: bool = True,
         journal_compact_bytes: int = DEFAULT_COMPACT_BYTES,
@@ -402,11 +395,8 @@ class SynthesisService(AsyncHttpServer):
         snapshot *live* — each finished job's registry circuits that the
         arena doesn't cover yet are built into the owner manager and a
         new snapshot is published, so hot circuits stop being rebuilt at
-        all; ``store_capacity`` sizes the writable shared unique table
-        (:class:`~repro.bdd.arena.SharedNodeStore`) published alongside
-        the arena — workers build verify BDDs *into* it instead of each
-        rebuilding privately; ``journal_path`` makes the job
-        store durable (append-only NDJSON, replayed on :meth:`start`);
+        all; ``journal_path`` makes the job store durable (append-only
+        NDJSON, replayed on :meth:`start`);
         ``max_pending`` bounds the queued-job backlog (overflow answers
         429 with ``Retry-After``); ``auth_token`` requires ``Bearer``
         auth on every endpoint except ``/healthz``; ``max_attempts``
@@ -451,10 +441,8 @@ class SynthesisService(AsyncHttpServer):
         self._arena_circuits = tuple(arena_circuits or ())
         self._arena_max_nodes = arena_max_nodes
         self._arena_refresh = arena_refresh
-        self._store_capacity = store_capacity
         self._arena: BddArena | None = None
         self._arena_info: dict | None = None
-        self._arena_store: SharedNodeStore | None = None
         # Refresh machinery: the owner manager the snapshot grows in,
         # the circuits it covers, snapshots superseded by a refresh
         # (kept mapped until shutdown — executor threads mid-verify may
@@ -624,36 +612,18 @@ class SynthesisService(AsyncHttpServer):
         except Exception:  # noqa: BLE001 - e.g. /dev/shm unavailable
             self._arena_info = {"circuits": [], "skipped": list(self._arena_circuits)}
             return
-        # The writable shared unique table rides along: seeded with the
-        # arena's variable order (so arena vars are a prefix of the
-        # store's global order and worker bindings line up), attached by
-        # every worker next to the read-only snapshot.  Best effort —
-        # a server without a store just verifies privately.
-        store: SharedNodeStore | None = None
-        try:
-            store = SharedNodeStore.create(
-                manager.var_names, capacity=self._store_capacity
-            )
-        except Exception:  # noqa: BLE001 - degraded mode, not an outage
-            store = None
         self._arena = arena
-        self._arena_store = store
         self._arena_manager = manager if self._arena_refresh else None
         self._arena_roots = roots
         self._arena_published = set(published)
         self._arena_skipped = set(skipped)
         self._set_arena_info(published, skipped)
         # The service's own serial jobs verify through the same snapshot
-        # and store (installing the owner views directly — no second
-        # mapping)...
-        attach_worker_arena(WorkerArenaSpec(arena=arena, store=store))
-        # ...and every pool worker spawned from here on attaches by
-        # name/handle.
+        # (installing the owner view directly — no second mapping)...
+        attach_worker_arena(arena)
+        # ...and every pool worker spawned from here on attaches by name.
         if self.pool_manager is not None:
-            self.pool_manager.arena_name = WorkerArenaSpec(
-                arena=arena.name,
-                store=store.handle() if store is not None else None,
-            )
+            self.pool_manager.arena_name = arena.name
 
     def _set_arena_info(self, published: "list[str]", skipped: "list[str]") -> None:
         self._arena_info = {
@@ -665,16 +635,6 @@ class SynthesisService(AsyncHttpServer):
             "mode": "refresh" if self._arena_refresh else "static",
             "refreshes": self.arena_refreshes,
         }
-
-    def _arena_metrics_info(self) -> "dict | None":
-        """The ``/metrics`` view of the arena: the static snapshot shape
-        plus the shared store's live hit/miss/contention counters."""
-        if self._arena_info is None:
-            return None
-        info = dict(self._arena_info)
-        if self._arena_store is not None:
-            info["store"] = self._arena_store.counters()
-        return info
 
     def _watch_refresh(self, job: Job) -> None:
         """Terminal hook (loop thread): a finished job's registry
@@ -752,19 +712,13 @@ class SynthesisService(AsyncHttpServer):
             self._set_arena_info(
                 sorted(self._arena_published), sorted(self._arena_skipped)
             )
-            store = self._arena_store
             # Swap without closing the retired view (see the
             # close_previous contract): in-flight serial verifies on
             # the old snapshot finish safely, new ones bind the fresh
             # one.
-            attach_worker_arena(
-                WorkerArenaSpec(arena=fresh, store=store), close_previous=False
-            )
+            attach_worker_arena(fresh, close_previous=False)
             if self.pool_manager is not None:
-                self.pool_manager.arena_name = WorkerArenaSpec(
-                    arena=fresh.name,
-                    store=store.handle() if store is not None else None,
-                )
+                self.pool_manager.arena_name = fresh.name
                 # Parked pools are still attached to the superseded
                 # snapshot; retire them so the next acquire spawns
                 # against the fresh one (busy pools are caught by the
@@ -787,7 +741,7 @@ class SynthesisService(AsyncHttpServer):
                 None, self.pool_manager.drain
             )
         if self._arena is not None:
-            attach_worker_arena(None)  # closes the installed owner views
+            attach_worker_arena(None)  # closes the installed owner view
             self._arena.unlink()
             self._arena = None
         for retired in self._retired_arenas:
@@ -795,9 +749,6 @@ class SynthesisService(AsyncHttpServer):
             # mid-verify never read a released view.
             retired.unlink()
         self._retired_arenas.clear()
-        if self._arena_store is not None:
-            self._arena_store.unlink()
-            self._arena_store = None
         self._arena_manager = None
         if self.journal is not None:
             self.journal.close()
@@ -963,7 +914,7 @@ class SynthesisService(AsyncHttpServer):
                             if self.pool_manager is not None
                             else None
                         ),
-                        arena_info=self._arena_metrics_info(),
+                        arena_info=self._arena_info,
                         journal_stats=(
                             self.journal.stats()
                             if self.journal is not None
