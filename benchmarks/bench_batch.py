@@ -10,9 +10,9 @@ Run standalone (``python benchmarks/bench_batch.py [--quick]``) to
 measure the serving fast paths instead: cold pool spawn-per-batch
 versus a reused :class:`~repro.flows.WarmPoolManager` pool, the
 content-hash result-cache lookup that answers an identical
-resubmission without synthesizing at all, sharded throughput (the same
-job set through a :class:`~repro.serve.ShardDispatcher` with 1 vs 3
-backends), journal replay startup (restarting a server on a journal
+resubmission without synthesizing at all, service throughput (12
+single-circuit jobs through one :class:`~repro.serve.SynthesisService`
+at ``workers: 1`` vs ``workers: 2``), journal replay startup (restarting a server on a journal
 holding >= 50 finished jobs), and the retry-overhead row (the same
 fault-free batch with the deadline/retry machinery and an armed but
 quiescent fault plan, which must stay byte-identical).  Results land
@@ -24,6 +24,8 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
+import platform
 import statistics
 import tempfile
 import time
@@ -236,11 +238,11 @@ def bench_retry_overhead(
     }
 
 
-async def _http_json(
+async def _http(
     host: str, port: int, method: str, path: str, body: dict | None = None
-) -> tuple[int, dict]:
+) -> tuple[int, bytes]:
     """One ``Connection: close`` request on the bench's own tiny client
-    (blocking clients would stall the dispatcher's event loop)."""
+    (blocking clients would stall the service's event loop)."""
     payload = b"" if body is None else json.dumps(body).encode("utf-8")
     reader, writer = await asyncio.open_connection(host, port)
     try:
@@ -263,6 +265,13 @@ async def _http_json(
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+    return status, raw
+
+
+async def _http_json(
+    host: str, port: int, method: str, path: str, body: dict | None = None
+) -> tuple[int, dict]:
+    status, raw = await _http(host, port, method, path, body)
     return status, json.loads(raw)
 
 
@@ -274,60 +283,83 @@ async def _poll_done(host: str, port: int, job_id: str) -> dict:
         await asyncio.sleep(0.05)
 
 
-def bench_sharded_throughput(
-    circuits: list[str], variants: int = 3
+def bench_service_throughput(
+    circuits: list[str], variants: int = 3, repeats: int = 2
 ) -> dict:
-    """Wall-clock for the same job set through the shard dispatcher at
-    1 backend vs 3 — same jobs, same consistent-hash routing, more
-    hardware.  Each circuit is submitted at ``variants`` distinct cache
-    capacities (a report-affecting knob), so every submission is a
-    distinct cache key spreading over the ring; a uniform mix of
-    fast circuits keeps the wall-clock parallelizable instead of
-    dominated by one heavyweight.  The speedup is still bounded by how
-    evenly the hashes land (reported as ``routed``)."""
-    from repro.serve import ShardDispatcher
+    """Wall-clock for single-circuit jobs through one service
+    (``concurrency=2``) at ``workers: 1`` vs ``workers: 2``.
+
+    Each circuit is submitted at ``variants`` distinct cache capacities
+    (a report-affecting knob), so no job is answered from the result
+    cache; three warm-up jobs run first, so the timed jobs find parked
+    pools.  At ``workers: 1`` the jobs share the executor threads and
+    their GIL; at ``workers: 2`` each runs in a parked one-worker pool,
+    so two jobs synthesize at once.  The two settings alternate
+    ``repeats`` times, and every job's result bytes must match across
+    all runs.
+    """
+    from repro.serve import SynthesisService
 
     submissions = [
         {"circuits": [key], "cache_capacity": 2000 + variant}
         for variant in range(variants)
         for key in circuits
     ]
+    warmups = [{"circuits": [key], "cache_capacity": 1000} for key in circuits[:3]]
 
-    async def one(backends: int) -> dict:
-        dispatcher = ShardDispatcher(
-            backends=backends, port=0, backend_concurrency=1
-        )
-        host, port = await dispatcher.start()
-        try:
-            started = time.perf_counter()
+    async def one(workers: int) -> tuple[float, list[bytes]]:
+        service = SynthesisService(port=0, concurrency=2)
+        host, port = await service.start()
+
+        async def run_jobs(bodies: list[dict]) -> list[str]:
             ids = []
-            for body in submissions:
+            for body in bodies:
                 status, payload = await _http_json(
-                    host, port, "POST", "/jobs", body
+                    host, port, "POST", "/jobs", dict(body, workers=workers)
                 )
                 assert status == 202, payload
                 ids.append(payload["id"])
             for job_id in ids:
                 final = await _poll_done(host, port, job_id)
                 assert final["status"] == "done", final
+            return ids
+
+        try:
+            await run_jobs(warmups)
+            started = time.perf_counter()
+            ids = await run_jobs(submissions)
             elapsed = time.perf_counter() - started
-            _status, metrics = await _http_json(host, port, "GET", "/metrics")
-            routed = [shard["routed"] for shard in metrics["shards"]]
+            results = [
+                (await _http(host, port, "GET", f"/jobs/{job_id}/result"))[1]
+                for job_id in ids
+            ]
         finally:
-            await dispatcher.shutdown()
-        return {"backends": backends, "seconds": round(elapsed, 4), "routed": routed}
+            await service.shutdown()
+        return elapsed, results
 
-    rows = [asyncio.run(one(backends)) for backends in (1, 3)]
-    import os
-
+    seconds: dict[int, list[float]] = {1: [], 2: []}
+    expected = None
+    for _ in range(repeats):
+        for workers in (1, 2):
+            elapsed, results = asyncio.run(one(workers))
+            seconds[workers].append(round(elapsed, 4))
+            expected = expected or results
+            assert results == expected
+    serial = statistics.median(seconds[1])
+    pooled = statistics.median(seconds[2])
     return {
         "circuits": list(circuits),
         "jobs": len(submissions),
-        # The speedup ceiling: backends are processes, so they only run
-        # concurrently when the machine has cores for them.
-        "cpus": os.cpu_count(),
-        "runs": rows,
-        "speedup_3_backends": round(rows[0]["seconds"] / rows[1]["seconds"], 3),
+        "concurrency": 2,
+        # The speedup ceiling: pool workers only run at once when the
+        # machine has cores for them.
+        "host": f"{os.cpu_count()}-CPU {platform.machine()} {platform.system()}",
+        "workers_1_seconds": seconds[1],
+        "workers_2_seconds": seconds[2],
+        "workers_1_median_seconds": round(serial, 4),
+        "workers_2_median_seconds": round(pooled, 4),
+        "speedup_workers_2": round(serial / pooled, 3),
+        "byte_identical": True,
     }
 
 
@@ -416,10 +448,9 @@ def main(argv: list[str] | None = None) -> int:
 
     circuits = [key for key in args.circuits.split(",") if key]
     repeats = 2 if args.quick else args.repeats
-    # Fast, similarly-sized circuits: the sharding win is parallelism
+    # Fast, similarly-sized circuits: the pooled win is parallelism
     # over many uniform jobs, not one heavyweight that serializes.
-    shard_circuits = ["alu2", "f51m", "vda", "misex3"]
-    shard_variants = 2 if args.quick else 3
+    service_circuits = ["alu2", "f51m", "vda", "misex3"]
 
     entry = bench_warm_serving(circuits, args.workers, repeats)
     print(
@@ -428,11 +459,11 @@ def main(argv: list[str] | None = None) -> int:
         f"speedup {entry['warm_speedup']}x  "
         f"cache hit {entry['cache_hit_seconds'] * 1000:.2f}ms"
     )
-    sharded = bench_sharded_throughput(shard_circuits, variants=shard_variants)
+    service = bench_service_throughput(service_circuits, repeats=repeats)
     print(
-        f"sharded   {sharded['runs'][0]['seconds']:8.2f}s @ 1 backend  "
-        f"{sharded['runs'][1]['seconds']:8.2f}s @ 3 backends  "
-        f"speedup {sharded['speedup_3_backends']}x"
+        f"service   {service['workers_1_median_seconds']:8.2f}s @ workers 1  "
+        f"{service['workers_2_median_seconds']:8.2f}s @ workers 2  "
+        f"speedup {service['speedup_workers_2']}x ({service['host']})"
     )
     replay = bench_replay_startup()
     print(
@@ -449,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
 
     results = {
         "warm_serving": entry,
-        "sharded_throughput": sharded,
+        "service_throughput": service,
         "replay_startup": replay,
         "retry_overhead": retry,
     }

@@ -10,7 +10,7 @@ The :class:`RuleRegistry` is the single catalog the runner, the CLI's
 Rule ids are grouped by contract family:
 
 * ``DET*`` — determinism: the batch/serve reports are byte-identical
-  across worker counts, pools, shards and replay, so report-affecting
+  across worker counts, pools and replay, so report-affecting
   modules must not iterate unsorted sets, use ``hash()`` or read wall
   clocks outside the ``timings`` gate;
 * ``ASY*`` — async safety: ``repro.serve`` handlers run on the event

@@ -1,7 +1,7 @@
 """ASY — async-safety rules for ``repro.serve``.
 
 Every coroutine in the serve layer runs on the single event loop; one
-blocking call stalls every open connection, heartbeat and shard probe.
+blocking call stalls every open connection and heartbeat.
 Blocking work belongs in the executor (``loop.run_in_executor``) — the
 pattern ``SynthesisService.submit_async`` already uses.  The rules flag
 the known blockers when called *directly* inside an ``async def``; a

@@ -2,7 +2,7 @@
 
 The repository's load-bearing contract (PRs 1-7) is that batch and
 serve reports are **byte-identical** across worker counts, warm vs
-cold pools, shards and journal replay.  Three language features break
+cold pools and journal replay.  Three language features break
 that silently, so in the report-affecting modules (``repro.api``,
 ``repro.core``, ``repro.flows``, ``repro.network``, ``repro.bdd``,
 ``repro.aig``, ``repro.sop``, ``repro.mapping``, ``repro.serve.wire``)

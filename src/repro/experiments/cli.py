@@ -13,8 +13,6 @@ Commands mirror the paper's experiments:
   submit/status/result/cancel endpoints plus streamed progress,
   optionally durable (``--journal``) and authenticated
   (``--auth-token``);
-* ``shard`` — a consistent-hash dispatcher spawning and supervising N
-  ``serve`` backends (:mod:`repro.serve.shard`);
 * ``lint`` — project-contract static analysis (:mod:`repro.analysis`):
   determinism, async-safety, resource-lifecycle and engine-invariant
   rules with justified inline suppressions;
@@ -274,62 +272,6 @@ def main(argv: list[str] | None = None) -> int:
         "quarantining it as a poison job (default: 3)",
     )
 
-    shard = sub.add_parser(
-        "shard",
-        help="consistent-hash dispatcher over N supervised serve backends",
-    )
-    shard.add_argument("--host", default="127.0.0.1")
-    shard.add_argument("--port", type=_port, default=8348)
-    shard.add_argument(
-        "--backends",
-        type=_positive_int,
-        default=3,
-        help="serve subprocesses to spawn and route across (>= 1)",
-    )
-    shard.add_argument(
-        "--journal-dir",
-        default=None,
-        metavar="DIR",
-        help="directory for per-backend job journals (backend-<i>.journal); "
-        "respawned backends replay theirs, so crashes lose nothing",
-    )
-    shard.add_argument(
-        "--concurrency",
-        type=_positive_int,
-        default=2,
-        help="jobs synthesized concurrently per backend",
-    )
-    shard.add_argument(
-        "--result-cache",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help="per-backend result cache size (default: 64; 0 = disable); "
-        "content routing keeps each key on one shard's cache",
-    )
-    shard.add_argument(
-        "--max-pending",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="per-backend queued-job limit (429 + Retry-After past it)",
-    )
-    shard.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="close dispatcher connections idle for this long "
-        "(default: 60; 0 = never time out)",
-    )
-    shard.add_argument(
-        "--auth-token",
-        default=None,
-        metavar="TOKEN",
-        help="require bearer auth at the dispatcher edge "
-        "(default: $BDSMAJ_AUTH_TOKEN; backends trust loopback)",
-    )
-
     sub.add_parser(
         "lint",
         help="run bdslint project-contract static analysis "
@@ -516,25 +458,6 @@ def main(argv: list[str] | None = None) -> int:
             auth_token=args.auth_token,
             max_attempts=args.max_attempts,
             **extra_serve_kwargs,
-        )
-    elif args.command == "shard":
-        from ..serve import DEFAULT_IDLE_TIMEOUT, run_shard
-
-        if args.idle_timeout is None:
-            idle_timeout = DEFAULT_IDLE_TIMEOUT
-        else:
-            idle_timeout = args.idle_timeout or None  # 0 = no timeout
-        return run_shard(
-            host=args.host,
-            port=args.port,
-            backends=args.backends,
-            journal_dir=args.journal_dir,
-            backend_concurrency=args.concurrency,
-            result_cache_size=args.result_cache,
-            max_pending=args.max_pending,
-            idle_timeout=idle_timeout,
-            auth_token=args.auth_token,
-            echo=_progress,
         )
     elif args.command == "list":
         for key, benchmark in BENCHMARKS.items():

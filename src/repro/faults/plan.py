@@ -1,7 +1,7 @@
 """Deterministic fault-injection plans.
 
-The robustness layer (batch retries, journal replay quarantine, shard
-breakers) is only trustworthy if its failure paths are exercised, and
+The robustness layer (batch retries, journal replay quarantine) is
+only trustworthy if its failure paths are exercised, and
 real failures — OOM-killed pool workers, runaway sift passes, torn
 journal writes, missing shared-memory segments — are hard to stage on
 demand.  This module provides the staging: a :class:`FaultPlan` is a
@@ -22,8 +22,8 @@ Design constraints, in order:
   which is scheduling-independent even across pool workers.
 * **Crosses process boundaries.**  Arming is environmental: when
   ``BDSMAJ_FAULT_PLAN`` holds a JSON plan, every process that imports
-  ``repro.faults`` (spawn/forkserver pool workers, shard backends)
-  installs it at import time.  Fork-started workers inherit the
+  ``repro.faults`` (spawn/forkserver pool workers, ``serve``
+  subprocesses) installs it at import time.  Fork-started workers inherit the
   parent's installed plan object instead.
 
 Plan JSON::
@@ -251,8 +251,8 @@ def inject(site: str, key: str = "") -> None:
 def arm_from_env(environ: "os._Environ[str] | dict[str, str] | None" = None) -> FaultPlan | None:
     """Install the plan named by :data:`ENV_VAR`, if any.
 
-    Called at import time so spawn/forkserver pool workers and shard
-    backend subprocesses arm themselves; a malformed plan raises
+    Called at import time so spawn/forkserver pool workers and
+    ``serve`` subprocesses arm themselves; a malformed plan raises
     :class:`FaultPlanError` loudly rather than silently disarming.
     """
     env = os.environ if environ is None else environ

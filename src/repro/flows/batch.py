@@ -404,13 +404,17 @@ def _arena_verified(item: "InputItem", network, optimized) -> bool | None:
     cannot perturb report bytes.
     """
     arena = current_arena()
+    state = getattr(_arena_verify_state, "value", None)
+    if state is not None and state[0] is not arena:
+        # Detached or replaced arena: unpin the old verify manager and
+        # its imported cones instead of keeping them for the thread's life.
+        _arena_verify_state.value = state = None
     if arena is None or item.kind != "registry":
         return None
     keys = {output: f"{item.name}/{output}" for output in network.outputs}
     if any(key not in arena.roots for key in keys.values()):
         return None
-    state = getattr(_arena_verify_state, "value", None)
-    if state is None or state[0] is not arena:
+    if state is None:
         target = arena.manager()
         state = (arena, target, arena.binding(target), {})
         _arena_verify_state.value = state
@@ -673,10 +677,10 @@ class WarmPoolManager:
         """Health-check every candidate pool *concurrently*.
 
         Returns ``(healthy, dead)`` — dead includes pools whose ping
-        never answered.  One shared deadline bounds the whole sweep, so
+        crashed or never answered.  Every ping is sent before any answer
+        is awaited, and one shared deadline bounds the whole sweep, so
         ``k`` hung pools cost one ``ping_timeout``, not ``k`` of them
-        back to back (the old serial probe made a cold spawn cheaper
-        than inspecting a sick parking lot).
+        back to back.
         """
         pings: list[tuple[multiprocessing.pool.Pool, multiprocessing.pool.AsyncResult]]
         pings = []
@@ -687,22 +691,13 @@ class WarmPoolManager:
                 pings.append((pool, pool.apply_async(_pool_ping)))
             except Exception:  # noqa: BLE001 - a broken pool is a dead pool
                 dead.append(pool)
-        wake = time.monotonic() + self._ping_timeout
-        while pings and time.monotonic() < wake:
-            still_waiting = []
-            for pool, ping in pings:
-                if ping.ready():
-                    try:
-                        ok = bool(ping.get(timeout=0))
-                    except Exception:  # noqa: BLE001 - crashed ping = dead
-                        ok = False
-                    (healthy if ok else dead).append(pool)
-                else:
-                    still_waiting.append((pool, ping))
-            pings = still_waiting
-            if pings:
-                time.sleep(0.01)
-        dead.extend(pool for pool, _ in pings)  # timed out: count as dead
+        deadline = time.monotonic() + self._ping_timeout
+        for pool, ping in pings:
+            try:
+                ok = bool(ping.get(timeout=max(0.0, deadline - time.monotonic())))
+            except Exception:  # noqa: BLE001 - crashed or timed-out ping = dead
+                ok = False
+            (healthy if ok else dead).append(pool)
         return healthy, dead
 
     def acquire(self, processes: int) -> multiprocessing.pool.Pool:
@@ -897,8 +892,9 @@ def batch_pool(
         pool.join()
 
 
-#: How often (seconds) the parallel dispatcher wakes up to poll flight
-#: results, deadlines, worker health and the ``cancel`` hook.
+#: Longest (seconds) the parallel dispatcher sleeps between checks of
+#: deadlines, worker health and the ``cancel`` hook; a landing result
+#: wakes it at once.
 _CANCEL_POLL_SECONDS = 0.1
 
 
@@ -941,10 +937,11 @@ class _Flight:
     state: str = "queued"
     #: Attempts launched so far (1-based once running).
     attempts: int = 0
-    #: Outstanding ``AsyncResult``s.  More than one after a worker-death
-    #: retry: the original attempt may still be alive on a surviving
-    #: worker, and whichever attempt completes first wins.
-    results: "list[multiprocessing.pool.AsyncResult]" = field(default_factory=list)
+    #: One landing slot per outstanding attempt, filled by the pool's
+    #: result thread.  More than one after a worker-death retry: the
+    #: original attempt may still be alive on a surviving worker, and
+    #: whichever attempt completes first wins.
+    results: "list[list[CircuitReport]]" = field(default_factory=list)
     #: ``time.monotonic()`` of the latest launch (deadline base).
     attempt_started: float = 0.0
     #: Earliest ``time.monotonic()`` the next retry may launch.
@@ -976,37 +973,46 @@ def _exhausted_report(
 
 
 def _launch(
-    workers: multiprocessing.pool.Pool, flight: _Flight, config: BatchConfig
+    workers: multiprocessing.pool.Pool,
+    flight: _Flight,
+    config: BatchConfig,
+    wake: threading.Event,
 ) -> None:
+    """Start one attempt of ``flight``.
+
+    The pool's result thread drops the attempt's report into a fresh
+    landing slot and then sets ``wake``, so the dispatcher sees the
+    report as soon as it wakes.  :func:`synthesize_one` never raises for
+    circuit errors, so a raising task means the task itself broke
+    (unpicklable item, pool machinery); it lands as an error row with
+    the same failure-isolation contract as in-circuit exceptions.
+    """
     flight.attempts += 1
     flight.state = "running"
     flight.attempt_started = time.monotonic()
-    flight.results.append(
-        workers.apply_async(_pool_worker, ((flight.item, config, flight.attempts),))
-    )
+    landed: list[CircuitReport] = []
 
+    def land(circuit: CircuitReport) -> None:
+        landed.append(circuit)
+        wake.set()
 
-def _collect(flight: _Flight, config: BatchConfig) -> CircuitReport | None:
-    """First completed attempt of ``flight``, if any.
-
-    :func:`synthesize_one` never raises for circuit errors, so a raising
-    ``AsyncResult`` means the task itself broke (unpicklable item, pool
-    machinery); it is folded into an error row with the same
-    failure-isolation contract as in-circuit exceptions.
-    """
-    for result in flight.results:
-        if not result.ready():
-            continue
-        try:
-            return result.get(timeout=0)
-        except Exception as exc:  # noqa: BLE001 - failure isolation by design
-            return CircuitReport(
+    def broke(exc: BaseException) -> None:
+        land(
+            CircuitReport(
                 benchmark=flight.item.name,
                 flow=config.flow,
                 status="error",
                 error=f"{type(exc).__name__}: {exc}",
             )
-    return None
+        )
+
+    workers.apply_async(
+        _pool_worker,
+        ((flight.item, config, flight.attempts),),
+        callback=land,
+        error_callback=broke,
+    )
+    flight.results.append(landed)
 
 
 def _attempt_failed(
@@ -1080,12 +1086,17 @@ def run_batch(
     descriptors (mixed freely) or a whole :class:`~repro.api.InputSource`.
     With ``config.workers == 1`` the batch runs serially in-process
     (simplest to debug, no pickling); otherwise a worker pool processes
-    circuits concurrently.  Either way the report content is identical.
+    circuits concurrently.  A one-circuit batch without a ``pool``
+    manager also runs serially, since spawning a pool for it buys
+    nothing; with one, it runs in a parked worker, so concurrent
+    one-circuit jobs spread over CPUs.  Either way the report content
+    is identical.
 
     An input resolving to zero items returns an empty (but valid and
     serializable) report.  ``cancel`` is polled before every pipeline
-    stage of a serial batch, and at ~100 ms intervals while waiting on
-    pool results in a parallel one; once it returns true the batch
+    stage of a serial batch, and at least every ~100 ms while waiting on
+    pool results in a parallel one (which wakes as soon as a result
+    lands, not on that tick); once it returns true the batch
     raises :class:`BatchCancelled` after reaping any worker pool.
     ``stage_progress`` streams per-stage :class:`~repro.api.StageEvent`
     progress for serial batches (worker processes cannot call back
@@ -1124,7 +1135,7 @@ def run_batch(
             )
             progress(f"{circuit.benchmark:12s} {circuit.flow:8s} {outcome}")
 
-    if config.workers == 1 or len(items) <= 1:
+    if config.workers == 1 or (len(items) <= 1 and pool is None):
         for item in items:
             check_cancel()
             circuit = _synthesize_serial(item, config, stage_progress, cancel, report)
@@ -1134,11 +1145,12 @@ def run_batch(
         return report
 
     # Parallel: deadline-aware dispatch.  Every circuit is a _Flight
-    # polled with ready() — the loop never blocks on a single pool
-    # result, so a SIGKILLed worker or a runaway circuit stalls one
-    # flight, never the batch.  Results land in input-order slots, so
-    # neither completion order nor retries can perturb report bytes;
-    # progress lines still stream in input order as the prefix fills.
+    # whose attempts land their reports in slots the loop checks — it
+    # never blocks on a single pool result, so a SIGKILLed worker or a
+    # runaway circuit stalls one flight, never the batch.  Reports go
+    # into input-order slots, so neither completion order nor retries
+    # can perturb report bytes; progress lines still stream in input
+    # order as the prefix fills.
     cap = min(config.workers, len(items))
     deadline = config.circuit_timeout
 
@@ -1147,6 +1159,7 @@ def run_batch(
 
     with batch_pool(cap, manager=pool, tainted=pool_tainted) as workers:
         watch = _PoolWatch(workers)
+        wake = threading.Event()  # set by the pool whenever a result lands
         slots: list[CircuitReport | None] = [None] * len(items)
         flights: dict[int, _Flight] = {
             index: _Flight(index=index, item=item)
@@ -1168,12 +1181,12 @@ def run_batch(
                     return
                 if flight.state == "backoff" and now >= flight.retry_at:
                     report.retries += 1
-                    _launch(workers, flight, config)
+                    _launch(workers, flight, config, wake)
                     active += 1
             while backlog and active < cap:
                 flight = backlog.popleft()
                 if flight.state == "queued":
-                    _launch(workers, flight, config)
+                    _launch(workers, flight, config, wake)
                     active += 1
 
         launch_due(time.monotonic())
@@ -1184,7 +1197,7 @@ def run_batch(
             for flight in list(flights.values()):
                 if flight.state != "running":
                     continue
-                circuit = _collect(flight, config)
+                circuit = next((done[0] for done in flight.results if done), None)
                 if (
                     circuit is None
                     and deadline is not None
@@ -1204,8 +1217,8 @@ def run_batch(
                 now = time.monotonic()
                 # The pool cannot say which flight the victim was
                 # running, so every in-flight attempt is charged one
-                # failure; surviving originals keep their AsyncResults
-                # and still win if they complete first.
+                # failure; surviving originals keep their landing
+                # slots and still win if they complete first.
                 for flight in list(flights.values()):
                     if flight.state != "running":
                         continue
@@ -1222,7 +1235,8 @@ def run_batch(
                 note(slots[noted])  # type: ignore[arg-type]
                 noted += 1
             if flights and not progressed:
-                time.sleep(_CANCEL_POLL_SECONDS)
+                wake.wait(_CANCEL_POLL_SECONDS)
+                wake.clear()
         report.circuits.extend(
             circuit for circuit in slots if circuit is not None
         )

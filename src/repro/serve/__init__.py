@@ -35,12 +35,11 @@ The stack, bottom up:
   :class:`~repro.flows.WarmPoolManager` of reusable worker pools and
   (optionally) a shared-memory :class:`~repro.bdd.BddArena` those
   workers attach — plus :func:`run_server`, the blocking ``bdsmaj
-  serve`` entry point;
-* :mod:`.shard` — :class:`ShardDispatcher` / :func:`run_shard`: the
-  ``bdsmaj shard`` process, spawning and supervising N ``serve``
-  backends and routing every job to its consistent-hash owner
-  (:class:`HashRing`) by submission content hash, with raw-byte result
-  passthrough and aggregated ``/metrics``.
+  serve`` entry point.
+
+One service spreads work over CPUs itself: a ``workers > 1`` job, one
+circuit included, runs in parked worker processes, so concurrent jobs
+synthesize in parallel instead of sharing the executor threads' GIL.
 
 The invariant that makes the service trustworthy: a finished job's
 ``/result`` is the **byte-identical** ``BatchReport`` serialization
@@ -86,7 +85,6 @@ from .server import (
     SynthesisService,
     run_server,
 )
-from .shard import HashRing, ShardDispatcher, run_shard
 from .wire import (
     SCHEMA,
     WireError,
@@ -112,7 +110,6 @@ __all__ = [
     "SCHEMA",
     "TERMINAL_STATES",
     "AsyncHttpServer",
-    "HashRing",
     "Job",
     "JobJournal",
     "JobQueue",
@@ -123,7 +120,6 @@ __all__ = [
     "ReplayedJob",
     "ResultCache",
     "ServiceMetrics",
-    "ShardDispatcher",
     "SynthesisService",
     "WireError",
     "encode_event_line",
@@ -131,6 +127,5 @@ __all__ = [
     "job_payload",
     "parse_submission",
     "run_server",
-    "run_shard",
     "submission_key",
 ]

@@ -17,13 +17,13 @@ aggregates what an operator watches on a warm server:
   p50/p90/p99 estimates, recorded by the queue and submit paths;
 * fault-tolerance counters — named monotonic counters (circuit
   retries/timeouts, worker deaths, quarantined jobs) recorded by the
-  queue runner and journal replay, summable across shards exactly like
-  the histograms.
+  queue runner and journal replay, summable across servers exactly
+  like the histograms.
 
 The histogram buckets are fixed and log-spaced (1 ms .. 60 s, plus an
-overflow bucket), so two servers' — or two shards' — histograms can be
-summed bucket-by-bucket; percentile estimates quote the upper bound of
-the bucket that crosses the quantile (the overflow bucket quotes the
+overflow bucket), so two servers' histograms can be summed
+bucket-by-bucket; percentile estimates quote the upper bound of the
+bucket that crosses the quantile (the overflow bucket quotes the
 observed max), which is the standard fixed-bucket trade: cheap, mergeable
 and never more than one bucket width off.
 
@@ -132,7 +132,7 @@ class ServiceMetrics:
             self._counters[name] = self._counters.get(name, 0) + amount
 
     def counters(self) -> dict[str, int]:
-        """All named counters, sorted by name (mergeable across shards
+        """All named counters, sorted by name (mergeable across servers
         by plain per-key addition)."""
         with self._lock:
             return dict(sorted(self._counters.items()))

@@ -115,7 +115,7 @@ class AsyncHttpServer:
     framing with idle timeouts, header caps, keep-alive semantics, the
     lingering close, bearer-token auth and the error funnel.  Subclasses
     implement :meth:`_route`; :class:`SynthesisService` serves jobs with
-    it, :class:`~repro.serve.shard.ShardDispatcher` proxies them.
+    it.
     """
 
     def __init__(
@@ -425,7 +425,10 @@ class SynthesisService(AsyncHttpServer):
         self.result_cache = (
             ResultCache(result_cache_size) if result_cache_size else None
         )
-        self.pool_manager = WarmPoolManager() if warm_pools else None
+        # One parked pool per concurrent job: concurrent one-circuit jobs
+        # each hold a one-worker pool, and a smaller bound would
+        # terminate one at every release and cold-spawn it on the next.
+        self.pool_manager = WarmPoolManager(max_idle_per_size=concurrency) if warm_pools else None
         self.queue = JobQueue(
             concurrency=concurrency,
             pool_manager=self.pool_manager,
@@ -883,8 +886,8 @@ class SynthesisService(AsyncHttpServer):
         stream whose end is signalled by closing the connection (the
         events endpoint), so the caller must not reuse the socket."""
         segments = [part for part in path.split("/") if part]
-        # /healthz stays reachable without credentials: supervisors and
-        # the shard dispatcher probe it to decide whether to respawn.
+        # /healthz stays reachable without credentials: supervisors
+        # probe it to decide whether to restart the service.
         if segments != ["healthz"]:
             self._check_auth(headers or {})
         if segments == ["healthz"]:

@@ -198,7 +198,7 @@ def test_asy003_flags_subprocess_in_async_def():
     async def handler():
         subprocess.run(["ls"])
     """
-    assert "ASY003" in rules_fired(source, module="repro.serve.shard")
+    assert "ASY003" in rules_fired(source, module="repro.serve.server")
 
 
 def test_asy003_allows_asyncio_subprocess():
@@ -208,7 +208,7 @@ def test_asy003_allows_asyncio_subprocess():
         proc = await asyncio.create_subprocess_exec("ls")
         await proc.wait()
     """
-    assert "ASY003" not in rules_fired(source, module="repro.serve.shard")
+    assert "ASY003" not in rules_fired(source, module="repro.serve.server")
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +398,13 @@ def test_res004_suppression_needs_justification():
             if not line:
                 return
     """
-    result_rules = rules_fired(justified, module="repro.serve.shard")
+    result_rules = rules_fired(justified, module="repro.serve.server")
     assert "RES004" not in result_rules
     bare = """
     async def follow(reader):
         return await reader.readline()  # bdslint: disable=RES004
     """
-    fired = rules_fired(bare, module="repro.serve.shard")
+    fired = rules_fired(bare, module="repro.serve.server")
     assert "RES004" in fired  # unjustified suppression is ignored...
     assert "SUP001" in fired  # ...and is itself a finding
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -412,6 +413,15 @@ class TestPoolLifecycle:
                 raise BatchCancelled("stop")
         with pytest.raises(ValueError):
             pool.apply(len, (["d"],))
+
+    def test_landing_result_wakes_the_dispatcher(self, monkeypatch):
+        """A pooled batch wakes when a result lands, not on its poll
+        tick: with the tick stretched to 30 s it still returns at once."""
+        monkeypatch.setattr(batch_module, "_CANCEL_POLL_SECONDS", 30.0)
+        started = time.monotonic()
+        report = run_batch(SMALL, BatchConfig(workers=2))
+        assert time.monotonic() - started < 10.0
+        assert [circuit.ok for circuit in report.circuits] == [True, True]
 
 
 class TestStageProgress:

@@ -15,7 +15,7 @@ from repro.bdd import BDD
 from repro.bdd.arena import BddArena, attach_worker_arena, current_arena
 from repro.benchgen import build_benchmark
 from repro.flows import BatchConfig, WarmPoolManager, run_batch
-from repro.flows.batch import batch_pool, synthesize_one
+from repro.flows.batch import _arena_verify_state, batch_pool, synthesize_one
 from repro.network import global_bdds
 
 CIRCUITS = ["alu2", "f51m"]
@@ -88,6 +88,20 @@ class TestWarmPoolManager:
         finally:
             manager.drain()
 
+    def test_one_circuit_batch_runs_in_the_warm_pool(self):
+        """With a manager, a one-circuit ``workers > 1`` batch runs in a
+        pool worker, not in the caller's thread, and keeps the serial
+        run's bytes."""
+        expected = run_batch(["f51m"], BatchConfig()).to_json()
+        manager = WarmPoolManager()
+        try:
+            report = run_batch(["f51m"], BatchConfig(workers=2), pool=manager)
+            stats = manager.stats()
+        finally:
+            manager.drain()
+        assert stats["cold_acquires"] + stats["warm_acquires"] == 1
+        assert report.to_json() == expected
+
 
 class TestByteIdentity:
     def test_cold_warm_and_arena_paths_are_byte_identical(self):
@@ -137,6 +151,23 @@ class TestArenaVerify:
             assert not_in_arena.verified is True
         finally:
             attach_worker_arena(None)
+            arena.unlink()
+
+    def test_detached_arena_unpins_verify_state(self):
+        """After the arena is detached, the thread's next verified
+        circuit drops the verify manager and its imported cones."""
+        arena = _publish_arena(["f51m"])
+        config = BatchConfig(flow="bds-maj", verify=True)
+        try:
+            attach_worker_arena(arena)
+            try:
+                assert synthesize_one("f51m", config).verified is True
+                assert getattr(_arena_verify_state, "value", None) is not None
+            finally:
+                attach_worker_arena(None)
+            assert synthesize_one("f51m", config).verified is True
+            assert getattr(_arena_verify_state, "value", None) is None
+        finally:
             arena.unlink()
 
     def test_no_arena_means_no_state(self):

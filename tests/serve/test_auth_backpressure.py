@@ -164,7 +164,7 @@ class TestLatencyHistograms:
         assert summary["max_seconds"] == 120.0
         buckets = summary["buckets"]
         # Cumulative (Prometheus-style `le`) buckets: mergeable across
-        # shards by summing bucket-by-bucket.
+        # servers by summing bucket-by-bucket.
         assert buckets["le_0.001"] == 1
         assert buckets["le_0.0025"] == 3
         assert buckets["le_0.5"] == 4

@@ -1,4 +1,4 @@
-"""Chaos tests: poison-job quarantine and the shard circuit breaker.
+"""Chaos tests: poison-job quarantine and crash-safe journal compaction.
 
 The headline test stages the crash loop the quarantine exists for: a
 fault plan SIGKILLs the server every time one circuit is synthesized,
@@ -16,18 +16,12 @@ import re
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.serve import JobRequest, JobStore, SynthesisService
 from repro.serve.journal import JobJournal
-from repro.serve.shard import (
-    BREAKER_CLOSED,
-    BREAKER_OPEN,
-    ShardDispatcher,
-)
 
 from .client import http_json, http_request, poll_job
 
@@ -391,149 +385,3 @@ class TestCrashDuringCompaction:
             process.wait(timeout=30)
         assert replayed_bytes == reference_bytes
 
-
-def _dispatcher(**overrides) -> ShardDispatcher:
-    """An unstarted dispatcher: the breaker state machine is pure
-    bookkeeping, so it is unit-testable without spawning backends."""
-    kwargs = dict(
-        backends=1,
-        breaker_threshold=2,
-        breaker_base_seconds=0.4,
-        breaker_max_seconds=1.6,
-        rapid_failure_seconds=5.0,
-    )
-    kwargs.update(overrides)
-    return ShardDispatcher(**kwargs)
-
-
-class TestBreakerStateMachine:
-    def test_knob_validation(self):
-        with pytest.raises(ValueError, match="breaker_threshold"):
-            _dispatcher(breaker_threshold=0)
-        with pytest.raises(ValueError, match="backoff seconds"):
-            _dispatcher(breaker_base_seconds=0.0)
-        with pytest.raises(ValueError, match="rapid_failure_seconds"):
-            _dispatcher(rapid_failure_seconds=0.0)
-
-    def test_rapid_streak_opens_the_breaker(self):
-        dispatcher = _dispatcher()
-        backend = dispatcher.backends[0]
-        backend.started_at = 100.0
-        dispatcher._note_failure(backend, 101.0)
-        assert backend.breaker_state == BREAKER_CLOSED
-        assert backend.failure_streak == 1
-        backend.started_at = 101.0  # respawned, dies rapidly again
-        dispatcher._note_failure(backend, 102.0)
-        assert backend.breaker_state == BREAKER_OPEN
-        assert backend.breaker_opens == 1
-        assert backend.retry_at == pytest.approx(102.0 + 0.4)
-
-    def test_slow_failures_reset_the_streak(self):
-        dispatcher = _dispatcher()
-        backend = dispatcher.backends[0]
-        backend.started_at = 100.0
-        dispatcher._note_failure(backend, 101.0)
-        backend.started_at = 101.0
-        # Died long after the rapid window: an ordinary crash, not a
-        # crash loop — the streak restarts at one.
-        dispatcher._note_failure(backend, 110.0)
-        assert backend.breaker_state == BREAKER_CLOSED
-        assert backend.failure_streak == 1
-
-    def test_reopens_double_the_backoff_up_to_the_ceiling(self):
-        dispatcher = _dispatcher()
-        backend = dispatcher.backends[0]
-        for expected in (0.4, 0.8, 1.6, 1.6):  # capped at the ceiling
-            dispatcher._trip_breaker(backend, 200.0)
-            assert backend.breaker_state == BREAKER_OPEN
-            assert backend.retry_at == pytest.approx(200.0 + expected)
-        assert backend.breaker_opens == 4
-
-    def test_close_resets_streaks_and_backoff(self):
-        dispatcher = _dispatcher()
-        backend = dispatcher.backends[0]
-        dispatcher._trip_breaker(backend, 200.0)
-        dispatcher._trip_breaker(backend, 201.0)
-        dispatcher._close_breaker(backend)
-        assert backend.breaker_state == BREAKER_CLOSED
-        assert backend.failure_streak == 0
-        assert backend.open_streak == 0
-        dispatcher._trip_breaker(backend, 300.0)
-        assert backend.retry_at == pytest.approx(300.0 + 0.4)  # base again
-
-
-class _FakeProcess:
-    def __init__(self, returncode):
-        self.returncode = returncode
-
-
-class TestBreakerSupervision:
-    def test_supervisor_walks_closed_open_half_open_and_back(self):
-        """Drive the real supervisor loop against a fake backend: a
-        crash-looping backend must open the breaker and back off, a
-        failing half-open probe must re-trip it, and a probe that
-        survives the rapid window must close it again."""
-
-        async def scenario():
-            dispatcher = _dispatcher(
-                breaker_threshold=2,
-                breaker_base_seconds=0.15,
-                breaker_max_seconds=10.0,
-                rapid_failure_seconds=0.25,
-                health_interval=0.05,
-            )
-            backend = dispatcher.backends[0]
-            respawn_ok = {"value": False}
-
-            async def fake_respawn(target):
-                dispatcher.respawns += 1
-                if not respawn_ok["value"]:
-                    return False
-                target.process = _FakeProcess(None)
-                target.host, target.port = "127.0.0.1", 1
-                target.health_failures = 0
-                target.started_at = time.monotonic()
-                return True
-
-            async def fake_request(target, method, path, timeout=2.0):
-                return 200, {}, b"{}"
-
-            dispatcher._respawn = fake_respawn
-            dispatcher._backend_request = fake_request
-            backend.process = _FakeProcess(returncode=1)  # born dead
-            backend.started_at = time.monotonic()
-
-            async def wait_for(predicate, timeout=10.0):
-                deadline = time.monotonic() + timeout
-                while time.monotonic() < deadline:
-                    if predicate():
-                        return True
-                    await asyncio.sleep(0.02)
-                return False
-
-            supervisor = asyncio.ensure_future(dispatcher._supervise())
-            try:
-                # Rapid deaths with failing respawns: breaker opens.
-                assert await wait_for(
-                    lambda: backend.breaker_state == BREAKER_OPEN
-                )
-                # The half-open probe also fails: it re-trips with a
-                # doubled backoff instead of hammering the spawn path.
-                assert await wait_for(lambda: backend.breaker_opens >= 2)
-                assert backend.open_streak >= 2
-                # Let the probe succeed; surviving the rapid window
-                # closes the breaker and resets every streak.
-                respawn_ok["value"] = True
-                assert await wait_for(
-                    lambda: backend.breaker_state == BREAKER_CLOSED
-                )
-                assert backend.failure_streak == 0
-                assert backend.open_streak == 0
-            finally:
-                supervisor.cancel()
-                try:
-                    await supervisor
-                except asyncio.CancelledError:
-                    pass
-
-        run(scenario())
