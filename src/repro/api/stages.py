@@ -13,6 +13,9 @@ Scratch-space keys used between stages of one flow:
 key        producer -> consumer
 ========== ==========================================================
 partitions ``build-bdds``/``collapse`` -> ``reorder``/``decompose``
+firsts     ``build-bdds`` -> ``reorder``/``decompose``: each supernode
+           output -> the first supernode of its structure, whose
+           manager and root its ``partitions`` entry shares
 trace      ``build-bdds`` -> every later BDS stage (and the batch layer)
 builder    ``build-bdds``/``collapse`` -> ``decompose`` -> ``rewrite``
 roots      ``decompose``/``rewrite`` tree roots per supernode output
@@ -28,12 +31,12 @@ import dataclasses
 
 from ..aig import aig_to_network, network_to_aig, resyn2, resyn_quick
 from ..bdd.isop import isop_cover_rows
-from ..core import DecompositionEngine, TreeBuilder
+from ..core import DecompositionEngine, EngineStats, TreeBuilder, TreeTape
 from ..core.emit import network_from_trees
 from ..flows.bds import BdsTrace
 from ..mapping import analyze, map_network
 from ..mapping.mapper import classify_gate
-from ..network import check_equivalence, partition_with_bdds
+from ..network import Supernode, check_equivalence, partition_with_bdds
 from ..sop import GateEmitter, expression_from_cover, factor_expression, simplify_cover
 from .context import PipelineError, SynthesisContext
 
@@ -63,17 +66,27 @@ class LoadInput:
 # BDS-MAJ / BDS-PGA stages (paper Figure 3)
 # ----------------------------------------------------------------------
 class BuildBdds:
-    """Partition into supernodes and build every local BDD (IV.A)."""
+    """Partition into supernodes and build every local BDD (IV.A).
+
+    Datapath circuits are arrays of identical bit slices, so most
+    supernodes are copies of one another up to their input names.  One
+    structure-keyed memo per flow run (never shared across runs, so
+    parallel reports stay byte-identical) builds each distinct
+    structure once; a repeat shares the first one's manager and root,
+    and the later stages sift and decompose it only once too.
+    """
 
     name = "build-bdds"
     optimize_timed = True
 
     def run(self, ctx: SynthesisContext) -> SynthesisContext:
-        partitions = partition_with_bdds(ctx.require("network"), ctx.config.partition)
+        firsts: dict[str, Supernode] = {}
+        partitions = partition_with_bdds(ctx.require("network"), ctx.config.partition, firsts)
         trace = BdsTrace()
         trace.supernodes = len(partitions)
         ctx.scratch.update(
             partitions=partitions,
+            firsts=firsts,
             trace=trace,
             builder=TreeBuilder(),
             roots={},
@@ -86,10 +99,11 @@ class ReorderVariables:
 
     Every supernode is handed to the in-place sifter (no size guard);
     one with a node per support variable, most of them, costs no swap.
-    The manager and the root edge survive the pass unchanged (only the
-    variable order moves), so the partition tuples are reused as-is.
-    A flow without reordering is a pipeline without this stage
-    (:meth:`~repro.api.Pipeline.with_stages`).
+    A manager shared by supernodes of one structure is sifted once, and
+    its outcome counts for each of them.  The manager and the root edge
+    survive the pass unchanged (only the variable order moves), so the
+    partition tuples are reused as-is.  A flow without reordering is a
+    pipeline without this stage (:meth:`~repro.api.Pipeline.with_stages`).
     """
 
     name = "reorder"
@@ -97,14 +111,25 @@ class ReorderVariables:
 
     def run(self, ctx: SynthesisContext) -> SynthesisContext:
         trace = ctx.scratch["trace"]
-        for _supernode, mgr, root in ctx.scratch["partitions"]:
-            if mgr.sift([root]).changed:
-                trace.sifted += 1
+        firsts = ctx.scratch["firsts"]
+        changed: dict[str, bool] = {}
+        for supernode, mgr, root in ctx.scratch["partitions"]:
+            first = firsts[supernode.output]
+            if first.output not in changed:
+                changed[first.output] = mgr.sift([root]).changed
+            trace.sifted += changed[first.output]
         return ctx
 
 
 class Decompose:
-    """BDD decomposition with MAJ on top of the dominator search (IV.B)."""
+    """BDD decomposition with MAJ on top of the dominator search (IV.B).
+
+    The engine runs once per structure, on a :class:`TreeTape` over the
+    first supernode's inputs; every supernode of the structure, the
+    first included, replays the tape onto the shared builder under its
+    own input names.  Replaying makes exactly the builder calls a fresh
+    decomposition would, so node ids, sharing and netlists do not move.
+    """
 
     name = "decompose"
     optimize_timed = True
@@ -114,18 +139,26 @@ class Decompose:
         trace = scratch["trace"]
         builder = scratch["builder"]
         roots = scratch["roots"]
+        firsts = scratch["firsts"]
         # One decision memo per flow run (one circuit), shared by every
         # supernode's engine: no state outlives the run, so reports do
         # not depend on which worker ran which circuits before.
         memo: dict = {}
+        tapes: dict[str, tuple[TreeTape, int, EngineStats]] = {}
         for supernode, mgr, root in scratch["partitions"]:
-            engine = DecompositionEngine(mgr, builder, ctx.config.engine, memo)
-            roots[supernode.output] = engine.decompose(root)
-            trace.add_cache_stats(engine.cache_report())
-            trace.majority_steps += engine.stats.majority
-            trace.and_or_steps += engine.stats.and_or
-            trace.xor_steps += engine.stats.xor
-            trace.mux_steps += engine.stats.mux
+            first = firsts[supernode.output]
+            taped = tapes.get(first.output)
+            if taped is None:
+                tape = TreeTape(first.inputs)
+                engine = DecompositionEngine(mgr, tape, ctx.config.engine, memo)
+                taped = tapes[first.output] = (tape, engine.decompose(root), engine.stats)
+                trace.add_cache_stats(engine.cache_report())
+            tape, tape_root, stats = taped
+            roots[supernode.output] = tape.replay(builder, supernode.inputs, tape_root)
+            trace.majority_steps += stats.majority
+            trace.and_or_steps += stats.and_or
+            trace.xor_steps += stats.xor
+            trace.mux_steps += stats.mux
         return ctx
 
 

@@ -587,41 +587,64 @@ class BDD:
         terminal) returns at once without a swap, and empty levels
         (variables outside the support, whose walks change no size) are
         not walked.  The order stays, so the op cache is kept.
+
+        Walks are cut by a lower bound (Drechsler, Günther & Somenzi,
+        "Using lower bounds during dynamic BDD minimization", IEEE TCAD
+        2001).  While a variable walks up from level ``p``, the levels
+        below ``p`` keep their nodes (the set of variables above each of
+        them stays the same) and every occupied level keeps at least
+        one, so no higher stop can be smaller than that floor; walking
+        down is symmetric.  A stop above every one seen wins a tie, so
+        the upward walk ends only once the bound exceeds the best size
+        seen; a stop below loses ties, so the downward walk ends once
+        the bound reaches it.  The chosen order is the one the full
+        walk would choose.
         """
         count = len(self._names)
         initial = self.live_nodes()
+        tables = self._subtables
         # Visit order: decreasing node population (ties keep the
         # current level order — `sorted` is stable).
-        population = {
-            name: len(self._subtables[level])
-            for level, name in enumerate(self._names)
-        }
+        population = {name: len(tables[level]) for level, name in enumerate(self._names)}
         walked = sorted(
             (name for name in self._names if population[name]),
             key=lambda n: -population[n],
         )
-        if initial == len(walked) + 1:
+        floor = len(walked) + 1
+        if initial == floor:
             return SiftResult(initial, initial, 0, False)
+
+        def excess(levels: list[dict]) -> int:
+            """Nodes beyond one per occupied level among ``levels``."""
+            return sum(len(table) - 1 for table in levels if table)
+
         current_size = initial
         swaps = 0
         changed = False
         for name in walked:
             position = self._level_by_name[name]
             sizes = {position: current_size}
+            best = current_size
             limit = None if max_growth is None else max_growth * current_size
             pos = position
-            while pos > 0:
+            while pos > 0 and floor + excess(tables[pos + 1 :]) <= best:
                 size = self.swap_adjacent(pos - 1)
                 swaps += 1
                 pos -= 1
                 sizes[pos] = size
+                best = min(best, size)
                 if limit is not None and size > limit:
                     break
-            while pos < count - 1:
+            while pos < position:
+                self.swap_adjacent(pos)
+                swaps += 1
+                pos += 1
+            while pos < count - 1 and floor + excess(tables[:pos]) < best:
                 size = self.swap_adjacent(pos)
                 swaps += 1
                 pos += 1
                 sizes[pos] = size
+                best = min(best, size)
                 if limit is not None and size > limit:
                     break
             # Best position seen; the starting position wins ties, then

@@ -25,7 +25,7 @@ from .majority import (
     optimize,
 )
 from .mdominators import MDominator, MDominatorConfig, find_m_dominators
-from .tree import COUNTED_OPS, TreeBuilder, tree_from_bdd
+from .tree import COUNTED_OPS, TreeBuilder, TreeTape, tree_from_bdd
 
 __all__ = [
     "COUNTED_OPS",
@@ -38,6 +38,7 @@ __all__ = [
     "MajorityDecomposition",
     "MajorityDecompositionError",
     "TreeBuilder",
+    "TreeTape",
     "accepts_globally",
     "balance_pair",
     "certify",

@@ -19,17 +19,22 @@ Setting ``enable_majority=False`` turns the engine into the BDS-PGA
 baseline: identical machinery minus step 2, which is exactly the
 comparison Table I draws.
 
-Results are memoized twice.  Per BDD edge, so logic sharing inside a
-supernode is detected through BDD canonicity (Section IV.C), and the
-shared :class:`~repro.core.tree.TreeBuilder` extends the sharing across
-supernodes of the same network.  And per function *shape*
+Results are memoized three times.  Per BDD edge, so logic sharing
+inside a supernode is detected through BDD canonicity (Section IV.C),
+and the shared :class:`~repro.core.tree.TreeBuilder` extends the sharing
+across supernodes of the same network.  Per function *shape*
 (:meth:`~repro.bdd.BDD.support_shape`: the canonical BDD with node ids
 and levels renamed), across every supernode manager of one flow run:
 the same small function recurs once per bit slice over other input
 names, and its decision — which split, with the children as shapes over
 the parent's support — is taken once, then replayed in each manager.
 Every tie-break of the decision is structural, so a replay builds
-exactly the tree a fresh decision would.
+exactly the tree a fresh decision would.  And, above the engine, per
+supernode *structure* (:func:`~repro.network.partition.structure_key`):
+the ``decompose`` stage runs the engine once per distinct structure on
+a :class:`~repro.core.tree.TreeTape`, and replays the tape's builder
+calls for every supernode with that structure, so a repeated bit slice
+is never built, sifted or decomposed again.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from ..bdd.dominators import (
 )
 from ..bdd.manager import Shape
 from .majority import MajorityConfig, accepts_globally, decompose_majority
-from .tree import TreeBuilder
+from .tree import TreeBuilder, TreeTape
 
 
 @dataclass
@@ -91,6 +96,9 @@ Decision = tuple
 class DecompositionEngine:
     """Decompose functions of one BDD manager into factoring trees.
 
+    ``builder`` receives the trees; a :class:`TreeTape` records them
+    for replay instead.
+
     ``memo`` maps function shapes to decisions.  Engines of one flow
     run share it (one dict per run, so parallel reports stay
     byte-identical); every engine sharing it must have an equal
@@ -100,7 +108,7 @@ class DecompositionEngine:
     def __init__(
         self,
         mgr: BDD,
-        builder: TreeBuilder | None = None,
+        builder: TreeBuilder | TreeTape | None = None,
         config: EngineConfig | None = None,
         memo: dict[Shape, Decision] | None = None,
     ) -> None:

@@ -15,7 +15,7 @@ on construction, matching how BDS accounts nodes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 #: Operators that Table I counts as network nodes.
 COUNTED_OPS = ("and", "or", "xor", "xnor", "maj")
@@ -293,6 +293,64 @@ class TreeBuilder:
         symbol = {"and": "&", "or": "|", "xor": "^", "xnor": "=="}[op]
         rendered = f" {symbol} ".join(self.to_expression(child) for child in children)
         return f"({rendered})"
+
+
+class TreeTape:
+    """A :class:`TreeBuilder` stand-in that records calls for replay.
+
+    A :class:`~repro.core.DecompositionEngine` built on a tape takes its
+    decisions as usual, but each constructor call is only appended to
+    :attr:`calls` and answered with the call's tape index (0 and 1 are
+    the constants).  Literals are recorded by their position in
+    ``inputs``.  :meth:`replay` makes the same calls in the same order
+    on a real builder, under any input names, so node ids and sharing
+    come out exactly as if the engine had built there.
+    """
+
+    CONST0 = 0
+    CONST1 = 1
+
+    def __init__(self, inputs: Sequence[str]) -> None:
+        self._position = {name: i for i, name in enumerate(inputs)}
+        #: ``(method name, arguments)`` per call; arguments are tape
+        #: indices, except a literal's input position.
+        self.calls: list[tuple[str, tuple[int, ...]]] = []
+
+    def _record(self, method: str, *args: int) -> int:
+        self.calls.append((method, args))
+        return len(self.calls) + 1
+
+    def literal(self, name: str) -> int:
+        return self._record("literal", self._position[name])
+
+    def not_(self, child: int) -> int:
+        return self._record("not_", child)
+
+    def and_(self, left: int, right: int) -> int:
+        return self._record("and_", left, right)
+
+    def or_(self, left: int, right: int) -> int:
+        return self._record("or_", left, right)
+
+    def xor(self, left: int, right: int) -> int:
+        return self._record("xor", left, right)
+
+    def maj(self, a: int, b: int, c: int) -> int:
+        return self._record("maj", a, b, c)
+
+    def mux(self, select: int, when_true: int, when_false: int) -> int:
+        return self._record("mux", select, when_true, when_false)
+
+    def replay(self, builder: TreeBuilder, inputs: Sequence[str], root: int) -> int:
+        """Make the recorded calls on ``builder`` with input position i
+        named ``inputs[i]``; return the id of tape index ``root``."""
+        ids = [builder.CONST0, builder.CONST1]
+        for method, args in self.calls:
+            if method == "literal":
+                ids.append(builder.literal(inputs[args[0]]))
+            else:
+                ids.append(getattr(builder, method)(*[ids[arg] for arg in args]))
+        return ids[root]
 
 
 def tree_from_bdd(

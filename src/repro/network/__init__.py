@@ -15,7 +15,6 @@ from .verilog import to_verilog, write_verilog
 from .partition import (
     PartitionConfig,
     Supernode,
-    build_local_bdd,
     partition,
     partition_statistics,
     partition_with_bdds,
@@ -32,7 +31,6 @@ __all__ = [
     "PartitionConfig",
     "Supernode",
     "bdd_equivalent",
-    "build_local_bdd",
     "check_equivalence",
     "cover_to_bdd",
     "exhaustive_equivalent",

@@ -166,24 +166,37 @@ def _input_order(network: LogicNetwork, supernode: Supernode) -> list[str]:
     return order
 
 
-def build_local_bdd(
-    network: LogicNetwork, supernode: Supernode, config: PartitionConfig | None = None
-) -> tuple[BDD, int]:
-    """Local BDD of a supernode (may raise :class:`BddSizeExceeded`)."""
-    if config is None:
-        config = PartitionConfig()
-    return supernode_bdd(
-        network,
-        supernode.output,
-        supernode.members,
-        supernode.inputs,
-        max_nodes=config.max_bdd_nodes,
-        cache_capacity=config.cache_capacity,
-    )
+def structure_key(network: LogicNetwork, supernode: Supernode) -> tuple:
+    """All that :func:`supernode_bdd` reads of ``supernode``.
+
+    Every member's cover, ``inverted`` flag and fanin wiring, in the
+    build's post-order, with each boundary input renamed to its position
+    in ``supernode.inputs`` and each member to its build index after
+    them.  Supernodes with equal keys build the same BDD store, node ids
+    included, and hit a node budget at the same member.
+    """
+    index = {name: i for i, name in enumerate(supernode.inputs)}
+    key: list = [len(index)]
+    # The traversal of supernode_bdd, so indices follow its build order.
+    stack: list[tuple[str, bool]] = [(supernode.output, False)]
+    while stack:
+        name, expanded = stack.pop()
+        if name in index:
+            continue
+        node = network.node(name)
+        if not expanded:
+            stack.append((name, True))
+            stack.extend((fanin, False) for fanin in node.fanins if fanin not in index)
+            continue
+        index[name] = len(index)
+        key.append((node.cover, node.inverted, tuple(index[f] for f in node.fanins)))
+    return tuple(key)
 
 
 def partition_with_bdds(
-    network: LogicNetwork, config: PartitionConfig | None = None
+    network: LogicNetwork,
+    config: PartitionConfig | None = None,
+    firsts: dict[str, Supernode] | None = None,
 ) -> list[tuple[Supernode, BDD, int]]:
     """Partition and build every local BDD, demoting oversized clusters
     to single-node supernodes (robust default used by the flows).
@@ -192,39 +205,68 @@ def partition_with_bdds(
     or the output of another returned supernode — demotion and node
     duplication can orphan internal signals, which are materialized
     here as additional singleton supernodes.
+
+    With ``firsts`` (a dict, filled in), each distinct
+    :func:`structure_key` is built, or demoted, once: a later supernode
+    with the key shares the first one's manager and root, and
+    ``firsts`` maps every supernode output to the supernode its manager
+    was built for (itself for a first).  The manager's variables are
+    that supernode's inputs.
     """
     if config is None:
         config = PartitionConfig()
     built: dict[str, tuple[Supernode, BDD, int]] = {}
+    # (node budget, structure) -> first build, or None once demoted.  A
+    # one-member cluster can share a singleton's structure, not its budget.
+    builds: dict[tuple, tuple[Supernode, BDD, int] | None] = {}
 
-    def build_singleton(name: str) -> None:
-        singleton = Supernode(name, {name})
-        singleton.inputs = _input_order(network, singleton)
-        # Single SOP nodes cannot blow up: no node budget.
-        mgr, root = supernode_bdd(
-            network,
-            name,
-            singleton.members,
-            singleton.inputs,
-            max_nodes=None,
-            cache_capacity=config.cache_capacity,
-        )
-        mgr.gc([root])
-        built[name] = (singleton, mgr, root)
-
-    for supernode in partition(network, config):
+    def build(supernode: Supernode, max_nodes: int | None) -> bool:
+        """Enter ``supernode``'s local BDD into ``built``; False when it
+        crosses ``max_nodes``."""
+        key = None
+        if firsts is not None:
+            key = (max_nodes, structure_key(network, supernode))
+            if key in builds:
+                first = builds[key]
+                if first is None:
+                    return False
+                built[supernode.output] = (supernode, first[1], first[2])
+                firsts[supernode.output] = first[0]
+                return True
         try:
-            mgr, root = build_local_bdd(network, supernode, config)
+            mgr, root = supernode_bdd(
+                network,
+                supernode.output,
+                supernode.members,
+                supernode.inputs,
+                max_nodes=max_nodes,
+                cache_capacity=config.cache_capacity,
+            )
         except BddSizeExceeded:
-            for member in _members_topological(network, supernode):
-                if member not in built:
-                    build_singleton(member)
-            continue
+            if key is not None:
+                builds[key] = None
+            return False
         # Only the cone root survives the build: collect the member
         # signals' intermediate BDDs so downstream sifting/decomposition
         # starts from a store holding exactly the live function.
         mgr.gc([root])
         built[supernode.output] = (supernode, mgr, root)
+        if key is not None:
+            builds[key] = built[supernode.output]
+            firsts[supernode.output] = supernode
+        return True
+
+    def build_singleton(name: str) -> None:
+        singleton = Supernode(name, {name})
+        singleton.inputs = _input_order(network, singleton)
+        # Single SOP nodes cannot blow up: no node budget.
+        build(singleton, None)
+
+    for supernode in partition(network, config):
+        if not build(supernode, config.max_bdd_nodes):
+            for member in _members_topological(network, supernode):
+                if member not in built:
+                    build_singleton(member)
 
     # Closure pass: materialize referenced-but-unemitted signals.
     emitted = set(network.inputs) | set(built)

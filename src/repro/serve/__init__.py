@@ -27,10 +27,9 @@ The stack, bottom up:
   byte-identical and interrupted jobs re-run;
 * :mod:`.wire` — the JSON wire format: submission validation, status
   payloads, NDJSON progress lines;
-* :mod:`.server` — :class:`AsyncHttpServer`, the reusable hardened
-  HTTP/1.1 front end (read timeouts, header caps, keep-alive, bearer
-  auth), and :class:`SynthesisService` on top of it: submit/status/
-  result/cancel/events endpoints, queue backpressure (429 +
+* :mod:`.server` — :class:`SynthesisService`: a hardened HTTP/1.1
+  front end (read timeouts, header caps, keep-alive, bearer auth) over
+  submit/status/result/cancel/events endpoints, queue backpressure (429 +
   ``Retry-After`` past ``max_pending``), a
   :class:`~repro.flows.WarmPoolManager` of reusable worker pools and
   (optionally) a shared-memory :class:`~repro.bdd.BddArena` those
@@ -81,7 +80,6 @@ from .server import (
     AUTH_TOKEN_ENV,
     DEFAULT_ARENA_CIRCUITS,
     DEFAULT_IDLE_TIMEOUT,
-    AsyncHttpServer,
     SynthesisService,
     run_server,
 )
@@ -109,7 +107,6 @@ __all__ = [
     "RUNNING",
     "SCHEMA",
     "TERMINAL_STATES",
-    "AsyncHttpServer",
     "Job",
     "JobJournal",
     "JobQueue",

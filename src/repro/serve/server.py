@@ -108,29 +108,119 @@ DEFAULT_ARENA_CIRCUITS = ("alu2", "f51m", "vda", "misex3")
 DEFAULT_ARENA_MAX_NODES = 200_000
 
 
-class AsyncHttpServer:
-    """The reusable, hardened HTTP/1.1 front end.
+class SynthesisService:
+    """Store + queue + HTTP listener, wired together.
 
-    Owns everything between the socket and the route handler: request
-    framing with idle timeouts, header caps, keep-alive semantics, the
-    lingering close, bearer-token auth and the error funnel.  Subclasses
-    implement :meth:`_route`; :class:`SynthesisService` serves jobs with
-    it.
+    The listener is a hardened HTTP/1.1 front end: request framing with
+    idle timeouts, header caps, keep-alive semantics, the lingering
+    close, bearer-token auth and the error funnel, in front of
+    :meth:`_route`.
     """
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 0,
+        concurrency: int = 2,
+        event_cap: int | None = DEFAULT_EVENT_CAP,
+        max_finished_jobs: int | None = None,
         idle_timeout: float | None = DEFAULT_IDLE_TIMEOUT,
+        result_cache_size: int | None = DEFAULT_RESULT_CACHE_SIZE,
+        warm_pools: bool = True,
+        arena_circuits: "tuple[str, ...] | list[str] | None" = None,
+        arena_max_nodes: int = DEFAULT_ARENA_MAX_NODES,
+        arena_refresh: bool = False,
+        journal_path: "str | os.PathLike | None" = None,
+        journal_fsync: bool = True,
+        journal_compact_bytes: int = DEFAULT_COMPACT_BYTES,
+        max_pending: int | None = None,
         auth_token: str | None = None,
+        max_attempts: int = 3,
     ) -> None:
+        """``idle_timeout=None`` disables read timeouts;
+        ``result_cache_size=None``/``0`` disables result caching;
+        ``warm_pools=False`` reverts to a fresh worker pool per batch;
+        ``arena_circuits`` names registry circuits to snapshot into a
+        shared BDD arena at startup (``None`` — the default, and what
+        the test suite uses — skips the snapshot; the CLI passes
+        :data:`DEFAULT_ARENA_CIRCUITS`); ``arena_refresh`` keeps the
+        snapshot *live* — each finished job's registry circuits that the
+        arena doesn't cover yet are built into the owner manager and a
+        new snapshot is published, so hot circuits stop being rebuilt at
+        all; ``journal_path`` makes the job store durable (append-only
+        NDJSON, replayed on :meth:`start`);
+        ``max_pending`` bounds the queued-job backlog (overflow answers
+        429 with ``Retry-After``); ``auth_token`` requires ``Bearer``
+        auth on every endpoint except ``/healthz``; ``max_attempts``
+        caps how many times journal replay will (re)start one job — a
+        job whose attempt records reach the cap is quarantined instead
+        of re-enqueued, ending a restart crash loop."""
+        if max_pending is not None and max_pending < 1:
+            raise ValueError("max_pending must be >= 1 (or None)")
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        self.journal = (
+            JobJournal(
+                journal_path,
+                fsync=journal_fsync,
+                compact_bytes=journal_compact_bytes,
+            )
+            if journal_path is not None
+            else None
+        )
+        self.store = JobStore(
+            event_cap=event_cap,
+            max_finished_jobs=max_finished_jobs,
+            journal=self.journal,
+        )
+        self.metrics = ServiceMetrics()
+        self.result_cache = (
+            ResultCache(result_cache_size) if result_cache_size else None
+        )
+        # One parked pool per concurrent job: concurrent one-circuit jobs
+        # each hold a one-worker pool, and a smaller bound would
+        # terminate one at every release and cold-spawn it on the next.
+        self.pool_manager = WarmPoolManager(max_idle_per_size=concurrency) if warm_pools else None
+        self.queue = JobQueue(
+            concurrency=concurrency,
+            pool_manager=self.pool_manager,
+            result_cache=self.result_cache,
+            metrics=self.metrics,
+        )
         self._host = host
         self._port = port
         self._idle_timeout = idle_timeout
         self._auth_token = auth_token
         self._server: asyncio.base_events.Server | None = None
+        self._max_pending = max_pending
+        self._max_attempts = max_attempts
+        self.last_replay: ReplayResult | None = None
+        self._arena_circuits = tuple(arena_circuits or ())
+        self._arena_max_nodes = arena_max_nodes
+        self._arena_refresh = arena_refresh
+        self._arena: BddArena | None = None
+        self._arena_info: dict | None = None
+        # Refresh machinery: the owner manager the snapshot grows in,
+        # the circuits it covers, snapshots superseded by a refresh
+        # (kept mapped until shutdown — executor threads mid-verify may
+        # still read them), and a lock serializing refresh builds.
+        self._arena_manager: BDD | None = None
+        #: Root edges in the *owner manager's* numbering — republish
+        #: must start from these (an arena's own root edges are
+        #: renumbered by export and mean nothing to the manager).
+        self._arena_roots: dict[str, int] = {}
+        self._arena_published: set[str] = set()
+        #: Circuits a refresh (or the startup build) failed on — never
+        #: retried: a BDD over the arena budget stays over budget, and
+        #: each doomed attempt costs a full build before it trips.
+        self._arena_skipped: set[str] = set()
+        self._retired_arenas: list[BddArena] = []
+        self._refresh_lock = threading.Lock()
+        self.arena_refreshes = 0
 
+    # ------------------------------------------------------------------
+    # HTTP front end
+    # ------------------------------------------------------------------
     async def _start_listener(self) -> tuple[str, int]:
         """Bind and return the actual ``(host, port)`` (with ``port=0``
         the kernel picks)."""
@@ -148,21 +238,6 @@ class AsyncHttpServer:
         except asyncio.TimeoutError:  # a client holding a dead connection
             pass
         self._server = None
-
-    async def _route(
-        self,
-        writer: asyncio.StreamWriter,
-        method: str,
-        path: str,
-        query: dict[str, list[str]],
-        body: bytes,
-        keep_alive: bool = False,
-        headers: dict[str, str] | None = None,
-    ) -> bool:
-        """Dispatch one request; subclass responsibility.  Returns True
-        when the response was a stream whose end is signalled by closing
-        the connection, so the caller must not reuse the socket."""
-        raise NotImplementedError
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -360,109 +435,6 @@ class AsyncHttpServer:
             status=401,
             headers={"WWW-Authenticate": "Bearer"},
         )
-
-
-class SynthesisService(AsyncHttpServer):
-    """Store + queue + HTTP listener, wired together."""
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        concurrency: int = 2,
-        event_cap: int | None = DEFAULT_EVENT_CAP,
-        max_finished_jobs: int | None = None,
-        idle_timeout: float | None = DEFAULT_IDLE_TIMEOUT,
-        result_cache_size: int | None = DEFAULT_RESULT_CACHE_SIZE,
-        warm_pools: bool = True,
-        arena_circuits: "tuple[str, ...] | list[str] | None" = None,
-        arena_max_nodes: int = DEFAULT_ARENA_MAX_NODES,
-        arena_refresh: bool = False,
-        journal_path: "str | os.PathLike | None" = None,
-        journal_fsync: bool = True,
-        journal_compact_bytes: int = DEFAULT_COMPACT_BYTES,
-        max_pending: int | None = None,
-        auth_token: str | None = None,
-        max_attempts: int = 3,
-    ) -> None:
-        """``idle_timeout=None`` disables read timeouts;
-        ``result_cache_size=None``/``0`` disables result caching;
-        ``warm_pools=False`` reverts to a fresh worker pool per batch;
-        ``arena_circuits`` names registry circuits to snapshot into a
-        shared BDD arena at startup (``None`` — the default, and what
-        the test suite uses — skips the snapshot; the CLI passes
-        :data:`DEFAULT_ARENA_CIRCUITS`); ``arena_refresh`` keeps the
-        snapshot *live* — each finished job's registry circuits that the
-        arena doesn't cover yet are built into the owner manager and a
-        new snapshot is published, so hot circuits stop being rebuilt at
-        all; ``journal_path`` makes the job store durable (append-only
-        NDJSON, replayed on :meth:`start`);
-        ``max_pending`` bounds the queued-job backlog (overflow answers
-        429 with ``Retry-After``); ``auth_token`` requires ``Bearer``
-        auth on every endpoint except ``/healthz``; ``max_attempts``
-        caps how many times journal replay will (re)start one job — a
-        job whose attempt records reach the cap is quarantined instead
-        of re-enqueued, ending a restart crash loop."""
-        if max_pending is not None and max_pending < 1:
-            raise ValueError("max_pending must be >= 1 (or None)")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        self.journal = (
-            JobJournal(
-                journal_path,
-                fsync=journal_fsync,
-                compact_bytes=journal_compact_bytes,
-            )
-            if journal_path is not None
-            else None
-        )
-        self.store = JobStore(
-            event_cap=event_cap,
-            max_finished_jobs=max_finished_jobs,
-            journal=self.journal,
-        )
-        self.metrics = ServiceMetrics()
-        self.result_cache = (
-            ResultCache(result_cache_size) if result_cache_size else None
-        )
-        # One parked pool per concurrent job: concurrent one-circuit jobs
-        # each hold a one-worker pool, and a smaller bound would
-        # terminate one at every release and cold-spawn it on the next.
-        self.pool_manager = WarmPoolManager(max_idle_per_size=concurrency) if warm_pools else None
-        self.queue = JobQueue(
-            concurrency=concurrency,
-            pool_manager=self.pool_manager,
-            result_cache=self.result_cache,
-            metrics=self.metrics,
-        )
-        super().__init__(
-            host=host, port=port, idle_timeout=idle_timeout, auth_token=auth_token
-        )
-        self._max_pending = max_pending
-        self._max_attempts = max_attempts
-        self.last_replay: ReplayResult | None = None
-        self._arena_circuits = tuple(arena_circuits or ())
-        self._arena_max_nodes = arena_max_nodes
-        self._arena_refresh = arena_refresh
-        self._arena: BddArena | None = None
-        self._arena_info: dict | None = None
-        # Refresh machinery: the owner manager the snapshot grows in,
-        # the circuits it covers, snapshots superseded by a refresh
-        # (kept mapped until shutdown — executor threads mid-verify may
-        # still read them), and a lock serializing refresh builds.
-        self._arena_manager: BDD | None = None
-        #: Root edges in the *owner manager's* numbering — republish
-        #: must start from these (an arena's own root edges are
-        #: renumbered by export and mean nothing to the manager).
-        self._arena_roots: dict[str, int] = {}
-        self._arena_published: set[str] = set()
-        #: Circuits a refresh (or the startup build) failed on — never
-        #: retried: a BDD over the arena budget stays over budget, and
-        #: each doomed attempt costs a full build before it trips.
-        self._arena_skipped: set[str] = set()
-        self._retired_arenas: list[BddArena] = []
-        self._refresh_lock = threading.Lock()
-        self.arena_refreshes = 0
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -10,9 +10,10 @@ counters, the Table-II row, the mapped cell histogram and the sha256 of
 the optimized and mapped netlists.  It was written while the recipes
 still existed and this suite proved every pipeline identical to them;
 since then only its op-cache counters moved: when the engine's shape
-memo stopped repeating the BDD work of decisions already taken, and
-when the engine stopped searching for majority splits of functions with
-one BDD node per support variable.
+memo stopped repeating the BDD work of decisions already taken, when
+the engine stopped searching for majority splits of functions with one
+BDD node per support variable, and when the BDS flows began to build,
+sift and decompose each distinct supernode structure once per run.
 
 If an intentional change moves these numbers, regenerate the golden
 with::

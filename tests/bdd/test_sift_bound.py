@@ -1,13 +1,15 @@
-"""The sifter's lower bound: a pass that cannot gain makes no swap.
+"""The sifter's lower bounds: a pass or a walk that cannot gain stops.
 
 A reduced BDD keeps at least one node per support variable in every
 order, and a sifting walk moves its variable only on a strict gain.  So
 a "thin" store (one node per occupied level, plus the terminal) is
 returned unchanged without a swap, and variables outside the support
-are never walked.  These tests pin that the skips change no result: the
-bounded :meth:`BDD.sift` ends on the same order, size and ``changed``
-flag as the rebuild baseline (:func:`sift_rebuild`) and as the frozen
-unbounded pass (:func:`.reference_kernels.ref_sift`).
+are never walked.  A walk also stops once the levels it has passed,
+whose nodes no longer change, prove that no further stop can win.
+These tests pin that the skips change no result: the bounded
+:meth:`BDD.sift` ends on the same order, size and ``changed`` flag as
+the rebuild baseline (:func:`sift_rebuild`) and as the frozen unbounded
+pass (:func:`.reference_kernels.ref_sift`).
 """
 
 from __future__ import annotations
@@ -144,4 +146,20 @@ class TestTightness:
         reference = ref_sift(ref_mgr, [ref_mgr.from_expr("a & (b | c)")], None)
         assert ref_mgr.var_names == mgr.var_names
         # The reference also walks ``d``, which is outside the support.
+        assert result.swaps < reference.swaps
+
+    def test_upward_cut_keeps_the_topmost_tie(self):
+        """An upward walk may stop only once its bound *exceeds* the best
+        size seen: a higher stop of equal size wins the tie.  Stopping
+        when the bound merely reaches it leaves ``c`` under ``a``."""
+        names = list("abcd")
+        mgr = BDD(names)
+        f = mgr.from_truth_table(0xF0FC, names)
+        result = mgr.sift([f])
+        assert mgr.var_names == ("c", "a", "b", "d")
+
+        ref_mgr = BDD(names)
+        reference = ref_sift(ref_mgr, [ref_mgr.from_truth_table(0xF0FC, names)], None)
+        assert ref_mgr.var_names == mgr.var_names
+        assert result.final_size == reference.final_size
         assert result.swaps < reference.swaps

@@ -1,4 +1,4 @@
-"""The engine's shape-keyed decision memo.
+"""The flows' two memos: decisions by shape, supernodes by structure.
 
 Engines of one flow run share a memo from function shapes to decisions
 (:meth:`repro.bdd.BDD.support_shape`), so a function that recurs in
@@ -7,6 +7,15 @@ replayed.  That is only sound if a decision is a function of the shape
 alone.  The oracle here recomputes the decision on every memo hit and
 compares; the end-to-end checks require shared-memo and per-engine-memo
 runs to build the very same trees and step counts.
+
+Above the engine, the ``build-bdds`` stage builds each supernode
+structure (:func:`repro.network.partition.structure_key`) once, and the
+``decompose`` stage replays one recorded :class:`~repro.core.TreeTape`
+per structure.  Its oracle rebuilds every structure hit the slow way
+(its own manager, sifted, a fresh engine) and requires the tape, the
+steps and the sift outcome of the first supernode with that structure;
+end to end, the stage must build the trees of the slow way for every
+supernode.
 """
 
 from __future__ import annotations
@@ -21,7 +30,8 @@ from repro.api import get_pipeline
 from repro.bdd import BDD
 from repro.benchgen import build_benchmark
 from repro.benchgen.random_logic import random_control_network
-from repro.core import DecompositionEngine, TreeBuilder, find_m_dominators
+from repro.core import DecompositionEngine, TreeBuilder, TreeTape, find_m_dominators
+from repro.network import supernode_bdd
 
 from ..conftest import random_function
 
@@ -45,23 +55,42 @@ def tree_nodes(builder):
     return [(builder.op(i), builder.children(i), builder.payload(i)) for i in range(len(builder))]
 
 
+STEPS = ("majority", "and_or", "xor", "mux")
+
+
+def fresh_bdd(network, config, supernode):
+    """``supernode``'s own local BDD, built and sifted as the ``build-bdds``
+    and ``reorder`` stages would without the structure memo; returns
+    ``(mgr, root, sift changed the order)``."""
+    mgr, root = supernode_bdd(
+        network,
+        supernode.output,
+        supernode.members,
+        supernode.inputs,
+        cache_capacity=config.partition.cache_capacity,
+    )
+    return mgr, root, mgr.sift([root]).changed
+
+
 def decompose_network(network, flow, engine_class=DecompositionEngine, shared=True):
-    """Run ``flow`` up to its reorder stage, then decompose every
-    supernode the way the ``decompose`` stage does.
+    """Partition ``network`` as ``flow`` does, then build, sift and
+    decompose every supernode the slow way: its own manager and engine.
 
     Returns ``(tree_nodes, roots, steps, memo_hits)``.
     """
-    ctx = get_pipeline(flow).up_to("reorder").run_context(network)
+    ctx = get_pipeline(flow).up_to("build-bdds").run_context(network)
     builder = TreeBuilder()
     memo: dict = {}
     roots = {}
-    steps = {"majority": 0, "and_or": 0, "xor": 0, "mux": 0}
+    steps = dict.fromkeys((*STEPS, "sifted"), 0)
     memo_hits = 0
-    for supernode, mgr, root in ctx.scratch["partitions"]:
+    for supernode, _mgr, _root in ctx.scratch["partitions"]:
+        mgr, root, changed = fresh_bdd(network, ctx.config, supernode)
         engine = engine_class(mgr, builder, ctx.config.engine, memo if shared else None)
         roots[supernode.output] = engine.decompose(root)
-        for key in steps:
+        for key in STEPS:
             steps[key] += getattr(engine.stats, key)
+        steps["sifted"] += changed
         memo_hits += engine.stats.memo_hits
     return tree_nodes(builder), roots, steps, memo_hits
 
@@ -75,6 +104,37 @@ def assert_memo_is_transparent(network, flow):
     return shared[3]
 
 
+def fresh_tape(network, config, supernode):
+    """``supernode`` built, sifted and decomposed the slow way, on a tape:
+    ``(calls, tape root, steps, sift changed the order)``."""
+    mgr, root, changed = fresh_bdd(network, config, supernode)
+    tape = TreeTape(supernode.inputs)
+    engine = DecompositionEngine(mgr, tape, config.engine)
+    tape_root = engine.decompose(root)
+    steps = tuple(getattr(engine.stats, key) for key in STEPS)
+    return tape.calls, tape_root, steps, changed
+
+
+def assert_structure_hits_replay_fresh_builds(network, flow):
+    """Every supernode that shares its first's build decomposes, the slow
+    way, into the first's tape, steps and sift outcome; returns the hits."""
+    ctx = get_pipeline(flow).up_to("build-bdds").run_context(network)
+    firsts = ctx.scratch["firsts"]
+    expected = {}
+    hits = 0
+    for supernode, _mgr, _root in ctx.scratch["partitions"]:
+        first = firsts[supernode.output]
+        if first is supernode:
+            continue
+        hits += 1
+        if first.output not in expected:
+            expected[first.output] = fresh_tape(network, ctx.config, first)
+        assert fresh_tape(network, ctx.config, supernode) == expected[first.output], (
+            f"{supernode.output} does not decompose like {first.output}"
+        )
+    return hits
+
+
 @pytest.mark.parametrize("flow", ["bds-maj", "bds-pga"])
 @pytest.mark.parametrize("circuit", ["alu2", "c6288", "add4x16"])
 def test_registry_memo_hits_replay_fresh_decisions(circuit, flow):
@@ -82,6 +142,8 @@ def test_registry_memo_hits_replay_fresh_decisions(circuit, flow):
     hits = assert_memo_is_transparent(network, flow)
     if circuit == "c6288":
         assert hits > 0  # the multiplier's bit slices repeat
+    structure_hits = assert_structure_hits_replay_fresh_builds(network, flow)
+    assert structure_hits > {"alu2": 0, "c6288": 400, "add4x16": 60}[circuit]
 
 
 @pytest.mark.parametrize("flow", ["bds-maj", "bds-pga"])
@@ -99,6 +161,7 @@ def test_decompose_stage_matches_per_engine_memos(flow):
         "and_or": trace.and_or_steps,
         "xor": trace.xor_steps,
         "mux": trace.mux_steps,
+        "sifted": trace.sifted,
     }
 
 
@@ -111,6 +174,11 @@ def test_decompose_stage_matches_per_engine_memos(flow):
 def test_property_memo_is_transparent_on_random_networks(seed, xor_fraction, flow):
     network = random_control_network("rnd", 8, 4, 40, seed=seed, xor_fraction=xor_fraction)
     assert_memo_is_transparent(network, flow)
+    assert_structure_hits_replay_fresh_builds(network, flow)
+    ctx = get_pipeline(flow).up_to("decompose").run_context(network)
+    tree, roots, _, _ = decompose_network(network, flow, shared=False)
+    assert tree_nodes(ctx.scratch["builder"]) == tree
+    assert ctx.scratch["roots"] == roots
 
 
 def _build_with_history(table, names, junk_seed):

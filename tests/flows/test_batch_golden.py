@@ -8,8 +8,10 @@ golden was last regenerated when the engine began deciding each
 distinct function shape once per circuit and replaying the decision in
 other supernode managers, and again when it stopped running the
 majority search on functions whose BDD has one node per support
-variable (no triple of those can pass the global test).  Both times
-every QoR field stayed the same and only the ``cache`` counters fell.
+variable (no triple of those can pass the global test), and again when
+the flows began to build, sift and decompose each distinct supernode
+structure once per circuit.  Each time every QoR field stayed the same
+and only the ``cache`` counters fell.
 
 If an intentional change moves these numbers, regenerate the golden
 with::

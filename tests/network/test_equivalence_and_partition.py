@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from repro.network import (
     LogicNetwork,
     NetworkError,
     PartitionConfig,
+    Supernode,
     bdd_equivalent,
     check_equivalence,
     cover_to_bdd,
@@ -24,7 +26,12 @@ from repro.network import (
 from repro.api import get_pipeline
 from repro.bdd import BDD
 from repro.flows import DcFlowConfig
+from repro.benchgen import build_benchmark
 from repro.network.bdds import supernode_bdd
+from repro.network.partition import structure_key
+
+# The module, not the ``partition`` function the package exports.
+partition_module = importlib.import_module("repro.network.partition")
 
 
 def ripple_adder(bits: int, name: str = "rca") -> LogicNetwork:
@@ -250,3 +257,83 @@ class TestNodeBudget:
         partitions = ctx.scratch["partitions"]
         assert len(partitions) == self.PAIRS + 1
         assert all(mgr.op_cache.capacity == 64 for _s, mgr, _r in partitions)
+
+
+class TestStructureMemo:
+    """``partition_with_bdds(..., firsts)`` builds each distinct
+    supernode structure once; every other supernode shares that build."""
+
+    @staticmethod
+    def functions(entries, firsts=None):
+        """Per supernode: its fields and its function over input positions
+        (a shared manager's variables are its first's inputs)."""
+        rows = []
+        for supernode, mgr, root in entries:
+            names = supernode.inputs if firsts is None else firsts[supernode.output].inputs
+            function = mgr.truth_table(root, names)
+            rows.append((supernode.output, supernode.inputs, sorted(supernode.members), function))
+        return rows
+
+    def test_equal_structures_have_equal_keys(self):
+        net = ripple_adder(6)
+        by_output = {s.output: s for s in partition(net)}
+        # Two middle bit slices: same wiring over other input names.
+        assert structure_key(net, by_output["s3"]) == structure_key(net, by_output["s4"])
+        assert structure_key(net, by_output["s0"]) != structure_key(net, by_output["s3"])
+
+    def test_key_reads_each_field_the_build_reads(self):
+        """Supernodes alike but for an ``inverted`` flag, a cover or the
+        fanin wiring get different keys, and the flow keeps them apart."""
+        net = LogicNetwork("fields")
+        for i in range(5):
+            net.add_input(f"a{i}")
+            net.add_input(f"b{i}")
+        net.add_and("y0", "a0", "b0")
+        net.add_nand("y1", "a1", "b1")
+        net.add_or("y2", "a2", "b2")
+        # a·(a + b) vs b·(a + b): the same covers, wired apart.
+        net.add_or("t3", "a3", "b3")
+        net.add_and("y3", "t3", "a3")
+        net.add_or("t4", "a4", "b4")
+        net.add_and("y4", "t4", "b4")
+        for i in range(5):
+            net.add_output(f"y{i}")
+        supernodes = partition(net)
+        keys = {structure_key(net, s) for s in supernodes}
+        assert len(supernodes) == len(keys) == 5
+        result = get_pipeline("bds-pga").run(net)
+        assert result.equivalence is not None and result.equivalence.equivalent
+
+    @pytest.mark.parametrize("budget", [12, 220])
+    def test_each_structure_is_built_or_demoted_once(self, budget, monkeypatch):
+        """A tight budget demotes repeated clusters: the memo demotes each
+        structure once, and shared and unshared partitions agree."""
+        net = build_benchmark("add4x16")
+        config = PartitionConfig(max_support=10, max_bdd_nodes=budget)
+        builds = []
+
+        def counting_bdd(network, output, members, inputs, max_nodes=None, **kwargs):
+            key = (max_nodes, structure_key(network, Supernode(output, members, list(inputs))))
+            try:
+                result = supernode_bdd(network, output, members, inputs, max_nodes, **kwargs)
+            except BddSizeExceeded:
+                builds.append((key, "demoted"))
+                raise
+            builds.append((key, "built"))
+            return result
+
+        monkeypatch.setattr(partition_module, "supernode_bdd", counting_bdd)
+        plain = partition_with_bdds(net, config)
+        plain_builds, builds[:] = list(builds), []
+        firsts: dict = {}
+        shared = partition_with_bdds(net, config, firsts)
+        assert self.functions(shared, firsts) == self.functions(plain)
+        assert len(builds) == len(set(builds)) < len(plain_builds)
+        assert set(builds) == set(plain_builds)
+        if budget == 12:
+            demoted = [key for key, outcome in plain_builds if outcome == "demoted"]
+            assert len(demoted) > len(set(demoted)), "no repeated structure was demoted"
+        for supernode, _mgr, _root in shared:
+            first = firsts[supernode.output]
+            assert firsts[first.output] is first
+            assert structure_key(net, supernode) == structure_key(net, first)
