@@ -12,16 +12,16 @@ Scratch-space keys used between stages of one flow:
 ========== ==========================================================
 key        producer -> consumer
 ========== ==========================================================
-partitions ``build-bdds``/``collapse`` -> ``reorder``/``decompose``
-firsts     ``build-bdds`` -> ``reorder``/``decompose``: each supernode
-           output -> the first supernode of its structure, whose
-           manager and root its ``partitions`` entry shares
+partitions ``build-bdds``/``collapse`` -> ``reorder``/``decompose``/``rewrite``
+firsts     ``build-bdds``/``collapse`` -> ``reorder``/``decompose``/``rewrite``:
+           each supernode output -> the first supernode of its
+           structure, whose manager and root its ``partitions`` entry
+           shares
 trace      ``build-bdds`` -> every later BDS stage (and the batch layer)
 builder    ``build-bdds``/``collapse`` -> ``decompose`` -> ``rewrite``
 roots      ``decompose``/``rewrite`` tree roots per supernode output
 aig        ``strash`` -> ``rewrite`` -> ``emit`` (ABC flow)
 hard       ``collapse`` -> ``rewrite`` (DC flow's preserved RTL gates)
-emitter    ``collapse`` -> ``rewrite`` (DC flow's gate emitter)
 ========== ==========================================================
 """
 
@@ -237,7 +237,13 @@ class EmitFromAig:
 # ----------------------------------------------------------------------
 class CollapseNetwork:
     """Partial collapse preserving RTL XOR/MUX operators (the DC-like
-    flow's conservative flattening)."""
+    flow's conservative flattening).
+
+    Like ``build-bdds``, it passes a structure-keyed memo to
+    :func:`~repro.network.partition_with_bdds`, so each distinct
+    supernode structure is built once per flow run and its copies share
+    the first one's manager and root.
+    """
 
     name = "collapse"
     optimize_timed = True
@@ -251,28 +257,40 @@ class CollapseNetwork:
             if kind in ("xor", "mux"):
                 hard.add(name)
         partition_config = dataclasses.replace(config.partition, hard_signals=frozenset(hard))
-        builder = TreeBuilder()
-        emitter = GateEmitter(
-            literal=lambda name, phase: (
-                builder.literal(name) if phase else builder.not_(builder.literal(name))
-            ),
-            and2=builder.and_,
-            or2=builder.or_,
-            const=builder.const,
-        )
+        firsts: dict[str, Supernode] = {}
         ctx.scratch.update(
-            partitions=partition_with_bdds(network, partition_config),
+            partitions=partition_with_bdds(network, partition_config, firsts),
+            firsts=firsts,
             hard=hard,
-            builder=builder,
-            emitter=emitter,
+            builder=TreeBuilder(),
             roots={},
         )
         return ctx
 
 
+def _tape_emitter(tape: TreeTape) -> GateEmitter:
+    """A :func:`factor_expression` emitter recording on ``tape``."""
+    return GateEmitter(
+        literal=lambda name, phase: (
+            tape.literal(name) if phase else tape.not_(tape.literal(name))
+        ),
+        and2=tape.and_,
+        or2=tape.or_,
+        const=lambda value: tape.CONST1 if value else tape.CONST0,
+    )
+
+
 class FactorCovers:
     """Minimize each supernode as a two-level cover and factor it into
-    gates, re-emitting preserved RTL operators verbatim."""
+    gates, re-emitting preserved RTL operators verbatim.
+
+    The cover is computed once per structure: its rows are positional,
+    so every copy has the first one's.  Factoring reads the names only
+    through their sorted order (literal ties break by name), so it runs
+    once per structure and rank of the input names, on a
+    :class:`TreeTape` that every supernode with that key, the first
+    included, replays onto the shared builder under its own names.
+    """
 
     name = "rewrite"
     optimize_timed = True
@@ -281,9 +299,11 @@ class FactorCovers:
         network = ctx.require("network")
         scratch = ctx.scratch
         builder = scratch["builder"]
-        emitter = scratch["emitter"]
+        firsts = scratch["firsts"]
         hard = scratch["hard"]
         roots = scratch["roots"]
+        covers: dict[str, tuple[str, ...]] = {}
+        tapes: dict[tuple[str, tuple[int, ...]], tuple[TreeTape, int]] = {}
         for supernode, mgr, root in scratch["partitions"]:
             name = supernode.output
             if name in hard:
@@ -308,13 +328,21 @@ class FactorCovers:
                         tree = builder.not_(tree)
                 roots[name] = tree
                 continue
-            rows = isop_cover_rows(mgr, root, supernode.inputs)
-            rows = list(simplify_cover(rows))
-            if not rows:
-                roots[name] = builder.CONST0
-                continue
-            expression = expression_from_cover(rows, supernode.inputs)
-            roots[name] = factor_expression(expression, emitter)
+            first = firsts[name]
+            inputs = supernode.inputs
+            key = (first.output, tuple(sorted(range(len(inputs)), key=inputs.__getitem__)))
+            taped = tapes.get(key)
+            if taped is None:
+                rows = covers.get(first.output)
+                if rows is None:
+                    rows = covers[first.output] = simplify_cover(
+                        isop_cover_rows(mgr, root, first.inputs)
+                    )
+                tape = TreeTape(inputs)
+                expression = expression_from_cover(rows, inputs)
+                taped = tapes[key] = (tape, factor_expression(expression, _tape_emitter(tape)))
+            tape, tape_root = taped
+            roots[name] = tape.replay(builder, inputs, tape_root)
         ctx.optimized = network_from_trees(
             builder,
             roots,

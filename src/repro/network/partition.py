@@ -211,7 +211,8 @@ def partition_with_bdds(
     with the key shares the first one's manager and root, and
     ``firsts`` maps every supernode output to the supernode its manager
     was built for (itself for a first).  The manager's variables are
-    that supernode's inputs.
+    that supernode's inputs.  Both BDD-partitioned flows pass it: the
+    BDS flows' ``build-bdds`` stage and the DC flow's ``collapse``.
     """
     if config is None:
         config = PartitionConfig()

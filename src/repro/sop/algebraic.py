@@ -194,9 +194,10 @@ def factor_expression(expr: Expression, emit: GateEmitter) -> object:
                 return emit.or2(product, factor_expression(remainder, emit))
             return product
 
-    # Literal factoring fallback: pull out the most frequent literal.
+    # Literal factoring fallback: pull out the most frequent literal,
+    # the first in sorted order on a tie (never set iteration order).
     counts = literal_counts(expr)
-    literal, count = max(counts.items(), key=lambda item: item[1])
+    literal, count = min(counts.items(), key=lambda item: (-item[1], item[0]))
     if count >= 2:
         divisor = Expression([Cube([literal])])
         quotient, remainder = weak_division(expr, divisor)

@@ -16,6 +16,12 @@ per structure.  Its oracle rebuilds every structure hit the slow way
 steps and the sift outcome of the first supernode with that structure;
 end to end, the stage must build the trees of the slow way for every
 supernode.
+
+The DC-like flow's ``collapse`` stage shares the structure memo, and its
+``rewrite`` stage computes one cover per structure and replays one
+factoring tape per structure and rank of the input names.  Its oracle
+builds, minimizes and factors every supernode the slow way, straight
+onto a builder; the stage must build the same trees.
 """
 
 from __future__ import annotations
@@ -28,10 +34,13 @@ from hypothesis import strategies as st
 
 from repro.api import get_pipeline
 from repro.bdd import BDD
+from repro.bdd.isop import isop_cover_rows
 from repro.benchgen import build_benchmark
 from repro.benchgen.random_logic import random_control_network
 from repro.core import DecompositionEngine, TreeBuilder, TreeTape, find_m_dominators
-from repro.network import supernode_bdd
+from repro.mapping.mapper import classify_gate
+from repro.network import LogicNetwork, supernode_bdd
+from repro.sop import GateEmitter, expression_from_cover, factor_expression, simplify_cover
 
 from ..conftest import random_function
 
@@ -179,6 +188,97 @@ def test_property_memo_is_transparent_on_random_networks(seed, xor_fraction, flo
     tree, roots, _, _ = decompose_network(network, flow, shared=False)
     assert tree_nodes(ctx.scratch["builder"]) == tree
     assert ctx.scratch["roots"] == roots
+
+
+def preserved_gate(builder, node):
+    """The DC flow's verbatim re-emission of a preserved XOR/MUX node."""
+    kind, out_inv, fanins = classify_gate(node)
+    literals = [builder.literal(fanin) for fanin in fanins]
+    if kind == "xor":
+        return builder.xnor(*literals) if out_inv else builder.xor(*literals)
+    tree = builder.mux(*literals)
+    return builder.not_(tree) if out_inv else tree
+
+
+def factor_network(network):
+    """Partition ``network`` as the DC flow does, then build, minimize
+    and factor every supernode the slow way: its own manager, straight
+    onto one builder.  Returns ``(tree_nodes, roots)``."""
+    ctx = get_pipeline("dc").up_to("collapse").run_context(network)
+    hard = ctx.scratch["hard"]
+    builder = TreeBuilder()
+    emitter = GateEmitter(
+        literal=lambda name, phase: (
+            builder.literal(name) if phase else builder.not_(builder.literal(name))
+        ),
+        and2=builder.and_,
+        or2=builder.or_,
+        const=builder.const,
+    )
+    roots = {}
+    for supernode, _mgr, _root in ctx.scratch["partitions"]:
+        name = supernode.output
+        if name in hard:
+            roots[name] = preserved_gate(builder, network.node(name))
+            continue
+        mgr, root = supernode_bdd(
+            network,
+            name,
+            supernode.members,
+            supernode.inputs,
+            cache_capacity=ctx.config.partition.cache_capacity,
+        )
+        rows = list(simplify_cover(isop_cover_rows(mgr, root, supernode.inputs)))
+        if not rows:
+            roots[name] = builder.CONST0
+            continue
+        expression = expression_from_cover(rows, supernode.inputs)
+        roots[name] = factor_expression(expression, emitter)
+    return tree_nodes(builder), roots
+
+
+def assert_dc_rewrite_matches_fresh_factoring(network):
+    """The DC ``rewrite`` stage builds the slow way's trees and roots;
+    returns the number of supernodes that shared another's build."""
+    ctx = get_pipeline("dc").up_to("rewrite").run_context(network)
+    tree, roots = factor_network(network)
+    assert tree_nodes(ctx.scratch["builder"]) == tree
+    assert ctx.scratch["roots"] == roots
+    firsts = ctx.scratch["firsts"]
+    return sum(firsts[s.output] is not s for s, _, _ in ctx.scratch["partitions"])
+
+
+@pytest.mark.parametrize("circuit", ["alu2", "c6288", "add4x16"])
+def test_dc_rewrite_replays_fresh_factorings(circuit):
+    hits = assert_dc_rewrite_matches_fresh_factoring(build_benchmark(circuit))
+    assert hits > {"alu2": 0, "c6288": 400, "add4x16": 60}[circuit]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    xor_fraction=st.sampled_from([0.08, 0.3, 0.6]),
+)
+def test_property_dc_rewrite_replays_fresh_factorings(seed, xor_fraction):
+    network = random_control_network("rnd", 8, 4, 40, seed=seed, xor_fraction=xor_fraction)
+    assert_dc_rewrite_matches_fresh_factoring(network)
+
+
+def test_dc_factoring_is_keyed_by_the_rank_of_the_input_names():
+    """Two copies of one AND3 whose input names sort in opposite orders:
+    factoring emits a cube's literals in name order, so the copies'
+    trees differ in shape and must not share a factoring tape."""
+    network = LogicNetwork("ranks")
+    for name in "abcxyz":
+        network.add_input(name)
+    network.add_node("f", ["a", "b", "c"], ["111"])
+    network.add_node("g", ["z", "y", "x"], ["111"])
+    network.add_output("f")
+    network.add_output("g")
+    ctx = get_pipeline("dc").up_to("collapse").run_context(network)
+    firsts = ctx.scratch["firsts"]
+    assert firsts["g"] is firsts["f"]  # one structure
+    assert assert_dc_rewrite_matches_fresh_factoring(network) == 1
 
 
 def _build_with_history(table, names, junk_seed):

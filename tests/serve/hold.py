@@ -5,6 +5,11 @@ thread, in the test's own process, so a fault plan installed here
 reaches it.  A ``batch.stage`` stall keeps a fast job (alu2 synthesizes
 in a small fraction of a second) from finishing before the test's next
 request lands, which fixes the order instead of racing it.
+
+Pool workers see the plan only when they are forked from this process.
+The service starts its pools from an executor thread, through a
+forkserver, so a test that holds a pooled job must switch
+``repro.flows.batch._pool_context`` to the fork context.
 """
 
 from __future__ import annotations

@@ -262,38 +262,46 @@ def test_service_rejects_bad_concurrency(concurrency):
 
 
 class TestRunningPooledJobCancel:
-    def test_cancel_running_pooled_job_reaps_workers(self):
+    def test_cancel_running_pooled_job_reaps_workers(self, monkeypatch):
         """Regression: pool workers forked from a process with asyncio
         loop signal handlers (as installed by ``run_server``) inherit
         them; without the pool initializer resetting SIGTERM, the
         ``pool.terminate()`` on cancel deadlocked in ``join()`` and the
-        whole service froze."""
+        whole service froze.
+
+        The service's executor thread would start its pool through a
+        forkserver; forking it here instead puts the handlers in the
+        workers, and the workers inherit the installed stall, so c6288
+        is held at its first stage until the cancel reaps the pool.
+        """
+        import multiprocessing
         import signal
+
+        from repro.flows import batch
+
+        monkeypatch.setattr(batch, "_pool_context", lambda: multiprocessing.get_context("fork"))
 
         async def scenario(service, host, port):
             loop = asyncio.get_running_loop()
             loop.add_signal_handler(signal.SIGTERM, lambda: None)
             try:
-                _, job = await http_json(
-                    host,
-                    port,
-                    "POST",
-                    "/jobs",
-                    {"circuits": ["c6288", "wallace16"], "workers": 2},
-                )
-                deadline = loop.time() + 60
-                while True:
-                    _, payload = await http_json(
-                        host, port, "GET", f"/jobs/{job['id']}"
+                with stalled_first_stage("c6288", seconds=60):
+                    _, job = await http_json(
+                        host,
+                        port,
+                        "POST",
+                        "/jobs",
+                        {"circuits": ["c6288", "wallace16"], "workers": 2},
                     )
-                    if payload["status"] == "running":
-                        break
-                    assert loop.time() < deadline
-                    await asyncio.sleep(0.05)
-                await asyncio.sleep(0.5)  # let the pool fork and get busy
-                _, cancelled = await http_json(
-                    host, port, "POST", f"/jobs/{job['id']}/cancel"
-                )
+                    deadline = loop.time() + 60
+                    while True:
+                        _, payload = await http_json(host, port, "GET", f"/jobs/{job['id']}")
+                        if payload["status"] == "running":
+                            break
+                        assert loop.time() < deadline
+                        await asyncio.sleep(0.05)
+                    await asyncio.sleep(0.5)  # let the pool fork and get busy
+                    _, cancelled = await http_json(host, port, "POST", f"/jobs/{job['id']}/cancel")
                 assert cancelled["cancel_requested"] is True
                 # The service must stay responsive and the job must
                 # reach "cancelled" promptly — a deadlocked pool join

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 from repro.sop import (
+    algebraic,
     Cube,
     Expression,
     GateEmitter,
@@ -167,3 +168,47 @@ class TestFactoring:
     def test_expression_from_cover(self):
         expression = expression_from_cover(["11-", "1-0"], ["x", "y", "z"])
         assert expression == expr(("x", "y"), ("x", "~z"))
+
+
+class TestLiteralFallbackTieBreak:
+    """The literal fallback pulls out the most frequent literal and, on
+    a tie, the first in sorted order: never the iteration order of the
+    expression's sets, which follows string hashing."""
+
+    @staticmethod
+    def _first_literal(expression: Expression, monkeypatch) -> tuple[str, bool]:
+        # Without kernels every shared literal reaches the fallback.
+        monkeypatch.setattr(algebraic, "best_kernel", lambda _expression: None)
+        literals = []
+
+        def literal(name, phase):
+            literals.append((name, phase))
+            return name, phase
+
+        emitter = GateEmitter(
+            literal=literal,
+            and2=lambda left, right: (left, right),
+            or2=lambda left, right: (left, right),
+            const=lambda value: value,
+        )
+        factor_expression(expression, emitter)
+        return literals[0]
+
+    def test_tied_counts_pull_the_sorted_first_literal(self, monkeypatch):
+        # Ten 2x2 products, each a four-way tie at count 2: insertion or
+        # hash order would pick the sorted-first literal for all ten only
+        # by a one-in-a-million chance.
+        quads = ("wxyz", "qmca", "tsrp", "hdkb", "ngfe", "ulio", "vjab", "zyxw", "kcem", "phxy")
+        for names in quads:
+            first, second = names[:2], names[2:]
+            expression = expr(*((p, s) for p in first for s in second))
+            expected = min((name, True) for name in first + second)
+            assert self._first_literal(expression, monkeypatch) == expected, names
+
+    def test_complement_sorts_first_on_a_tie(self, monkeypatch):
+        expression = expr(("~a", "b"), ("~a", "c"), ("a", "d"), ("a", "e"))
+        assert self._first_literal(expression, monkeypatch) == ("a", False)
+
+    def test_higher_count_beats_the_sorted_first_literal(self, monkeypatch):
+        expression = expr(("a", "z"), ("b", "z"), ("c", "z"), ("a", "y"))
+        assert self._first_literal(expression, monkeypatch) == ("z", True)
