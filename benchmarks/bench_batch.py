@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import hashlib
 import json
 import os
 import platform
@@ -284,31 +285,27 @@ async def _poll_done(host: str, port: int, job_id: str) -> dict:
 
 
 def bench_service_throughput(
-    circuits: list[str], variants: int = 3, repeats: int = 2
+    circuits: list[str], copies: int = 3, repeats: int = 2
 ) -> dict:
     """Wall-clock for single-circuit jobs through one service
     (``concurrency=2``) at ``workers: 1`` vs ``workers: 2``.
 
-    Each circuit is submitted at ``variants`` distinct cache capacities
-    (a report-affecting knob), so no job is answered from the result
-    cache; three warm-up jobs run first, so the timed jobs find parked
-    pools.  At ``workers: 1`` the jobs share the executor threads and
-    their GIL; at ``workers: 2`` each runs in a parked one-worker pool,
-    so two jobs synthesize at once.  The two settings alternate
+    Each circuit is submitted ``copies`` times to a service without a
+    result cache, so every job is synthesized; three warm-up jobs run
+    first, so the timed jobs find parked pools.  At ``workers: 1`` the
+    jobs share the executor threads and their GIL; at ``workers: 2``
+    each runs in a parked one-worker pool, so two jobs synthesize at
+    once.  The two settings alternate
     ``repeats`` times, and every job's result bytes must match across
     all runs.
     """
     from repro.serve import SynthesisService
 
-    submissions = [
-        {"circuits": [key], "cache_capacity": 2000 + variant}
-        for variant in range(variants)
-        for key in circuits
-    ]
-    warmups = [{"circuits": [key], "cache_capacity": 1000} for key in circuits[:3]]
+    submissions = [{"circuits": [key]} for _ in range(copies) for key in circuits]
+    warmups = [{"circuits": [key]} for key in circuits[:3]]
 
     async def one(workers: int) -> tuple[float, list[bytes]]:
-        service = SynthesisService(port=0, concurrency=2)
+        service = SynthesisService(port=0, concurrency=2, result_cache_size=None)
         host, port = await service.start()
 
         async def run_jobs(bodies: list[dict]) -> list[str]:
@@ -368,7 +365,7 @@ def bench_replay_startup(jobs: int = 50) -> dict:
     jobs (distinct cache keys, so every one rehydrates its own result-
     cache entry), spot-checking the byte-identity contract."""
     from repro.api import InputItem
-    from repro.serve import JobRequest, JobStore, SynthesisService, submission_key
+    from repro.serve import JobRequest, JobStore, SynthesisService
     from repro.serve.journal import JobJournal
 
     report = run_batch(["alu2"], BatchConfig(flow="bds-maj"))
@@ -380,12 +377,11 @@ def bench_replay_startup(jobs: int = 50) -> dict:
         store = JobStore(journal=journal)
         items = [InputItem(name="alu2")]
         for index in range(jobs):
-            # Distinct cache keys without distinct synthesis runs: the
-            # cache capacity is a report-affecting (hence key-affecting)
-            # knob, so each job rehydrates its own entry on replay.
-            request = JobRequest(circuits=("alu2",), cache_capacity=2000 + index)
-            job = store.create(request, items)
-            job.cache_key = submission_key(items, request.batch_config())
+            # Distinct cache keys without distinct synthesis runs: a key
+            # is an opaque digest to replay, so each job rehydrates its
+            # own entry.
+            job = store.create(JobRequest(circuits=("alu2",)), items)
+            job.cache_key = hashlib.sha256(f"replay-{index}".encode()).hexdigest()
             job.finish(report)
         journal.close()
         journal_bytes = path.stat().st_size

@@ -2,7 +2,7 @@
 
 from .aig import Aig
 from .convert import aig_to_network, network_to_aig
-from .cuts import CutSet, cut_truth_table, enumerate_cuts
+from .cuts import cut_truth_table, enumerate_cuts
 from .opt import balance, refactor, resyn2, resyn_quick, rewrite
 from .truth import cover_to_table, full_mask, isop, synthesize_table, var_mask
 
@@ -10,7 +10,6 @@ __all__ = [
     "Aig",
     "aig_to_network",
     "balance",
-    "CutSet",
     "cover_to_table",
     "cut_truth_table",
     "enumerate_cuts",

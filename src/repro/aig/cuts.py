@@ -10,18 +10,8 @@ including truth-table computation per cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .aig import Aig
 from .truth import full_mask, var_mask
-
-
-@dataclass
-class CutSet:
-    """Cuts of one node: each cut is a sorted tuple of leaf node ids."""
-
-    node: int
-    cuts: list[tuple[int, ...]] = field(default_factory=list)
 
 
 def enumerate_cuts(

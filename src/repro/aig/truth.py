@@ -57,11 +57,6 @@ def cofactors(table: int, var: int, num_vars: int) -> tuple[int, int]:
     return negative & full, positive & full
 
 
-def table_depends_on(table: int, var: int, num_vars: int) -> bool:
-    negative, positive = cofactors(table, var, num_vars)
-    return negative != positive
-
-
 def isop(table: int, num_vars: int) -> list[str]:
     """Irredundant SOP of ``table`` as positional cover rows
     (Minato-Morreale recursion, no don't-cares)."""

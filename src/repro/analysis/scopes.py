@@ -22,7 +22,6 @@ every rule needs:
 from __future__ import annotations
 
 import ast
-from functools import lru_cache
 
 
 class ModuleContext:
@@ -227,12 +226,3 @@ def _import_table(tree: ast.Module, module: str) -> dict[str, str]:
                 bound = alias.asname or alias.name
                 table[bound] = f"{base}.{alias.name}" if base else alias.name
     return table
-
-
-@lru_cache(maxsize=None)
-def order_insensitive_builtins() -> frozenset[str]:
-    """Builtin consumers whose result does not depend on iteration
-    order — iterating a set into these is deterministic."""
-    return frozenset(
-        {"sorted", "len", "sum", "min", "max", "any", "all", "set", "frozenset"}
-    )

@@ -6,14 +6,20 @@ encoding, plus the variable order and a root directory keyed by
 caller-chosen strings (the serving layer uses ``"circuit/output"``) —
 serialized into one :mod:`multiprocessing.shared_memory` block.
 
-The point is the serving workload: every worker of every job used to
-rebuild the same registry circuits' BDDs from scratch.  With an arena,
-the server builds them **once**, publishes the block, and each
-long-lived pool worker attaches (zero-copy: the arrays are memoryview
-casts over the shared block) and pulls individual cones into its
-private manager *copy-on-miss* — a linear walk through the unique
-table, never the operation cache, so nothing an attached worker
-synthesizes changes any published counter.
+What it buys is a formal verify, not a faster one.  Without an arena,
+verify builds no BDDs: :func:`~repro.network.check_equivalence`
+simulates, exhaustively up to 12 inputs and with 2,048 random vectors
+above that.  With one, the server builds the registry circuits' global
+BDDs **once**, publishes the block, and each long-lived pool worker
+attaches (zero-copy: the arrays are memoryview casts over the shared
+block), pulls the spec cones into its private manager *copy-on-miss* —
+a linear walk through the unique table, never the operation cache, so
+nothing an attached worker synthesizes changes any published counter —
+and compares them against the optimized network's global BDD.
+Measured on a 2-CPU Xeon (bds-maj output, medians of 5, a fresh verify
+manager per call), arena verify against simulation: alu2 5.4 vs
+1.4 ms and f51m 4.0 vs 0.4 ms, where simulation is already exhaustive;
+vda 29.9 vs 1.8 ms and misex3 36.2 vs 3.6 ms, where it is random.
 
 Block layout (position-independent, one block per arena)::
 

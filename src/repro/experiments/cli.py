@@ -35,7 +35,6 @@ from ..api import (
     pipeline_names,
     resolve_source,
 )
-from ..bdd.manager import DEFAULT_CACHE_CAPACITY
 from ..benchgen import BENCHMARKS
 from ..benchgen.registry import benchmark_keys
 from ..flows import BATCH_FLOWS, BatchConfig, run_batch
@@ -47,7 +46,7 @@ from .table2 import format_table2, run_table2
 
 def _positive_int(text: str) -> int:
     """argparse type for options that must be >= 1 (``--workers``,
-    ``--cache-capacity``, ``--concurrency``): a clean usage error
+    ``--concurrency``): a clean usage error
     instead of a traceback from deep inside the batch layer."""
     try:
         value = int(text)
@@ -155,13 +154,6 @@ def main(argv: list[str] | None = None) -> int:
         help="retries per circuit after a timeout or worker death "
         "before the error row is final (default: 2)",
     )
-    batch.add_argument(
-        "--cache-capacity",
-        type=_positive_int,
-        default=DEFAULT_CACHE_CAPACITY,
-        help="BDD operation-cache entries per manager (>= 1; the "
-        "default keeps the published counters)",
-    )
     batch.add_argument("--format", choices=["json", "csv"], default="json")
     batch.add_argument("--output", help="write the report to a file (default: stdout)")
     batch.add_argument(
@@ -225,12 +217,6 @@ def main(argv: list[str] | None = None) -> int:
         "arena workers verify against: 'auto' (default small MCNC "
         "set), 'refresh' (default set, republished as jobs finish), "
         "'off', or a comma-separated list",
-    )
-    serve.add_argument(
-        "--cold-pools",
-        action="store_true",
-        help="spawn a fresh worker pool per batch instead of keeping "
-        "warm pools parked between jobs",
     )
     serve.add_argument(
         "--journal",
@@ -381,7 +367,6 @@ def main(argv: list[str] | None = None) -> int:
             flow=args.flow,
             workers=args.workers,
             verify=args.verify,
-            cache_capacity=args.cache_capacity,
             circuit_timeout=args.circuit_timeout,
             max_retries=args.max_retries,
         )
@@ -450,7 +435,6 @@ def main(argv: list[str] | None = None) -> int:
             max_finished_jobs=args.max_finished_jobs,
             idle_timeout=idle_timeout,
             result_cache_size=result_cache_size,
-            warm_pools=not args.cold_pools,
             arena_circuits=arena_circuits,
             arena_refresh=arena_refresh,
             journal_path=args.journal,

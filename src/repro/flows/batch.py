@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from ..bdd.arena import attach_worker_arena, current_arena
-from ..bdd.manager import DEFAULT_CACHE_CAPACITY, combine_cache_stats
+from ..bdd.manager import combine_cache_stats
 from ..benchgen import build_benchmark
 from ..faults import active as faults_active
 from ..faults import inject as inject_fault
@@ -137,9 +137,6 @@ class BatchConfig:
     workers: int = 1
     #: Equivalence-check every synthesized circuit (slow on big ones).
     verify: bool = False
-    #: BDD operation-cache capacity per manager (entries, not bytes).
-    #: The default keeps every published counter unchanged.
-    cache_capacity: int = DEFAULT_CACHE_CAPACITY
     #: Per-circuit wall-clock deadline in seconds (``None`` = none).  A
     #: parallel batch abandons the attempt at the deadline and retries
     #: or errors it; the serial path enforces the same budget post-hoc
@@ -157,8 +154,6 @@ class BatchConfig:
             raise ValueError(f"unknown batch flow {self.flow!r} (known: {BATCH_FLOWS})")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.cache_capacity < 1:
-            raise ValueError("cache capacity must be >= 1")
         if self.circuit_timeout is not None and self.circuit_timeout <= 0:
             raise ValueError("circuit_timeout must be positive (or None)")
         if self.max_retries < 0:
@@ -357,13 +352,10 @@ def _flow_config(config: BatchConfig):
     from .dc import DcFlowConfig
 
     if config.flow in ("bds-maj", "bds-pga"):
-        flow_config = BdsFlowConfig()
-    elif config.flow == "abc":
+        return BdsFlowConfig()
+    if config.flow == "abc":
         return AbcFlowConfig()
-    else:
-        flow_config = DcFlowConfig()
-    flow_config.partition.cache_capacity = config.cache_capacity
-    return flow_config
+    return DcFlowConfig()
 
 
 def _load_item(item: "InputItem"):

@@ -11,7 +11,6 @@ from .equivalence import (
     random_equivalent,
 )
 from .netlist import LogicNetwork, NetworkError, Node
-from .verilog import to_verilog, write_verilog
 from .partition import (
     PartitionConfig,
     Supernode,
@@ -43,7 +42,5 @@ __all__ = [
     "read_blif",
     "supernode_bdd",
     "to_blif",
-    "to_verilog",
     "write_blif",
-    "write_verilog",
 ]

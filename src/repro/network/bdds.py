@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..bdd import BDD, DEFAULT_CACHE_CAPACITY
+from ..bdd import BDD
 from .netlist import LogicNetwork, NetworkError, Node
 
 
@@ -74,16 +74,13 @@ def supernode_bdd(
     members: set[str],
     input_order: Sequence[str],
     max_nodes: int | None = None,
-    cache_capacity: int = DEFAULT_CACHE_CAPACITY,
 ) -> tuple[BDD, int]:
     """Local BDD of the cone ``members`` rooted at ``output``.
 
     Signals outside ``members`` are treated as free variables in
     ``input_order``.  Raises :class:`BddSizeExceeded` past ``max_nodes``.
-    ``cache_capacity`` bounds the manager's operation cache (see
-    :class:`repro.bdd.OperationCache`).
     """
-    mgr = BDD(list(input_order), cache_capacity=cache_capacity)
+    mgr = BDD(list(input_order))
     cache: dict[str, int] = {name: mgr.var(name) for name in input_order}
 
     # Iterative post-order build: member chains can be thousands of

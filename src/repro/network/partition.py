@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..bdd import BDD, DEFAULT_CACHE_CAPACITY
+from ..bdd import BDD
 from .bdds import BddSizeExceeded, supernode_bdd
 from .netlist import LogicNetwork
 
@@ -45,10 +45,6 @@ class PartitionConfig:
     #: Node names that must stay supernode outputs and are never
     #: absorbed or duplicated (e.g. XOR gates the DC-like flow keeps).
     hard_signals: frozenset[str] = frozenset()
-    #: Capacity (entries) of every local BDD manager's operation cache
-    #: (FIFO eviction); the default keeps the published counters
-    #: unchanged.
-    cache_capacity: int = DEFAULT_CACHE_CAPACITY
 
 
 @dataclass
@@ -241,7 +237,6 @@ def partition_with_bdds(
                 supernode.members,
                 supernode.inputs,
                 max_nodes=max_nodes,
-                cache_capacity=config.cache_capacity,
             )
         except BddSizeExceeded:
             if key is not None:

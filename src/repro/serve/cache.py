@@ -8,7 +8,7 @@ resubmission of the same work can answer from the previous
 :func:`submission_key` computes the cache key: a SHA-256 over a
 canonical JSON encoding of
 
-* the normalized config — ``flow``, ``verify``, ``cache_capacity``.
+* the normalized config — ``flow`` and ``verify``.
   **Not** ``workers`` (the determinism contract makes 1- and N-worker
   reports byte-identical) and **not** ``priority`` (scheduling only);
   both hashing differently would just split identical results across
@@ -67,7 +67,6 @@ def submission_key(
         "config": {
             "flow": config.flow,
             "verify": config.verify,
-            "cache_capacity": config.cache_capacity,
         },
         "items": descriptors,
     }

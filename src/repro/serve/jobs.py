@@ -28,7 +28,6 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from ..bdd.manager import DEFAULT_CACHE_CAPACITY
 from ..flows.batch import BatchConfig, BatchReport
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -71,7 +70,6 @@ class JobRequest:
     flow: str = "bds-maj"
     workers: int = 1
     verify: bool = False
-    cache_capacity: int = DEFAULT_CACHE_CAPACITY
     priority: int = 0
 
     def batch_config(self) -> BatchConfig:
@@ -81,7 +79,6 @@ class JobRequest:
             flow=self.flow,
             workers=self.workers,
             verify=self.verify,
-            cache_capacity=self.cache_capacity,
         )
 
 

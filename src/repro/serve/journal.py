@@ -154,21 +154,20 @@ def _request_payload(request: JobRequest) -> dict[str, Any]:
         "flow": request.flow,
         "workers": request.workers,
         "verify": request.verify,
-        "cache_capacity": request.cache_capacity,
         "priority": request.priority,
     }
 
 
 def _request_from_payload(payload: dict[str, Any]) -> JobRequest:
     """The request of a ``submit`` record.  Keys earlier versions wrote
-    for knobs that are gone (``cache_policy``, ``reorder``) are ignored,
-    so such a job replays as the default request."""
+    for BDD knobs that are gone (the op-cache policy and capacity, the
+    reordering policy) are ignored, so such a job replays as the
+    default request."""
     return JobRequest(
         circuits=tuple(payload["circuits"]),
         flow=payload["flow"],
         workers=payload["workers"],
         verify=payload["verify"],
-        cache_capacity=payload["cache_capacity"],
         priority=payload["priority"],
     )
 

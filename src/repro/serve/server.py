@@ -126,7 +126,6 @@ class SynthesisService:
         max_finished_jobs: int | None = None,
         idle_timeout: float | None = DEFAULT_IDLE_TIMEOUT,
         result_cache_size: int | None = DEFAULT_RESULT_CACHE_SIZE,
-        warm_pools: bool = True,
         arena_circuits: "tuple[str, ...] | list[str] | None" = None,
         arena_max_nodes: int = DEFAULT_ARENA_MAX_NODES,
         arena_refresh: bool = False,
@@ -139,16 +138,16 @@ class SynthesisService:
     ) -> None:
         """``idle_timeout=None`` disables read timeouts;
         ``result_cache_size=None``/``0`` disables result caching;
-        ``warm_pools=False`` reverts to a fresh worker pool per batch;
         ``arena_circuits`` names registry circuits to snapshot into a
-        shared BDD arena at startup (``None`` — the default, and what
-        the test suite uses — skips the snapshot; the CLI passes
-        :data:`DEFAULT_ARENA_CIRCUITS`); ``arena_refresh`` keeps the
-        snapshot *live* — each finished job's registry circuits that the
-        arena doesn't cover yet are built into the owner manager and a
-        new snapshot is published, so hot circuits stop being rebuilt at
-        all; ``journal_path`` makes the job store durable (append-only
-        NDJSON, replayed on :meth:`start`);
+        shared BDD arena at startup, against which their verify is a
+        BDD comparison instead of simulation (``None`` — the default,
+        and what the test suite uses — skips the snapshot; the CLI
+        passes :data:`DEFAULT_ARENA_CIRCUITS`); ``arena_refresh`` keeps
+        the snapshot *live* — each finished job's registry circuits that
+        the arena doesn't cover yet are built into the owner manager and
+        a new snapshot is published, so later jobs on them verify
+        formally too; ``journal_path`` makes the job store durable
+        (append-only NDJSON, replayed on :meth:`start`);
         ``max_pending`` bounds the queued-job backlog (overflow answers
         429 with ``Retry-After``); ``auth_token`` requires ``Bearer``
         auth on every endpoint except ``/healthz``; ``max_attempts``
@@ -180,7 +179,7 @@ class SynthesisService:
         # One parked pool per concurrent job: concurrent one-circuit jobs
         # each hold a one-worker pool, and a smaller bound would
         # terminate one at every release and cold-spawn it on the next.
-        self.pool_manager = WarmPoolManager(max_idle_per_size=concurrency) if warm_pools else None
+        self.pool_manager = WarmPoolManager(max_idle_per_size=concurrency)
         self.queue = JobQueue(
             concurrency=concurrency,
             pool_manager=self.pool_manager,
@@ -597,8 +596,7 @@ class SynthesisService:
         # (installing the owner view directly — no second mapping)...
         attach_worker_arena(arena)
         # ...and every pool worker spawned from here on attaches by name.
-        if self.pool_manager is not None:
-            self.pool_manager.arena_name = arena.name
+        self.pool_manager.arena_name = arena.name
 
     def _set_arena_info(self, published: "list[str]", skipped: "list[str]") -> None:
         self._arena_info = {
@@ -692,13 +690,12 @@ class SynthesisService:
             # the old snapshot finish safely, new ones bind the fresh
             # one.
             attach_worker_arena(fresh, close_previous=False)
-            if self.pool_manager is not None:
-                self.pool_manager.arena_name = fresh.name
-                # Parked pools are still attached to the superseded
-                # snapshot; retire them so the next acquire spawns
-                # against the fresh one (busy pools are caught by the
-                # generation stamp at release time).
-                self.pool_manager.recycle_idle()
+            self.pool_manager.arena_name = fresh.name
+            # Parked pools are still attached to the superseded
+            # snapshot; retire them so the next acquire spawns against
+            # the fresh one (busy pools are caught by the generation
+            # stamp at release time).
+            self.pool_manager.recycle_idle()
 
     async def shutdown(self) -> None:
         """Stop accepting, cancel every live job, reap every worker."""
@@ -709,12 +706,11 @@ class SynthesisService:
         # and (on Pythons where wait_closed really waits for handlers)
         # the reverse order would deadlock.
         await self.queue.shutdown(self.store.jobs())
-        if self.pool_manager is not None:
-            # Parked pools hold live worker processes; drain() joins
-            # them, so keep it off the loop thread.
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.pool_manager.drain
-            )
+        # Parked pools hold live worker processes; drain() joins them,
+        # so keep it off the loop thread.
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.pool_manager.drain
+        )
         if self._arena is not None:
             attach_worker_arena(None)  # closes the installed owner view
             self._arena.unlink()
@@ -884,11 +880,7 @@ class SynthesisService:
                             if self.result_cache is not None
                             else None
                         ),
-                        pool_stats=(
-                            self.pool_manager.stats()
-                            if self.pool_manager is not None
-                            else None
-                        ),
+                        pool_stats=self.pool_manager.stats(),
                         arena_info=self._arena_info,
                         journal_stats=(
                             self.journal.stats()
@@ -1022,7 +1014,6 @@ async def _serve_until_stopped(
     max_finished_jobs: int | None = None,
     idle_timeout: float | None = DEFAULT_IDLE_TIMEOUT,
     result_cache_size: int | None = DEFAULT_RESULT_CACHE_SIZE,
-    warm_pools: bool = True,
     arena_circuits: "tuple[str, ...] | list[str] | None" = DEFAULT_ARENA_CIRCUITS,
     arena_refresh: bool = False,
     journal_path: "str | os.PathLike | None" = None,
@@ -1039,7 +1030,6 @@ async def _serve_until_stopped(
         max_finished_jobs=max_finished_jobs,
         idle_timeout=idle_timeout,
         result_cache_size=result_cache_size,
-        warm_pools=warm_pools,
         arena_circuits=arena_circuits,
         arena_refresh=arena_refresh,
         journal_path=journal_path,
@@ -1093,7 +1083,6 @@ def run_server(
     max_finished_jobs: int | None = None,
     idle_timeout: float | None = DEFAULT_IDLE_TIMEOUT,
     result_cache_size: int | None = DEFAULT_RESULT_CACHE_SIZE,
-    warm_pools: bool = True,
     arena_circuits: "tuple[str, ...] | list[str] | None" = DEFAULT_ARENA_CIRCUITS,
     arena_refresh: bool = False,
     journal_path: "str | os.PathLike | None" = None,
@@ -1121,7 +1110,6 @@ def run_server(
             max_finished_jobs=max_finished_jobs,
             idle_timeout=idle_timeout,
             result_cache_size=result_cache_size,
-            warm_pools=warm_pools,
             arena_circuits=arena_circuits,
             arena_refresh=arena_refresh,
             journal_path=journal_path,

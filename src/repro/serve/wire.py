@@ -17,7 +17,6 @@ import dataclasses
 import json
 from typing import Any
 
-from ..bdd.manager import DEFAULT_CACHE_CAPACITY
 from .jobs import Job, JobRequest
 
 #: Schema tag of every status/list/health payload.
@@ -61,7 +60,7 @@ def parse_submission(raw: bytes) -> JobRequest:
 
     The wire layer owns the *structural* checks (JSON shape, unknown
     fields, types); the value checks — known flow, positive
-    worker/capacity counts — are delegated to
+    worker count — are delegated to
     :class:`~repro.flows.BatchConfig`, the single owner of those rules,
     by building the equivalent config once.
     """
@@ -103,7 +102,6 @@ def parse_submission(raw: bytes) -> JobRequest:
         flow=flow,
         workers=_int_field(payload, "workers", 1),
         verify=verify,
-        cache_capacity=_int_field(payload, "cache_capacity", DEFAULT_CACHE_CAPACITY),
         priority=_int_field(payload, "priority", 0),
     )
     try:

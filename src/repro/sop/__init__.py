@@ -7,13 +7,11 @@ from .algebraic import (
     GateEmitter,
     best_kernel,
     common_cube,
-    divide_by_cube,
     expression_from_cover,
     factor_expression,
     is_cube_free,
     kernels,
     literal_counts,
-    make_cube_free,
     weak_division,
 )
 from .cover import (
@@ -32,13 +30,11 @@ __all__ = [
     "count_literals",
     "cover_is_tautology",
     "cube_covered",
-    "divide_by_cube",
     "expression_from_cover",
     "factor_expression",
     "is_cube_free",
     "kernels",
     "literal_counts",
-    "make_cube_free",
     "simplify_cover",
     "weak_division",
 ]

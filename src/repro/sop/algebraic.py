@@ -55,11 +55,6 @@ def common_cube(cubes: Iterable[Cube]) -> Cube:
     return Cube(result)
 
 
-def divide_by_cube(expr: Expression, cube: Cube) -> Expression:
-    """Quotient of weak division by a single cube."""
-    return Expression(c - cube for c in expr if cube <= c)
-
-
 def weak_division(expr: Expression, divisor: Expression) -> tuple[Expression, Expression]:
     """Weak division: ``expr = divisor * quotient + remainder``.
 
@@ -85,13 +80,6 @@ def is_cube_free(expr: Expression) -> bool:
     if not expr:
         return True
     return not common_cube(expr)
-
-
-def make_cube_free(expr: Expression) -> Expression:
-    common = common_cube(expr)
-    if not common:
-        return expr
-    return Expression(c - common for c in expr)
 
 
 def kernels(expr: Expression) -> list[tuple[Cube, Expression]]:
@@ -149,10 +137,6 @@ def best_kernel(expr: Expression) -> tuple[Cube, Expression] | None:
             best_value = value
             best = (co_kernel, kernel)
     return best
-
-
-def _divisible(cube: Cube, divisor: Cube) -> bool:
-    return divisor <= cube
 
 
 # ----------------------------------------------------------------------

@@ -67,7 +67,7 @@ def tree_nodes(builder):
 STEPS = ("majority", "and_or", "xor", "mux")
 
 
-def fresh_bdd(network, config, supernode):
+def fresh_bdd(network, supernode):
     """``supernode``'s own local BDD, built and sifted as the ``build-bdds``
     and ``reorder`` stages would without the structure memo; returns
     ``(mgr, root, sift changed the order)``."""
@@ -76,7 +76,6 @@ def fresh_bdd(network, config, supernode):
         supernode.output,
         supernode.members,
         supernode.inputs,
-        cache_capacity=config.partition.cache_capacity,
     )
     return mgr, root, mgr.sift([root]).changed
 
@@ -94,7 +93,7 @@ def decompose_network(network, flow, engine_class=DecompositionEngine, shared=Tr
     steps = dict.fromkeys((*STEPS, "sifted"), 0)
     memo_hits = 0
     for supernode, _mgr, _root in ctx.scratch["partitions"]:
-        mgr, root, changed = fresh_bdd(network, ctx.config, supernode)
+        mgr, root, changed = fresh_bdd(network, supernode)
         engine = engine_class(mgr, builder, ctx.config.engine, memo if shared else None)
         roots[supernode.output] = engine.decompose(root)
         for key in STEPS:
@@ -116,7 +115,7 @@ def assert_memo_is_transparent(network, flow):
 def fresh_tape(network, config, supernode):
     """``supernode`` built, sifted and decomposed the slow way, on a tape:
     ``(calls, tape root, steps, sift changed the order)``."""
-    mgr, root, changed = fresh_bdd(network, config, supernode)
+    mgr, root, changed = fresh_bdd(network, supernode)
     tape = TreeTape(supernode.inputs)
     engine = DecompositionEngine(mgr, tape, config.engine)
     tape_root = engine.decompose(root)
@@ -226,7 +225,6 @@ def factor_network(network):
             name,
             supernode.members,
             supernode.inputs,
-            cache_capacity=ctx.config.partition.cache_capacity,
         )
         rows = list(simplify_cover(isop_cover_rows(mgr, root, supernode.inputs)))
         if not rows:

@@ -164,8 +164,6 @@ class TestCliValidation:
             ["batch", "--workers", "0"],
             ["batch", "--workers", "-3"],
             ["batch", "--workers", "two"],
-            ["batch", "--cache-capacity", "0"],
-            ["batch", "--cache-capacity", "-1"],
             ["serve", "--concurrency", "0"],
             ["serve", "--port", "-1"],
             ["serve", "--port", "70000"],
@@ -192,30 +190,21 @@ class TestCliValidation:
 
         with pytest.raises(ValueError):
             BatchConfig(workers=0)
-        with pytest.raises(ValueError):
-            BatchConfig(cache_capacity=0)
 
-    def test_cache_capacity_flag_is_threaded(self, tmp_path):
-        import json
-
-        out = tmp_path / "report.json"
-        assert (
-            cli_main(
-                [
-                    "batch",
-                    "--benchmarks",
-                    "f51m",
-                    "--cache-capacity",
-                    "16",
-                    "--output",
-                    str(out),
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(out.read_text())
-        # A 16-entry cache on f51m must evict; the default never does.
-        assert payload["circuits"][0]["cache"]["evictions"] > 0
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["batch", "--benchmarks", "alu2", "--cache-capacity", "4096"], "--cache-capacity"),
+            (["serve", "--cold-pools"], "--cold-pools"),
+        ],
+    )
+    def test_tuning_flags_are_gone(self, argv, flag, capsys):
+        """The op-cache size belongs to the BDD package and serve always
+        parks warm pools: neither is a command-line choice."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_serve_subcommand_exists(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -457,28 +457,3 @@ class TestStageProgress:
         )
         assert sorted((e.kind, e.stage) for e in streamed) == expected
 
-
-class TestCacheCapacity:
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            BatchConfig(cache_capacity=0)
-        with pytest.raises(ValueError):
-            BatchConfig(cache_capacity=-5)
-
-    def test_default_capacity_keeps_counters(self):
-        from repro.bdd.manager import DEFAULT_CACHE_CAPACITY
-
-        default = run_batch(["f51m"], BatchConfig())
-        explicit = run_batch(
-            ["f51m"], BatchConfig(cache_capacity=DEFAULT_CACHE_CAPACITY)
-        )
-        assert default.to_json() == explicit.to_json()
-
-    def test_tiny_capacity_still_correct_but_evicts(self):
-        tiny = run_batch(["f51m"], BatchConfig(cache_capacity=16, verify=True))
-        circuit = tiny.circuits[0]
-        assert circuit.ok and circuit.verified is True
-        assert circuit.cache["evictions"] > 0
-        # Node counts are a function of the circuit, not the cache.
-        reference = run_batch(["f51m"], BatchConfig()).circuits[0]
-        assert circuit.node_counts == reference.node_counts

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import random
 
@@ -32,6 +33,7 @@ from repro.network.partition import structure_key
 
 # The module, not the ``partition`` function the package exports.
 partition_module = importlib.import_module("repro.network.partition")
+stages_module = importlib.import_module("repro.api.stages")
 
 
 def ripple_adder(bits: int, name: str = "rca") -> LogicNetwork:
@@ -245,18 +247,27 @@ class TestNodeBudget:
         assert len(roomy) == 1
         assert len(tight) == self.PAIRS + 1
 
-    def test_dc_collapse_keeps_every_partition_field(self):
+    def test_dc_collapse_keeps_every_partition_field(self, monkeypatch):
         """The DC flow's collapse adds its hard signals to the caller's
         partition config without dropping its other fields."""
         net = comparator_tree(self.PAIRS)
         partition = PartitionConfig(
-            max_support=2 * self.PAIRS, max_bdd_nodes=self.BUDGET, cache_capacity=64
+            max_support=2 * self.PAIRS,
+            max_bdd_nodes=self.BUDGET,
+            max_duplication=1,
+            duplication_literals=3,
         )
+        seen = []
+
+        def recording(network, config, firsts=None):
+            seen.append(config)
+            return partition_with_bdds(network, config, firsts)
+
+        monkeypatch.setattr(stages_module, "partition_with_bdds", recording)
         pipeline = get_pipeline("dc").up_to("collapse")
         ctx = pipeline.run_context(net, DcFlowConfig(partition=partition))
-        partitions = ctx.scratch["partitions"]
-        assert len(partitions) == self.PAIRS + 1
-        assert all(mgr.op_cache.capacity == 64 for _s, mgr, _r in partitions)
+        assert len(ctx.scratch["partitions"]) == self.PAIRS + 1
+        assert seen == [dataclasses.replace(partition, hard_signals=seen[0].hard_signals)]
 
 
 class TestStructureMemo:

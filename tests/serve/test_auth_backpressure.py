@@ -11,19 +11,11 @@ from repro.serve import JobRequest, SynthesisService, WireError
 from repro.serve.metrics import LATENCY_BUCKET_BOUNDS, ServiceMetrics
 
 from .client import HttpClient, http_json, poll_job
+from .harness import with_service
 
 
 def run(coro):
     return asyncio.run(coro)
-
-
-async def _with_service(test, **kwargs):
-    service = SynthesisService(port=0, **kwargs)
-    host, port = await service.start()
-    try:
-        return await test(service, host, port)
-    finally:
-        await service.shutdown()
 
 
 class TestAuth:
@@ -71,7 +63,7 @@ class TestAuth:
             status, _ = await http_json(host, port, "GET", "/healthz")
             assert status == 200
 
-        run(_with_service(scenario, auth_token="sesame"))
+        run(with_service(scenario, auth_token="sesame"))
 
     def test_401_carries_www_authenticate_challenge(self):
         async def scenario(service, host, port):
@@ -83,14 +75,14 @@ class TestAuth:
             assert status == 401
             assert client.last_headers.get("www-authenticate") == "Bearer"
 
-        run(_with_service(scenario, auth_token="sesame"))
+        run(with_service(scenario, auth_token="sesame"))
 
     def test_no_token_means_open_service(self):
         async def scenario(service, host, port):
             status, _ = await http_json(host, port, "GET", "/jobs")
             assert status == 200
 
-        run(_with_service(scenario))
+        run(with_service(scenario))
 
 
 class TestBackpressure:
@@ -119,7 +111,7 @@ class TestBackpressure:
             retry_after = int(client.last_headers["retry-after"])
             assert 1 <= retry_after <= 300
 
-        run(_with_service(scenario, max_pending=1, result_cache_size=None))
+        run(with_service(scenario, max_pending=1, result_cache_size=None))
 
     def test_cache_hits_bypass_the_gate(self):
         async def scenario(service, host, port):
@@ -143,14 +135,14 @@ class TestBackpressure:
             assert cached["cached"] is True
             assert cached["status"] == "done"
 
-        run(_with_service(scenario, max_pending=1))
+        run(with_service(scenario, max_pending=1))
 
     def test_metrics_reports_the_limit(self):
         async def scenario(service, host, port):
             status, metrics = await http_json(host, port, "GET", "/metrics")
             assert metrics["max_pending"] == 7
 
-        run(_with_service(scenario, max_pending=7))
+        run(with_service(scenario, max_pending=7))
 
 
 class TestLatencyHistograms:
@@ -202,7 +194,7 @@ class TestLatencyHistograms:
                     <= stages[stage]["max_seconds"] + 1e-9
                 )
 
-        run(_with_service(scenario, concurrency=1))
+        run(with_service(scenario, concurrency=1))
 
 
 class TestWireErrorHeaders:

@@ -10,22 +10,12 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.serve import SynthesisService
-
 from .client import HttpClient
+from .harness import with_service
 
 
 def run(coro):
     return asyncio.run(coro)
-
-
-async def _with_service(test, **kwargs):
-    service = SynthesisService(port=0, **kwargs)
-    host, port = await service.start()
-    try:
-        return await test(service, host, port)
-    finally:
-        await service.shutdown()
 
 
 async def _raw_exchange(host: str, port: int, payload: bytes) -> bytes:
@@ -67,7 +57,7 @@ class TestSlowClients:
                 writer.close()
                 await writer.wait_closed()
 
-        run(_with_service(scenario, idle_timeout=0.2))
+        run(with_service(scenario, idle_timeout=0.2))
 
     def test_stalled_mid_request_gets_408(self):
         """A client that sends the request line then goes silent gets a
@@ -79,7 +69,7 @@ class TestSlowClients:
             )  # header section never terminated
             assert _status_of(response) == 408
 
-        run(_with_service(scenario, idle_timeout=0.2))
+        run(with_service(scenario, idle_timeout=0.2))
 
     def test_stalled_body_gets_408(self):
         async def scenario(service, host, port):
@@ -90,7 +80,7 @@ class TestSlowClients:
             response = await _raw_exchange(host, port, head)
             assert _status_of(response) == 408
 
-        run(_with_service(scenario, idle_timeout=0.2))
+        run(with_service(scenario, idle_timeout=0.2))
 
     def test_fast_clients_are_unaffected_by_the_timeout(self):
         async def scenario(service, host, port):
@@ -101,7 +91,7 @@ class TestSlowClients:
             finally:
                 await client.aclose()
 
-        run(_with_service(scenario, idle_timeout=5.0))
+        run(with_service(scenario, idle_timeout=5.0))
 
 
 class TestMalformedFraming:
@@ -117,7 +107,7 @@ class TestMalformedFraming:
             body = json.loads(response.split(b"\r\n\r\n", 1)[1])
             assert "header lines" in body["error"]
 
-        run(_with_service(scenario))
+        run(with_service(scenario))
 
     def test_overlong_header_line_gets_431_not_500(self):
         """A header line past the stream limit used to surface as the
@@ -132,7 +122,7 @@ class TestMalformedFraming:
             )
             assert _status_of(response) == 431
 
-        run(_with_service(scenario))
+        run(with_service(scenario))
 
     def test_overlong_request_line_gets_431(self):
         async def scenario(service, host, port):
@@ -141,7 +131,7 @@ class TestMalformedFraming:
             )
             assert _status_of(response) == 431
 
-        run(_with_service(scenario))
+        run(with_service(scenario))
 
 
 class TestContentLength:
@@ -166,7 +156,7 @@ class TestContentLength:
                 body = json.loads(response.split(b"\r\n\r\n", 1)[1])
                 assert "Content-Length" in body["error"]
 
-        run(_with_service(scenario))
+        run(with_service(scenario))
 
     def test_oversized_body_still_413(self):
         async def scenario(service, host, port):
@@ -175,7 +165,7 @@ class TestContentLength:
             )
             assert _status_of(response) == 413
 
-        run(_with_service(scenario))
+        run(with_service(scenario))
 
     def test_valid_zero_and_exact_lengths_still_work(self):
         async def scenario(service, host, port):
@@ -191,4 +181,4 @@ class TestContentLength:
             finally:
                 await client.aclose()
 
-        run(_with_service(scenario))
+        run(with_service(scenario))

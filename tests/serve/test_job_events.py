@@ -170,7 +170,7 @@ class TestStreamReportsTruncation:
                 # Hold the job until the follower below has attached: a
                 # job that finishes first truncates its log before the
                 # live follow starts.
-                with stalled_first_stage("alu2") as hold:
+                async with stalled_first_stage("alu2") as hold:
                     _, job = await http_json(
                         host, port, "POST", "/jobs", {"circuits": ["alu2"]}
                     )

@@ -20,7 +20,7 @@ import pytest
 
 from repro.api import InputItem
 from repro.flows import BatchConfig, BatchReport, run_batch
-from repro.serve import JobRequest, JobStore, SynthesisService
+from repro.serve import JobRequest, JobStore
 from repro.serve.cache import submission_key
 from repro.serve.journal import (
     JobJournal,
@@ -31,6 +31,7 @@ from repro.serve.journal import (
 )
 
 from .client import http_json, http_request, poll_job
+from .harness import with_service
 
 
 def run(coro):
@@ -165,10 +166,11 @@ class TestReplay:
 
 
 class TestEarlierFormat:
-    """Journals written before the op cache lost its eviction-policy
-    knob, and before reordering lost its policy knob, still replay:
-    their ``submit`` requests carry ``cache_policy`` and ``reorder``
-    keys, and their result-cache keys hashed both."""
+    """Journals written before the op cache lost its eviction-policy and
+    capacity knobs, and before reordering lost its policy knob, still
+    replay: their ``submit`` requests carry ``cache_policy``,
+    ``cache_capacity`` and ``reorder`` keys, and their result-cache
+    keys hashed all three."""
 
     REQUEST = {
         "circuits": ["alu2"],
@@ -196,7 +198,7 @@ class TestEarlierFormat:
     def _write_journal(self, path: Path, request: dict | None = None) -> BatchReport:
         """An earlier-format journal: job 1 finished, job 2 interrupted."""
         request = self.REQUEST if request is None else request
-        report = run_batch(["alu2"], BatchConfig(cache_capacity=1024))
+        report = run_batch(["alu2"], BatchConfig())
         records = [
             {
                 "v": 1,
@@ -230,17 +232,13 @@ class TestEarlierFormat:
         replay = JobJournal(path, fsync=False).open()
         assert replay.corrupt_lines == 0
         done, interrupted = replay.jobs
-        assert done.request == JobRequest(
-            circuits=("alu2",), workers=2, cache_capacity=1024, priority=3
-        )
+        assert done.request == JobRequest(circuits=("alu2",), workers=2, priority=3)
         assert done.state == "done"
         assert done.report is not None
         assert done.report.to_json() == report.to_json()
         # The interrupted job re-enqueues under the same knobs.
         assert interrupted.state is None
-        assert interrupted.request == JobRequest(
-            circuits=("f51m",), workers=2, cache_capacity=1024, priority=3
-        )
+        assert interrupted.request == JobRequest(circuits=("f51m",), workers=2, priority=3)
 
     def test_submit_with_converge_reorder_replays_as_default(self, tmp_path):
         """A request that named a non-default reorder policy replays as
@@ -250,15 +248,11 @@ class TestEarlierFormat:
         self._write_journal(path, request)
 
         done, interrupted = JobJournal(path, fsync=False).open().jobs
-        assert done.request == JobRequest(
-            circuits=("alu2",), workers=2, cache_capacity=1024, priority=3
-        )
+        assert done.request == JobRequest(circuits=("alu2",), workers=2, priority=3)
         assert done.state == "done"
         assert done.cache_key == self._earlier_key(request)
         assert done.cache_key != self._earlier_key()
-        assert interrupted.request == JobRequest(
-            circuits=("f51m",), workers=2, cache_capacity=1024, priority=3
-        )
+        assert interrupted.request == JobRequest(circuits=("f51m",), workers=2, priority=3)
 
     def test_replayed_job_keeps_its_stored_cache_key(self, tmp_path):
         path = tmp_path / "jobs.journal"
@@ -266,20 +260,12 @@ class TestEarlierFormat:
 
         done, _ = JobJournal(path, fsync=False).open().jobs
         assert done.cache_key == self._earlier_key()
-        # Old keys hashed the policy, so no new submission of the same
-        # work can be answered from a report stored under one.
+        # Old keys hashed the policies and the capacity, so no new
+        # submission of the same work can be answered from a report
+        # stored under one.
         new_key = submission_key([InputItem(name="alu2")], done.request.batch_config())
         assert new_key is not None
         assert new_key != done.cache_key
-
-
-async def _with_service(test, **kwargs):
-    service = SynthesisService(port=0, **kwargs)
-    host, port = await service.start()
-    try:
-        return await test(service, host, port)
-    finally:
-        await service.shutdown()
 
 
 class TestServiceReplay:
@@ -302,7 +288,7 @@ class TestServiceReplay:
             return job["id"], body
 
         job_id, first_bytes = run(
-            _with_service(first_run, concurrency=1, journal_path=journal)
+            with_service(first_run, concurrency=1, journal_path=journal)
         )
 
         async def second_run(service, host, port):
@@ -329,7 +315,7 @@ class TestServiceReplay:
             return body
 
         second_bytes = run(
-            _with_service(second_run, concurrency=1, journal_path=journal)
+            with_service(second_run, concurrency=1, journal_path=journal)
         )
         assert second_bytes == first_bytes
 
@@ -347,14 +333,14 @@ class TestServiceReplay:
             assert status == 202
             return job["id"]
 
-        job_id = run(_with_service(scenario, concurrency=1, journal_path=journal))
+        job_id = run(with_service(scenario, concurrency=1, journal_path=journal))
 
         async def after_restart(service, host, port):
             status, payload = await http_json(host, port, "GET", f"/jobs/{job_id}")
             assert status == 200
             assert payload["status"] == "cancelled"
 
-        run(_with_service(after_restart, concurrency=1, journal_path=journal))
+        run(with_service(after_restart, concurrency=1, journal_path=journal))
 
 
 def _spawn_server(journal: Path, extra: list[str] | None = None):

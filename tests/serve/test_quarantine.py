@@ -24,19 +24,11 @@ from repro.serve import JobRequest, JobStore, SynthesisService
 from repro.serve.journal import JobJournal
 
 from .client import http_json, http_request, poll_job
+from .harness import with_service
 
 
 def run(coro):
     return asyncio.run(coro)
-
-
-async def _with_service(test, **kwargs):
-    service = SynthesisService(port=0, **kwargs)
-    host, port = await service.start()
-    try:
-        return await test(service, host, port)
-    finally:
-        await service.shutdown()
 
 
 def _journal_with_attempts(path: Path, attempts: int) -> str:
@@ -69,7 +61,7 @@ class TestReplayGate:
             assert final["attempts"] == 3
 
         run(
-            _with_service(
+            with_service(
                 scenario, concurrency=1, journal_path=path, max_attempts=3
             )
         )
@@ -90,7 +82,7 @@ class TestReplayGate:
             assert metrics["counters"]["jobs_quarantined"] == 1
 
         run(
-            _with_service(
+            with_service(
                 scenario, concurrency=1, journal_path=path, max_attempts=3
             )
         )
@@ -107,14 +99,14 @@ class TestReplayGate:
             assert payload["attempts"] == 3
 
         run(
-            _with_service(
+            with_service(
                 quarantined, concurrency=1, journal_path=path, max_attempts=3
             )
         )
         # Second restart: the quarantine record replays as terminal
         # state — the job is not re-counted, re-enqueued, or re-parked.
         run(
-            _with_service(
+            with_service(
                 quarantined, concurrency=1, journal_path=path, max_attempts=3
             )
         )

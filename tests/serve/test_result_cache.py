@@ -11,22 +11,14 @@ import pytest
 
 from repro.api import InputItem
 from repro.flows import BatchConfig, BatchReport
-from repro.serve import ResultCache, SynthesisService, submission_key
+from repro.serve import ResultCache, submission_key
 
 from .client import http_json, http_request, poll_job
+from .harness import with_service
 
 
 def run(coro):
     return asyncio.run(coro)
-
-
-async def _with_service(test, **kwargs):
-    service = SynthesisService(port=0, **kwargs)
-    host, port = await service.start()
-    try:
-        return await test(service, host, port)
-    finally:
-        await service.shutdown()
 
 
 class TestSubmissionKey:
@@ -43,7 +35,6 @@ class TestSubmissionKey:
     def test_key_tracks_report_affecting_config(self):
         base = submission_key(self.ITEMS, BatchConfig())
         assert base != submission_key(self.ITEMS, BatchConfig(verify=True))
-        assert base != submission_key(self.ITEMS, BatchConfig(cache_capacity=1 << 10))
 
     def test_key_tracks_item_order_and_identity(self):
         base = submission_key(self.ITEMS, BatchConfig())
@@ -123,7 +114,7 @@ class TestServedFastPath:
             assert metrics["jobs"]["done"] == 2
             assert {"queue_wait", "resolve", "run"} <= set(metrics["stages"])
 
-        run(_with_service(scenario, warm_pools=False))
+        run(with_service(scenario))
 
     def test_different_config_misses(self):
         async def scenario(service, host, port):
@@ -136,7 +127,7 @@ class TestServedFastPath:
             assert second["cached"] is False
             await poll_job(host, port, second["id"])
 
-        run(_with_service(scenario, warm_pools=False))
+        run(with_service(scenario))
 
     def test_cache_can_be_disabled(self):
         async def scenario(service, host, port):
@@ -151,4 +142,4 @@ class TestServedFastPath:
             _, metrics = await http_request(host, port, "GET", "/metrics")
             assert json.loads(metrics)["result_cache"] is None
 
-        run(_with_service(scenario, warm_pools=False, result_cache_size=None))
+        run(with_service(scenario, result_cache_size=None))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.flows import BatchConfig, run_batch
 from repro.serve import SynthesisService
 
 from .client import HttpClient, http_json, http_request, poll_job
+from .harness import with_service
 from .hold import stalled_first_stage
 
 CIRCUITS = ["alu2", "f51m"]
@@ -24,15 +26,6 @@ CIRCUITS = ["alu2", "f51m"]
 
 def run(coro):
     return asyncio.run(coro)
-
-
-async def _with_service(test, **kwargs):
-    service = SynthesisService(port=0, **kwargs)
-    host, port = await service.start()
-    try:
-        return await test(service, host, port)
-    finally:
-        await service.shutdown()
 
 
 class TestEndToEnd:
@@ -45,7 +38,7 @@ class TestEndToEnd:
             # first — cancelling it must not disturb the survivor.  The
             # first job is held so the cancel lands while the second
             # one is still queued.
-            with stalled_first_stage(CIRCUITS[0]):
+            async with stalled_first_stage(CIRCUITS[0]):
                 status, first = await http_json(
                     host, port, "POST", "/jobs", {"circuits": CIRCUITS}
                 )
@@ -78,7 +71,7 @@ class TestEndToEnd:
             assert final["result_ready"] is False
             return served
 
-        run(_with_service(scenario, concurrency=1))
+        run(with_service(scenario, concurrency=1))
 
     def test_concurrent_submissions_all_complete(self):
         async def scenario(service, host, port):
@@ -96,7 +89,7 @@ class TestEndToEnd:
             )
             assert [f["status"] for f in finals] == ["done"] * 3
 
-        run(_with_service(scenario, concurrency=2))
+        run(with_service(scenario, concurrency=2))
 
     def test_event_stream_carries_stage_progress(self):
         async def scenario(service, host, port):
@@ -123,7 +116,7 @@ class TestEndToEnd:
             circuit_lines = [e for e in events if e["type"] == "circuit"]
             assert any("f51m" in e["message"] for e in circuit_lines)
 
-        run(_with_service(scenario, concurrency=1))
+        run(with_service(scenario, concurrency=1))
 
     def test_result_formats_and_conflict(self):
         async def scenario(service, host, port):
@@ -143,7 +136,7 @@ class TestEndToEnd:
             assert status == 200
             assert b"elapsed_seconds" in timed
 
-        run(_with_service(scenario, concurrency=1))
+        run(with_service(scenario, concurrency=1))
 
 
 class TestKeepAlive:
@@ -180,7 +173,7 @@ class TestKeepAlive:
             finally:
                 await client.aclose()
 
-        run(_with_service(scenario, concurrency=1))
+        run(with_service(scenario, concurrency=1))
 
     def test_connection_close_is_honored(self):
         """A ``Connection: close`` request ends the persistent
@@ -198,7 +191,7 @@ class TestKeepAlive:
             finally:
                 await client.aclose()
 
-        run(_with_service(scenario, concurrency=1))
+        run(with_service(scenario, concurrency=1))
 
 
 class TestProtocolErrors:
@@ -214,19 +207,21 @@ class TestProtocolErrors:
                 ("POST", "/jobs", {"circuits": ["no-such-circuit-or-file"]}, 400),
                 ("POST", "/jobs", {"circuits": ["alu2"], "workers": 0}, 400),
                 ("POST", "/jobs", {"circuits": ["alu2"], "typo": 1}, 400),
+                # The op-cache size is no request knob (test_wire.py has the message).
+                ("POST", "/jobs", {"circuits": ["alu2"], "cache_capacity": 4096}, 400),
             ]
             for method, path, body, expected in checks:
                 status, payload = await http_json(host, port, method, path, body)
                 assert status == expected, (method, path, payload)
                 assert "error" in payload
 
-        run(_with_service(scenario, concurrency=1))
+        run(with_service(scenario, concurrency=1))
 
     def test_result_before_done_is_conflict(self):
         async def scenario(service, host, port):
             # Hold the job so the result request lands while it is
             # still queued or running.
-            with stalled_first_stage("alu2"):
+            async with stalled_first_stage("alu2"):
                 _, job = await http_json(
                     host, port, "POST", "/jobs", {"circuits": ["alu2"]}
                 )
@@ -237,7 +232,7 @@ class TestProtocolErrors:
             assert "no result" in payload["error"]
             await poll_job(host, port, job["id"])
 
-        run(_with_service(scenario, concurrency=1))
+        run(with_service(scenario, concurrency=1))
 
     def test_healthz_counts_jobs(self):
         async def scenario(service, host, port):
@@ -252,7 +247,7 @@ class TestProtocolErrors:
             status, listing = await http_json(host, port, "GET", "/jobs")
             assert [j["id"] for j in listing["jobs"]] == [job["id"]]
 
-        run(_with_service(scenario, concurrency=1))
+        run(with_service(scenario, concurrency=1))
 
 
 @pytest.mark.parametrize("concurrency", [0, -1])
@@ -285,7 +280,7 @@ class TestRunningPooledJobCancel:
             loop = asyncio.get_running_loop()
             loop.add_signal_handler(signal.SIGTERM, lambda: None)
             try:
-                with stalled_first_stage("c6288", seconds=60):
+                async with stalled_first_stage("c6288", seconds=60) as hold:
                     _, job = await http_json(
                         host,
                         port,
@@ -293,14 +288,8 @@ class TestRunningPooledJobCancel:
                         "/jobs",
                         {"circuits": ["c6288", "wallace16"], "workers": 2},
                     )
-                    deadline = loop.time() + 60
-                    while True:
-                        _, payload = await http_json(host, port, "GET", f"/jobs/{job['id']}")
-                        if payload["status"] == "running":
-                            break
-                        assert loop.time() < deadline
-                        await asyncio.sleep(0.05)
-                    await asyncio.sleep(0.5)  # let the pool fork and get busy
+                    # A forked pool worker is held at c6288's first stage.
+                    assert await hold.fired() != os.getpid()
                     _, cancelled = await http_json(host, port, "POST", f"/jobs/{job['id']}/cancel")
                 assert cancelled["cancel_requested"] is True
                 # The service must stay responsive and the job must
@@ -313,7 +302,7 @@ class TestRunningPooledJobCancel:
             finally:
                 loop.remove_signal_handler(signal.SIGTERM)
 
-        run(_with_service(scenario, concurrency=1))
+        run(with_service(scenario, concurrency=1))
 
 
 class TestArenaRefresh:
@@ -362,7 +351,7 @@ class TestArenaRefresh:
             assert metrics["arena"]["refreshes"] == 1
 
         run(
-            _with_service(
+            with_service(
                 scenario,
                 concurrency=1,
                 arena_circuits=("alu2",),
