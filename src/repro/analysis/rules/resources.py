@@ -3,10 +3,10 @@
 Shared-memory blocks, journal files and worker pools each have exactly
 one sanctioned acquire/release idiom in this repository:
 
-* a worker may *attach* to the published arena only through
-  ``repro.bdd.arena._attach_block``, which pairs
-  ``SharedMemory(name=...)`` with ``resource_tracker.unregister`` so a
-  non-owning process never schedules the segment for unlink (RES001);
+* nothing attaches a shared-memory block by name: a raw
+  ``SharedMemory(name=...)`` registers the segment with the attaching
+  process's resource tracker, which unlinks it under its owner when
+  that process exits (RES001);
 * a journal append must hit the platter — ``write`` → ``flush`` →
   ``os.fsync`` — before the HTTP response acknowledges the job, or a
   crash loses an acknowledged submission (RES002);
@@ -29,18 +29,17 @@ from ..scopes import ModuleContext
 
 
 @REGISTRY.register
-class ShmAttachOutsideArena(Rule):
-    """RES001: raw SharedMemory attach outside ``repro.bdd.arena``."""
+class RawShmAttach(Rule):
+    """RES001: raw SharedMemory attach by name."""
 
     id = "RES001"
-    name = "shm-attach-outside-arena"
+    name = "raw-shm-attach"
     severity = "error"
     rationale = (
-        "attaching SharedMemory(name=...) without the arena's "
-        "resource-tracker unregister idiom makes the first worker exit "
-        "unlink the segment under everyone else"
+        "attaching SharedMemory(name=...) registers the segment with the "
+        "attaching process's resource tracker, so the first attacher to "
+        "exit unlinks it under everyone else"
     )
-    exempt_modules = ("repro.bdd.arena",)
     node_types = (ast.Call,)
 
     def check(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
@@ -57,9 +56,9 @@ class ShmAttachOutsideArena(Rule):
             yield self.finding(
                 ctx,
                 node,
-                "SharedMemory attach outside repro.bdd.arena; use "
-                "arena.attach()/_attach_block, which unregisters the "
-                "segment from the resource tracker",
+                "raw SharedMemory(name=...) attach; the attaching "
+                "process's resource tracker would unlink the segment "
+                "under its owner",
             )
 
 

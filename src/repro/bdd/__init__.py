@@ -12,20 +12,12 @@ Public surface:
 * :meth:`BDD.sift` — in-place Rudell sifting (per-level subtables +
   adjacent level swaps), with :func:`reorder` / :func:`sift_rebuild`
   as the rebuild-based constructions;
-* :func:`to_dot` — Graphviz export (Figure 1);
-* :class:`BddArena` — read-only shared-memory snapshots of the flat
-  node-store arrays, so pool workers copy cones into their private
-  managers on a miss instead of rebuilding them (the serving layer's
-  verify shortcut).  Every manager owns its node store.
+* :func:`to_dot` — Graphviz export (Figure 1).
+
+Every manager owns its node store and operation cache; nothing is
+shared between managers, threads or processes.
 """
 
-from .arena import (
-    ArenaBinding,
-    ArenaError,
-    BddArena,
-    attach_worker_arena,
-    current_arena,
-)
 from .cofactor import CareSetError, constrain, generalized_cofactor, restrict
 from .dominators import (
     KIND_AND,
@@ -65,13 +57,8 @@ from .substitute import (
 )
 
 __all__ = [
-    "ArenaBinding",
-    "ArenaError",
     "BDD",
     "BDDError",
-    "BddArena",
-    "attach_worker_arena",
-    "current_arena",
     "CareSetError",
     "DEFAULT_CACHE_CAPACITY",
     "DEFAULT_MAX_GROWTH",

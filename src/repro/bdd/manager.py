@@ -40,7 +40,6 @@ valid across reordering.
 from __future__ import annotations
 
 import ast
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -1401,86 +1400,6 @@ class BDD:
             raise BDDError(f"unsupported expression element {node!r}")
 
         return build(tree)
-
-    # ------------------------------------------------------------------
-    # Flat-array export / import (the shared-memory arena substrate)
-    # ------------------------------------------------------------------
-    def export_arrays(
-        self, roots: Mapping[str, int]
-    ) -> tuple[tuple[str, ...], "array", "array", "array", dict[str, int]]:
-        """Snapshot the cones of ``roots`` as compact parallel arrays.
-
-        Returns ``(var_names, levels, highs, lows, root_edges)`` where
-        the three ``array('q')`` columns describe a renumbered node
-        store: index 0 is the terminal, and the other nodes follow in
-        :meth:`nodes_reachable` order (depth-first preorder, so a child
-        may precede its parent; :meth:`import_cone` recurses and does
-        not depend on the order).  Edges keep the ``(index << 1) |
-        complement`` encoding.  The snapshot is self-contained and position-
-        independent — exactly what :class:`repro.bdd.arena.BddArena`
-        serializes into shared memory.
-        """
-        order = self.nodes_reachable(roots.values())
-        index_map = {0: 0}
-        for new_index, old_index in enumerate(order, start=1):
-            index_map[old_index] = new_index
-
-        def map_edge(edge: int) -> int:
-            return (index_map[edge >> 1] << 1) | (edge & 1)
-
-        levels = array("q", [TERMINAL_LEVEL])
-        highs = array("q", [0])
-        lows = array("q", [0])
-        for old_index in order:
-            levels.append(self._level[old_index])
-            highs.append(map_edge(self._high[old_index]))
-            lows.append(map_edge(self._low[old_index]))
-        return (
-            tuple(self._names),
-            levels,
-            highs,
-            lows,
-            {key: map_edge(edge) for key, edge in roots.items()},
-        )
-
-    def import_cone(
-        self,
-        levels: Sequence[int],
-        highs: Sequence[int],
-        lows: Sequence[int],
-        edge: int,
-        level_map: Mapping[int, int],
-        memo: dict[int, int] | None = None,
-    ) -> int:
-        """Rebuild the cone of ``edge`` from an :meth:`export_arrays`
-        snapshot into *this* manager; returns the rebuilt edge.
-
-        ``level_map`` translates snapshot levels to this manager's
-        levels (the relative order of the mapped variables must match
-        the snapshot's, or the rebuilt store would violate ordering).
-        ``memo`` maps snapshot node index -> rebuilt edge; passing the
-        same dict across calls makes repeated imports copy-on-miss —
-        cones already pulled in (including shared subfunctions) cost
-        one dict lookup.  The rebuild goes straight through the unique
-        table (:meth:`_mk`), never the operation cache, so importing a
-        cone perturbs no memoized counters.
-        """
-        if memo is None:
-            memo = {}
-
-        def walk(e: int) -> int:
-            index = e >> 1
-            if index == 0:
-                return self.ONE ^ (e & 1)
-            rebuilt = memo.get(index)
-            if rebuilt is None:
-                rebuilt = self._mk(
-                    level_map[levels[index]], walk(highs[index]), walk(lows[index])
-                )
-                memo[index] = rebuilt
-            return rebuilt ^ (e & 1)
-
-        return walk(edge)
 
     # ------------------------------------------------------------------
     # Canonical shapes (manager- and name-independent function keys)

@@ -39,6 +39,7 @@ from ..benchgen import BENCHMARKS
 from ..benchgen.registry import benchmark_keys
 from ..flows import BATCH_FLOWS, BatchConfig, run_batch
 from ..network import to_blif
+from ..serve.journal import DEFAULT_COMPACT_BYTES
 from .figures import figure1, figure2, figure3
 from .table1 import format_table1, run_table1
 from .table2 import format_table2, run_table2
@@ -210,15 +211,6 @@ def main(argv: list[str] | None = None) -> int:
         "0 = disable)",
     )
     serve.add_argument(
-        "--arena",
-        default="auto",
-        metavar="CIRCUITS",
-        help="registry circuits snapshotted into the shared-memory BDD "
-        "arena workers verify against: 'auto' (default small MCNC "
-        "set), 'refresh' (default set, republished as jobs finish), "
-        "'off', or a comma-separated list",
-    )
-    serve.add_argument(
         "--journal",
         default=None,
         metavar="PATH",
@@ -232,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="N",
         help="rewrite the journal once it grows past N bytes, keeping "
-        "only live records (default: 1 MiB)",
+        f"only live records (default: {DEFAULT_COMPACT_BYTES / (1 << 20):g} MiB)",
     )
     serve.add_argument(
         "--max-pending",
@@ -391,7 +383,6 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     elif args.command == "serve":
         from ..serve import (
-            DEFAULT_ARENA_CIRCUITS,
             DEFAULT_EVENT_CAP,
             DEFAULT_IDLE_TIMEOUT,
             DEFAULT_RESULT_CACHE_SIZE,
@@ -410,22 +401,6 @@ def main(argv: list[str] | None = None) -> int:
             result_cache_size = DEFAULT_RESULT_CACHE_SIZE
         else:
             result_cache_size = args.result_cache or None  # 0 = off
-        arena_spec = args.arena.strip().lower()
-        arena_refresh = False
-        if arena_spec == "off":
-            arena_circuits = None
-        elif arena_spec == "auto":
-            arena_circuits = DEFAULT_ARENA_CIRCUITS
-        elif arena_spec == "refresh":
-            arena_circuits = DEFAULT_ARENA_CIRCUITS
-            arena_refresh = True
-        else:
-            arena_circuits = tuple(
-                name.strip() for name in args.arena.split(",") if name.strip()
-            )
-        extra_serve_kwargs = {}
-        if args.journal_compact_bytes is not None:
-            extra_serve_kwargs["journal_compact_bytes"] = args.journal_compact_bytes
         return run_server(
             host=args.host,
             port=args.port,
@@ -435,13 +410,11 @@ def main(argv: list[str] | None = None) -> int:
             max_finished_jobs=args.max_finished_jobs,
             idle_timeout=idle_timeout,
             result_cache_size=result_cache_size,
-            arena_circuits=arena_circuits,
-            arena_refresh=arena_refresh,
             journal_path=args.journal,
+            journal_compact_bytes=args.journal_compact_bytes or DEFAULT_COMPACT_BYTES,
             max_pending=args.max_pending,
             auth_token=args.auth_token,
             max_attempts=args.max_attempts,
-            **extra_serve_kwargs,
         )
     elif args.command == "list":
         for key, benchmark in BENCHMARKS.items():

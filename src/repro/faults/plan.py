@@ -65,7 +65,6 @@ KNOWN_SITES = (
     "batch.stage",  # start of one pipeline stage inside an attempt
     "journal.append",  # just before a journal record hits the file
     "journal.compact",  # temp file durable, rename not yet performed
-    "arena.attach",  # worker attaching the shared BDD arena
 )
 
 

@@ -78,12 +78,11 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from ..bdd.arena import attach_worker_arena, current_arena
 from ..bdd.manager import combine_cache_stats
 from ..benchgen import build_benchmark
 from ..faults import active as faults_active
 from ..faults import inject as inject_fault
-from ..network import BddSizeExceeded, check_equivalence, global_bdds
+from ..network import check_equivalence
 
 if TYPE_CHECKING:  # pragma: no cover - hints only (runtime import is lazy)
     from ..api import InputItem, InputSource, Stage, StageEvent
@@ -368,69 +367,6 @@ def _load_item(item: "InputItem"):
     return item.load()
 
 
-#: Live-node budget for the arena verify manager — generous because the
-#: target accumulates the memoized spec cones of every circuit the
-#: worker has verified so far.
-_ARENA_VERIFY_MAX_NODES = 500_000
-
-# Per-thread arena verify state: (arena, target manager, binding,
-# {root key: spec edge}).  Thread-local because serial serve jobs run on
-# executor threads that would otherwise share one mutable manager; pool
-# workers are single-threaded, so each simply gets one state for life.
-_arena_verify_state = threading.local()
-
-
-def _arena_verified(item: "InputItem", network, optimized) -> bool | None:
-    """Formal equivalence via the shared BDD arena, if it can answer.
-
-    When this process is attached to an arena holding the golden cones
-    of ``item`` (registry circuits only — BLIF bytes can differ from the
-    registry's version of the same name), the spec BDDs are copied out
-    of the arena (copy-on-miss, memoized across circuits) and compared
-    against a global BDD of the optimized network built in the same
-    manager: canonicity makes equivalence an edge comparison.  Returns
-    ``None`` whenever the arena cannot answer — not attached, circuit
-    absent, optimized BDD over budget — so the caller falls back to
-    :func:`~repro.network.check_equivalence`.  Both answers feed the
-    same boolean ``verified`` report field, which is why this shortcut
-    cannot perturb report bytes.
-    """
-    arena = current_arena()
-    state = getattr(_arena_verify_state, "value", None)
-    if state is not None and state[0] is not arena:
-        # Detached or replaced arena: unpin the old verify manager and
-        # its imported cones instead of keeping them for the thread's life.
-        _arena_verify_state.value = state = None
-    if arena is None or item.kind != "registry":
-        return None
-    keys = {output: f"{item.name}/{output}" for output in network.outputs}
-    if any(key not in arena.roots for key in keys.values()):
-        return None
-    if state is None:
-        target = arena.manager()
-        state = (arena, target, arena.binding(target), {})
-        _arena_verify_state.value = state
-    _, target, binding, spec_roots = state
-    try:
-        for key in keys.values():
-            spec_roots[key] = binding.copy(key)
-        _, optimized_roots = global_bdds(
-            optimized, mgr=target, max_nodes=_ARENA_VERIFY_MAX_NODES
-        )
-    except BddSizeExceeded:
-        # Too big for the verify budget: drop the optimized scratch
-        # nodes (keep every memoized spec cone) and let simulation-based
-        # checking take over.
-        target.gc(spec_roots.values())
-        return None
-    equivalent = all(
-        optimized_roots[output] == spec_roots[key] for output, key in keys.items()
-    )
-    # Shed the optimized scratch nodes; the spec cones stay memoized.
-    target.gc(spec_roots.values())
-    return equivalent
-
-
 class _StageGuard:
     """Pipeline observer run before every stage of one circuit: the
     ``batch.stage`` fault site and the cancellation poll.
@@ -516,9 +452,7 @@ def synthesize_one(
             }
         verified: bool | None = None
         if config.verify:
-            verified = _arena_verified(item, network, ctx.optimized)
-            if verified is None:
-                verified = bool(check_equivalence(network, ctx.optimized).equivalent)
+            verified = bool(check_equivalence(network, ctx.optimized).equivalent)
         return CircuitReport(
             benchmark=item.name,
             flow=config.flow,
@@ -583,14 +517,6 @@ def _init_pool_worker() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _init_pool_worker_arena(arena_name: str | None) -> None:
-    """Pool initializer for arena-backed workers: restore signal
-    handling, then attach the shared BDD arena (best effort — a failed
-    attach leaves the worker arena-less, not dead)."""
-    _init_pool_worker()
-    attach_worker_arena(arena_name)
-
-
 def _pool_ping() -> bool:
     """Health-check task a :class:`WarmPoolManager` runs on acquire."""
     return True
@@ -615,32 +541,20 @@ class WarmPoolManager:
     * :meth:`drain` tears everything down (server shutdown).
 
     Pools are keyed by worker count, created through :func:`_pool_context`
-    with :func:`_init_pool_worker_arena` so every worker attaches the
-    manager's shared BDD arena (``arena_name=None`` means no arena).
+    with :func:`_init_pool_worker`.
     Thread-safe: the serving layer calls it from executor threads.
     """
 
     def __init__(
         self,
-        arena_name: str | None = None,
         max_idle_per_size: int = 2,
         ping_timeout: float = 10.0,
     ) -> None:
-        #: Arena block name handed to every spawned worker's
-        #: initializer, or None.  Mutable: the serve layer's ``--arena
-        #: refresh`` mode points it at each newly published snapshot so
-        #: respawned pools attach the freshest one.
-        self.arena_name = arena_name
         self._max_idle_per_size = max_idle_per_size
         self._ping_timeout = ping_timeout
         self._lock = threading.Lock()
         self._idle: dict[int, list[multiprocessing.pool.Pool]] = {}
         self._sizes: dict[int, int] = {}  # id(pool) -> worker count
-        # Attach-token generation: bumped by recycle_idle() so pools
-        # spawned against a superseded arena are terminated at release
-        # instead of parked (id(pool) -> generation at spawn).
-        self._generation = 0
-        self._pool_generation: dict[int, int] = {}
         self._drained = False
         #: Acquires served from a parked pool.
         self.warm_acquires = 0
@@ -655,12 +569,10 @@ class WarmPoolManager:
     def _spawn(self, processes: int) -> multiprocessing.pool.Pool:
         pool = _pool_context().Pool(  # bdslint: disable=RES003 -- manager-owned lifetime: every _spawn result is parked in _idle or handed to a caller that must release()/discard(), and drain() terminates stragglers
             processes=processes,
-            initializer=_init_pool_worker_arena,
-            initargs=(self.arena_name,),
+            initializer=_init_pool_worker,
         )
         with self._lock:
             self._sizes[id(pool)] = processes
-            self._pool_generation[id(pool)] = self._generation
         return pool
 
     def _ping_sweep(
@@ -740,14 +652,12 @@ class WarmPoolManager:
             park = (
                 not self._drained
                 and processes is not None
-                and self._pool_generation.get(id(pool)) == self._generation
                 and len(self._idle.setdefault(processes, [])) < self._max_idle_per_size
             )
             if park:
                 self._idle[processes].append(pool)
             else:
                 self._sizes.pop(id(pool), None)
-                self._pool_generation.pop(id(pool), None)
         if not park:
             pool.terminate()
             pool.join()
@@ -757,30 +667,8 @@ class WarmPoolManager:
         with self._lock:
             self.discards += 1
             self._sizes.pop(id(pool), None)
-            self._pool_generation.pop(id(pool), None)
         pool.terminate()
         pool.join()
-
-    def recycle_idle(self) -> int:
-        """Tear down every *parked* pool (busy ones finish their batch
-        and are judged at release time) without draining the manager:
-        the next acquire cold-spawns with the current
-        :attr:`arena_name`.  The serve layer calls this after a
-        snapshot refresh so no worker keeps serving from a superseded
-        arena.  Returns the number of pools recycled."""
-        with self._lock:
-            self._generation += 1
-            pools = [pool for parked in self._idle.values() for pool in parked]
-            self._idle.clear()
-            for pool in pools:
-                self._sizes.pop(id(pool), None)
-                self._pool_generation.pop(id(pool), None)
-            self.respawns += len(pools)
-        for pool in pools:
-            pool.terminate()
-        for pool in pools:
-            pool.join()
-        return len(pools)
 
     def drain(self) -> None:
         """Tear down every parked pool; further acquires raise."""
@@ -789,7 +677,6 @@ class WarmPoolManager:
             pools = [pool for parked in self._idle.values() for pool in parked]
             self._idle.clear()
             self._sizes.clear()
-            self._pool_generation.clear()
         for pool in pools:
             pool.terminate()
         for pool in pools:

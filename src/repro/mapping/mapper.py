@@ -260,9 +260,11 @@ def map_network(
         kinds[name] = classify_gate(prepared.node(name))
 
     # ------------------------------------------------------------------
-    # Phase 1: two-polarity cost estimation (tree DP over the DAG).
+    # Phase 1: two-polarity cost estimation (tree DP over the DAG),
+    # recording the cheapest implementation of each (node, polarity).
     # ------------------------------------------------------------------
     cost: dict[str, tuple[float, float]] = {}
+    chosen: dict[tuple[str, int], tuple[str, tuple[int, ...], bool]] = {}
     for name in prepared.inputs:
         cost[name] = (0.0, inv_area)
 
@@ -282,7 +284,8 @@ def map_network(
         for want in (POS, NEG):
             base_want = want ^ out_inv
             best = float("inf")
-            for cell_fn, child_pols, inv_after in _IMPLEMENTATIONS[(kind, base_want)]:
+            for impl in _IMPLEMENTATIONS[(kind, base_want)]:
+                cell_fn, child_pols, inv_after = impl
                 if not library.has(cell_fn):
                     continue
                 total = library.cell(cell_fn).area + (inv_area if inv_after else 0.0)
@@ -291,6 +294,7 @@ def map_network(
                 )
                 if total < best:
                     best = total
+                    chosen[(name, want)] = impl
             if best == float("inf"):
                 raise MappingError(f"no implementation for {kind!r} in {library.name!r}")
             per_polarity.append(best)
@@ -353,30 +357,15 @@ def map_network(
             intern[(cell_fn, ())] = name
         return name
 
-    def choose_impl(kind: str, base_want: int, fanins: tuple[str, ...]):
-        best = None
-        best_cost = float("inf")
-        for impl in _IMPLEMENTATIONS[(kind, base_want)]:
-            cell_fn, child_pols, inv_after = impl
-            if not library.has(cell_fn):
-                continue
-            total = library.cell(cell_fn).area + (inv_area if inv_after else 0.0)
-            total += sum(cost[f][p] for f, p in zip(fanins, child_pols))
-            if total < best_cost:
-                best, best_cost = impl, total
-        assert best is not None  # cost phase already verified feasibility
-        return best
-
     # Phase 2a (iterative; deep netlists exceed the recursion limit):
     # walk consumers-to-producers collecting which polarity of which
-    # signal must exist, fixing each node's implementation choice.
+    # signal must exist under the phase 1 implementation choices.
     order = prepared.topological_order()
     demands: dict[str, set[int]] = {name: set() for name in order}
     for name in prepared.inputs:
         demands[name] = set()
     for output in prepared.outputs:
         demands[output].add(POS)
-    chosen: dict[tuple[str, int], tuple[str, tuple[int, ...], bool]] = {}
     for name in reversed(order):
         kind, out_inv, fanins = kinds[name]
         for polarity in tuple(demands[name]):
@@ -385,9 +374,7 @@ def map_network(
             if kind == "buf":
                 demands[fanins[0]].add(polarity ^ out_inv)
                 continue
-            impl = choose_impl(kind, polarity ^ out_inv, fanins)
-            chosen[(name, polarity)] = impl
-            _, child_pols, _ = impl
+            _, child_pols, _ = chosen[(name, polarity)]
             for fanin, child_pol in zip(fanins, child_pols):
                 demands[fanin].add(child_pol)
 

@@ -31,10 +31,8 @@ The stack, bottom up:
   front end (read timeouts, header caps, keep-alive, bearer auth) over
   submit/status/result/cancel/events endpoints, queue backpressure (429 +
   ``Retry-After`` past ``max_pending``), a
-  :class:`~repro.flows.WarmPoolManager` of reusable worker pools and
-  (optionally) a shared-memory :class:`~repro.bdd.BddArena` those
-  workers attach — plus :func:`run_server`, the blocking ``bdsmaj
-  serve`` entry point.
+  :class:`~repro.flows.WarmPoolManager` of reusable worker pools — plus
+  :func:`run_server`, the blocking ``bdsmaj serve`` entry point.
 
 One service spreads work over CPUs itself: a ``workers > 1`` job, one
 circuit included, runs in parked worker processes, so concurrent jobs
@@ -78,7 +76,6 @@ from .metrics import ServiceMetrics
 from .queue import JobQueue
 from .server import (
     AUTH_TOKEN_ENV,
-    DEFAULT_ARENA_CIRCUITS,
     DEFAULT_IDLE_TIMEOUT,
     SynthesisService,
     run_server,
@@ -95,7 +92,6 @@ from .wire import (
 __all__ = [
     "AUTH_TOKEN_ENV",
     "CANCELLED",
-    "DEFAULT_ARENA_CIRCUITS",
     "DEFAULT_COMPACT_BYTES",
     "DEFAULT_EVENT_CAP",
     "DEFAULT_IDLE_TIMEOUT",

@@ -9,7 +9,6 @@ aggregates what an operator watches on a warm server:
   :class:`~repro.serve.cache.ResultCache`);
 * worker-pool temperature — warm vs cold acquires, respawns, parked
   pools (from the :class:`~repro.flows.WarmPoolManager`);
-* shared-arena shape — block name, node/root counts (when published);
 * journal durability — bytes, records, compactions, replayed jobs
   (when ``--journal`` is on);
 * per-stage latency — fixed-bucket histograms per job lifecycle stage
@@ -161,7 +160,6 @@ class ServiceMetrics:
         concurrency: int,
         cache_stats: dict | None = None,
         pool_stats: dict | None = None,
-        arena_info: dict | None = None,
         journal_stats: dict | None = None,
         pending_limit: int | None = None,
     ) -> dict:
@@ -173,7 +171,6 @@ class ServiceMetrics:
             "max_pending": pending_limit,
             "result_cache": cache_stats,
             "worker_pools": pool_stats,
-            "arena": arena_info,
             "journal": journal_stats,
             "counters": self.counters(),
             "stages": self.stage_summaries(),

@@ -174,9 +174,6 @@ class JobQueue:
         def stage_progress(benchmark: str, event: StageEvent) -> None:
             emit(dict(event.to_payload(), type="stage", benchmark=benchmark))
 
-        # Pass ``pool`` only when warm pools are configured so a bare
-        # queue keeps the plain run_batch signature.
-        extra = {} if self.pool_manager is None else {"pool": self.pool_manager}
         try:
             report = run_batch(
                 job.items,
@@ -184,7 +181,7 @@ class JobQueue:
                 progress=circuit_progress,
                 cancel=job.cancel_requested,
                 stage_progress=stage_progress,
-                **extra,
+                pool=self.pool_manager,
             )
         except BatchCancelled:
             return "cancelled", None

@@ -20,7 +20,7 @@ Endpoints
 ``GET  /healthz``           liveness + job tally by state
 ``GET  /metrics``           operational gauges: queue depth, result-
                             cache hit rate, warm/cold pool counts,
-                            shared-arena shape, per-stage latency
+                            per-stage latency
 ``POST /jobs``              submit (JSON body, see :mod:`.wire`) → 202
 ``GET  /jobs``              all jobs, submission order
 ``GET  /jobs/<id>``         status payload
@@ -47,18 +47,13 @@ import math
 import os
 import signal
 import sys
-import threading
 import time
 from http import HTTPStatus
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
 from ..api import InputItem, InputSourceError, resolve_source
-from ..bdd import BDD
-from ..bdd.arena import BddArena, attach_worker_arena
-from ..benchgen import build_benchmark
 from ..flows.batch import WarmPoolManager
-from ..network import global_bdds
 from .cache import DEFAULT_RESULT_CACHE_SIZE, ResultCache, submission_key
 from .jobs import (
     DEFAULT_EVENT_CAP,
@@ -95,19 +90,6 @@ DEFAULT_IDLE_TIMEOUT = 60.0
 #: instead of a connection reset destroying it.
 _LINGER_SECONDS = 1.0
 
-#: Registry circuits the CLI's default arena snapshot covers: the MCNC
-#: benchmarks whose monolithic global BDDs build in well under a second
-#: (measured: alu2 ~16 ms, f51m ~33 ms, misex3 ~190 ms, vda ~230 ms).
-#: The big ones (c6288, dalu, seq, ...) blow any sane node budget, which
-#: is exactly why arena construction skips over-budget circuits instead
-#: of failing the server start.
-DEFAULT_ARENA_CIRCUITS = ("alu2", "f51m", "vda", "misex3")
-
-#: Live-node budget while building the arena snapshot (per the shared
-#: manager, so it bounds the whole snapshot, not one circuit).
-DEFAULT_ARENA_MAX_NODES = 200_000
-
-
 class SynthesisService:
     """Store + queue + HTTP listener, wired together.
 
@@ -126,9 +108,6 @@ class SynthesisService:
         max_finished_jobs: int | None = None,
         idle_timeout: float | None = DEFAULT_IDLE_TIMEOUT,
         result_cache_size: int | None = DEFAULT_RESULT_CACHE_SIZE,
-        arena_circuits: "tuple[str, ...] | list[str] | None" = None,
-        arena_max_nodes: int = DEFAULT_ARENA_MAX_NODES,
-        arena_refresh: bool = False,
         journal_path: "str | os.PathLike | None" = None,
         journal_fsync: bool = True,
         journal_compact_bytes: int = DEFAULT_COMPACT_BYTES,
@@ -138,15 +117,7 @@ class SynthesisService:
     ) -> None:
         """``idle_timeout=None`` disables read timeouts;
         ``result_cache_size=None``/``0`` disables result caching;
-        ``arena_circuits`` names registry circuits to snapshot into a
-        shared BDD arena at startup, against which their verify is a
-        BDD comparison instead of simulation (``None`` — the default,
-        and what the test suite uses — skips the snapshot; the CLI
-        passes :data:`DEFAULT_ARENA_CIRCUITS`); ``arena_refresh`` keeps
-        the snapshot *live* — each finished job's registry circuits that
-        the arena doesn't cover yet are built into the owner manager and
-        a new snapshot is published, so later jobs on them verify
-        formally too; ``journal_path`` makes the job store durable
+        ``journal_path`` makes the job store durable
         (append-only NDJSON, replayed on :meth:`start`);
         ``max_pending`` bounds the queued-job backlog (overflow answers
         429 with ``Retry-After``); ``auth_token`` requires ``Bearer``
@@ -194,28 +165,6 @@ class SynthesisService:
         self._max_pending = max_pending
         self._max_attempts = max_attempts
         self.last_replay: ReplayResult | None = None
-        self._arena_circuits = tuple(arena_circuits or ())
-        self._arena_max_nodes = arena_max_nodes
-        self._arena_refresh = arena_refresh
-        self._arena: BddArena | None = None
-        self._arena_info: dict | None = None
-        # Refresh machinery: the owner manager the snapshot grows in,
-        # the circuits it covers, snapshots superseded by a refresh
-        # (kept mapped until shutdown — executor threads mid-verify may
-        # still read them), and a lock serializing refresh builds.
-        self._arena_manager: BDD | None = None
-        #: Root edges in the *owner manager's* numbering — republish
-        #: must start from these (an arena's own root edges are
-        #: renumbered by export and mean nothing to the manager).
-        self._arena_roots: dict[str, int] = {}
-        self._arena_published: set[str] = set()
-        #: Circuits a refresh (or the startup build) failed on — never
-        #: retried: a BDD over the arena budget stays over budget, and
-        #: each doomed attempt costs a full build before it trips.
-        self._arena_skipped: set[str] = set()
-        self._retired_arenas: list[BddArena] = []
-        self._refresh_lock = threading.Lock()
-        self.arena_refreshes = 0
 
     # ------------------------------------------------------------------
     # HTTP front end
@@ -440,15 +389,7 @@ class SynthesisService:
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
         """Start the runners and the listener; returns the bound
-        ``(host, port)`` (useful with ``port=0``).
-
-        When ``arena_circuits`` was requested, the shared BDD arena is
-        built first (on a worker thread — BDD construction must not
-        block the loop) so every pool worker ever spawned attaches it.
-        """
-        if self._arena_circuits and self._arena is None:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, self._build_arena)
+        ``(host, port)`` (useful with ``port=0``)."""
         self.queue.start()
         if self.journal is not None and self.last_replay is None:
             self._replay_journal()
@@ -555,148 +496,6 @@ class SynthesisService:
             else:
                 job.mark_cancelled()
 
-    def _build_arena(self) -> None:
-        """Snapshot the requested registry circuits' global BDDs into a
-        shared-memory arena.  Per-circuit failures (unknown name, BDD
-        over budget) skip that circuit; only an empty snapshot skips the
-        arena entirely.  Never raises: a server without an arena is
-        merely colder, not broken."""
-        manager = BDD([])
-        roots: dict[str, int] = {}
-        published: list[str] = []
-        skipped: list[str] = []
-        for name in self._arena_circuits:
-            try:
-                network = build_benchmark(name)
-                manager, edges = global_bdds(
-                    network, mgr=manager, max_nodes=self._arena_max_nodes
-                )
-            except Exception:  # noqa: BLE001 - skip, don't fail the server
-                skipped.append(name)
-                manager.gc(roots.values())  # drop the partial build
-                continue
-            published.append(name)
-            for output, edge in edges.items():
-                roots[f"{name}/{output}"] = edge
-        if not roots:
-            self._arena_info = {"circuits": [], "skipped": skipped}
-            return
-        try:
-            arena = BddArena.publish(manager, roots)
-        except Exception:  # noqa: BLE001 - e.g. /dev/shm unavailable
-            self._arena_info = {"circuits": [], "skipped": list(self._arena_circuits)}
-            return
-        self._arena = arena
-        self._arena_manager = manager if self._arena_refresh else None
-        self._arena_roots = roots
-        self._arena_published = set(published)
-        self._arena_skipped = set(skipped)
-        self._set_arena_info(published, skipped)
-        # The service's own serial jobs verify through the same snapshot
-        # (installing the owner view directly — no second mapping)...
-        attach_worker_arena(arena)
-        # ...and every pool worker spawned from here on attaches by name.
-        self.pool_manager.arena_name = arena.name
-
-    def _set_arena_info(self, published: "list[str]", skipped: "list[str]") -> None:
-        self._arena_info = {
-            "name": self._arena.name,
-            "nodes": self._arena.num_nodes,
-            "roots": len(self._arena.roots),
-            "circuits": sorted(published),
-            "skipped": skipped,
-            "mode": "refresh" if self._arena_refresh else "static",
-            "refreshes": self.arena_refreshes,
-        }
-
-    def _watch_refresh(self, job: Job) -> None:
-        """Terminal hook (loop thread): a finished job's registry
-        circuits the snapshot doesn't cover yet trigger a rebuild on a
-        daemon thread (not the default executor — a build in flight at
-        shutdown must not block interpreter exit)."""
-        if job.state != DONE or self._arena_manager is None:
-            return
-        fresh = sorted(
-            {
-                item.name
-                for item in job.items
-                if item.kind == "registry"
-                and item.name not in self._arena_published
-                and item.name not in self._arena_skipped
-            }
-        )
-        if not fresh:
-            return
-        # Optimistically claim before the build: a second job finishing
-        # with the same circuits must not queue a duplicate rebuild.
-        self._arena_published.update(fresh)
-        threading.Thread(
-            target=self._refresh_arena,
-            args=(fresh,),
-            name="arena-refresh",
-            daemon=True,
-        ).start()
-
-    def _refresh_arena(self, names: "list[str]") -> None:
-        """Grow the owner manager by ``names`` and publish a new
-        snapshot (executor thread).  The superseded snapshot is retired,
-        not closed: threads mid-verify keep valid views until shutdown.
-        Never raises — a failed refresh leaves the old snapshot serving.
-        """
-        with self._refresh_lock:
-            manager = self._arena_manager
-            arena = self._arena
-            if manager is None or arena is None:
-                return
-            roots = dict(self._arena_roots)
-            built = []
-            for name in names:
-                try:
-                    network = build_benchmark(name)
-                    _, edges = global_bdds(
-                        network, mgr=manager, max_nodes=self._arena_max_nodes
-                    )
-                except Exception:  # noqa: BLE001 - skip for good, keep serving
-                    # Shed the failed build's scratch — those nodes stay
-                    # live until collected and would push every later
-                    # refresh over budget before it allocates a thing.
-                    manager.gc(roots.values())
-                    self._arena_published.discard(name)
-                    self._arena_skipped.add(name)
-                    continue
-                built.append(name)
-                for output, edge in edges.items():
-                    roots[f"{name}/{output}"] = edge
-            if not built:
-                if self._arena_info is not None:
-                    self._set_arena_info(
-                        sorted(self._arena_published), sorted(self._arena_skipped)
-                    )
-                return
-            try:
-                fresh = BddArena.publish(manager, roots)
-            except Exception:  # noqa: BLE001 - e.g. /dev/shm exhausted
-                self._arena_published.difference_update(built)
-                return
-            self._retired_arenas.append(arena)
-            self._arena = fresh
-            self._arena_roots = roots
-            self.arena_refreshes += 1
-            self._set_arena_info(
-                sorted(self._arena_published), sorted(self._arena_skipped)
-            )
-            # Swap without closing the retired view (see the
-            # close_previous contract): in-flight serial verifies on
-            # the old snapshot finish safely, new ones bind the fresh
-            # one.
-            attach_worker_arena(fresh, close_previous=False)
-            self.pool_manager.arena_name = fresh.name
-            # Parked pools are still attached to the superseded
-            # snapshot; retire them so the next acquire spawns against
-            # the fresh one (busy pools are caught by the generation
-            # stamp at release time).
-            self.pool_manager.recycle_idle()
-
     async def shutdown(self) -> None:
         """Stop accepting, cancel every live job, reap every worker."""
         if self._server is not None:
@@ -711,16 +510,6 @@ class SynthesisService:
         await asyncio.get_running_loop().run_in_executor(
             None, self.pool_manager.drain
         )
-        if self._arena is not None:
-            attach_worker_arena(None)  # closes the installed owner view
-            self._arena.unlink()
-            self._arena = None
-        for retired in self._retired_arenas:
-            # Superseded by refreshes; kept mapped until now so threads
-            # mid-verify never read a released view.
-            retired.unlink()
-        self._retired_arenas.clear()
-        self._arena_manager = None
         if self.journal is not None:
             self.journal.close()
         await self._close_listener()
@@ -769,23 +558,8 @@ class SynthesisService:
         self._check_backpressure()
         job = self.store.create(request, items)
         job.cache_key = key
-        self._chain_refresh_hook(job)
         self.queue.submit(job)
         return job
-
-    def _chain_refresh_hook(self, job: Job) -> None:
-        """In ``--arena refresh`` mode, watch the job's terminal
-        transition (after any journaling hook the store installed)."""
-        if not self._arena_refresh:
-            return
-        previous = job.on_terminal
-
-        def hook(finished: Job) -> None:
-            if previous is not None:
-                previous(finished)
-            self._watch_refresh(finished)
-
-        job.on_terminal = hook
 
     def _check_backpressure(self) -> None:
         """Refuse new queue entries past ``max_pending`` with a 429 and
@@ -881,7 +655,6 @@ class SynthesisService:
                             else None
                         ),
                         pool_stats=self.pool_manager.stats(),
-                        arena_info=self._arena_info,
                         journal_stats=(
                             self.journal.stats()
                             if self.journal is not None
@@ -1006,51 +779,13 @@ class SynthesisService:
 
 
 async def _serve_until_stopped(
-    host: str,
-    port: int,
-    concurrency: int,
-    echo: Callable[[str], None],
-    event_cap: int | None = DEFAULT_EVENT_CAP,
-    max_finished_jobs: int | None = None,
-    idle_timeout: float | None = DEFAULT_IDLE_TIMEOUT,
-    result_cache_size: int | None = DEFAULT_RESULT_CACHE_SIZE,
-    arena_circuits: "tuple[str, ...] | list[str] | None" = DEFAULT_ARENA_CIRCUITS,
-    arena_refresh: bool = False,
-    journal_path: "str | os.PathLike | None" = None,
-    journal_compact_bytes: int = DEFAULT_COMPACT_BYTES,
-    max_pending: int | None = None,
-    auth_token: str | None = None,
-    max_attempts: int = 3,
+    service: SynthesisService, echo: Callable[[str], None]
 ) -> None:
-    service = SynthesisService(
-        host=host,
-        port=port,
-        concurrency=concurrency,
-        event_cap=event_cap,
-        max_finished_jobs=max_finished_jobs,
-        idle_timeout=idle_timeout,
-        result_cache_size=result_cache_size,
-        arena_circuits=arena_circuits,
-        arena_refresh=arena_refresh,
-        journal_path=journal_path,
-        journal_compact_bytes=journal_compact_bytes,
-        max_pending=max_pending,
-        auth_token=auth_token,
-        max_attempts=max_attempts,
-    )
     bound_host, bound_port = await service.start()
-    if service._arena_info:  # noqa: SLF001 - own module
-        circuits = service._arena_info.get("circuits") or []  # noqa: SLF001
-        if circuits:
-            echo(
-                "bdsmaj serve: shared BDD arena "
-                f"{service._arena_info['nodes']} nodes over "  # noqa: SLF001
-                f"{', '.join(circuits)}"
-            )
     if service.last_replay is not None:
         replay = service.last_replay
         echo(
-            f"bdsmaj serve: journal {journal_path} replayed "
+            f"bdsmaj serve: journal {service.journal.path} replayed "
             f"{len(replay.jobs)} jobs ({replay.records} records"
             + (
                 f", {replay.truncated_bytes} torn bytes truncated"
@@ -1061,7 +796,7 @@ async def _serve_until_stopped(
         )
     echo(
         f"bdsmaj serve: listening on http://{bound_host}:{bound_port} "
-        f"({concurrency} concurrent jobs); Ctrl-C to stop"
+        f"({service.queue.concurrency} concurrent jobs); Ctrl-C to stop"
     )
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
@@ -1074,49 +809,17 @@ async def _serve_until_stopped(
         await service.shutdown()
 
 
-def run_server(
-    host: str = "127.0.0.1",
-    port: int = 8347,
-    concurrency: int = 2,
-    echo: Callable[[str], None] | None = None,
-    event_cap: int | None = DEFAULT_EVENT_CAP,
-    max_finished_jobs: int | None = None,
-    idle_timeout: float | None = DEFAULT_IDLE_TIMEOUT,
-    result_cache_size: int | None = DEFAULT_RESULT_CACHE_SIZE,
-    arena_circuits: "tuple[str, ...] | list[str] | None" = DEFAULT_ARENA_CIRCUITS,
-    arena_refresh: bool = False,
-    journal_path: "str | os.PathLike | None" = None,
-    journal_compact_bytes: int = DEFAULT_COMPACT_BYTES,
-    max_pending: int | None = None,
-    auth_token: str | None = None,
-    max_attempts: int = 3,
-) -> int:
+def run_server(echo: Callable[[str], None] | None = None, **options) -> int:
     """Blocking entry point behind ``bdsmaj serve``.
 
-    ``auth_token=None`` falls back to the :data:`AUTH_TOKEN_ENV`
-    environment variable (so tokens need not appear on command lines);
-    an empty value in either place means "no auth"."""
+    ``options`` are :class:`SynthesisService`'s keyword arguments.  An
+    absent or ``None`` ``auth_token`` falls back to the
+    :data:`AUTH_TOKEN_ENV` environment variable (so tokens need not
+    appear on command lines); an empty value in either place means "no
+    auth"."""
     if echo is None:
         echo = lambda message: print(message, file=sys.stderr, flush=True)  # noqa: E731
-    if auth_token is None:
-        auth_token = os.environ.get(AUTH_TOKEN_ENV) or None
-    asyncio.run(
-        _serve_until_stopped(
-            host,
-            port,
-            concurrency,
-            echo,
-            event_cap=event_cap,
-            max_finished_jobs=max_finished_jobs,
-            idle_timeout=idle_timeout,
-            result_cache_size=result_cache_size,
-            arena_circuits=arena_circuits,
-            arena_refresh=arena_refresh,
-            journal_path=journal_path,
-            journal_compact_bytes=journal_compact_bytes,
-            max_pending=max_pending,
-            auth_token=auth_token,
-            max_attempts=max_attempts,
-        )
-    )
+    if options.get("auth_token") is None:
+        options["auth_token"] = os.environ.get(AUTH_TOKEN_ENV) or None
+    asyncio.run(_serve_until_stopped(SynthesisService(**options), echo))
     return 0

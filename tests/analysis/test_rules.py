@@ -238,24 +238,24 @@ def test_asy004_allows_awaited_and_str_join():
 
 
 # ---------------------------------------------------------------------------
-# RES001 — SharedMemory attach outside the arena
+# RES001 — raw SharedMemory attach by name
 # ---------------------------------------------------------------------------
 
 
-def test_res001_flags_raw_attach_everywhere_but_arena():
+def test_res001_flags_raw_attach_everywhere():
     source = """
     from multiprocessing import shared_memory
-    block = shared_memory.SharedMemory(name="bdsmaj-arena")
+    block = shared_memory.SharedMemory(name="bdsmaj-block")
     """
     assert "RES001" in rules_fired(source, module="repro.serve.server")
     assert "RES001" in rules_fired(source, module="repro.flows.batch")
-    assert "RES001" not in rules_fired(source, module="repro.bdd.arena")
+    assert "RES001" in rules_fired(source, module="repro.bdd.manager")
 
 
 def test_res001_allows_owning_create():
     source = """
     from multiprocessing.shared_memory import SharedMemory
-    block = SharedMemory(name="bdsmaj-arena", create=True, size=1024)
+    block = SharedMemory(name="bdsmaj-block", create=True, size=1024)
     """
     assert "RES001" not in rules_fired(source, module="repro.serve.server")
 

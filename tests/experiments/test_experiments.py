@@ -196,11 +196,13 @@ class TestCliValidation:
         [
             (["batch", "--benchmarks", "alu2", "--cache-capacity", "4096"], "--cache-capacity"),
             (["serve", "--cold-pools"], "--cold-pools"),
+            (["serve", "--arena", "auto"], "--arena"),
         ],
     )
     def test_tuning_flags_are_gone(self, argv, flag, capsys):
-        """The op-cache size belongs to the BDD package and serve always
-        parks warm pools: neither is a command-line choice."""
+        """The op-cache size belongs to the BDD package, serve always
+        parks warm pools and verifies the way batch does: none of these
+        is a command-line choice."""
         with pytest.raises(SystemExit) as excinfo:
             cli_main(argv)
         assert excinfo.value.code == 2
@@ -212,3 +214,11 @@ class TestCliValidation:
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
         assert "--concurrency" in out and "--port" in out
+
+    def test_journal_compact_bytes_help_states_the_default(self, capsys):
+        from repro.serve import DEFAULT_COMPACT_BYTES
+
+        with pytest.raises(SystemExit):
+            cli_main(["serve", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"(default: {DEFAULT_COMPACT_BYTES / (1 << 20):g} MiB)" in out

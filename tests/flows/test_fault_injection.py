@@ -3,9 +3,8 @@
 Every test installs a :class:`~repro.faults.FaultPlan` in-process
 (fork-started pool workers inherit it) and asserts the robustness
 contract the plan attacks: a SIGKILLed worker never hangs the batch,
-deadline exhaustion produces byte-deterministic error rows, an armed
-but quiescent plan costs nothing, and a failed arena attach degrades
-instead of killing the worker.
+deadline exhaustion produces byte-deterministic error rows, and an
+armed but quiescent plan costs nothing.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ import json
 
 import pytest
 
-from repro.bdd import BDD, BddArena
-from repro.bdd.arena import attach_worker_arena, current_arena
 from repro.faults import (
     ENV_VAR,
     FaultInjected,
@@ -220,23 +217,3 @@ class TestQuiescentPlan:
         assert serial.to_json() == parallel.to_json()
         assert all(c.ok for c in serial.circuits)
 
-
-class TestArenaAttachFault:
-    def test_attach_fault_degrades_to_arena_less_worker(self):
-        mgr = BDD(["a", "b"])
-        roots = {"f": mgr.and_(mgr.var("a"), mgr.var("b"))}
-        arena = BddArena.publish(mgr, roots)
-        try:
-            install_plan(
-                _plan({"site": "arena.attach", "action": "error"})
-            )
-            attach_worker_arena(arena.name)
-            assert current_arena() is None  # degraded, not dead
-            install_plan(None)
-            attach_worker_arena(arena.name)
-            try:
-                assert current_arena() is not None
-            finally:
-                attach_worker_arena(None)
-        finally:
-            arena.unlink()

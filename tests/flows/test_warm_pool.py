@@ -1,38 +1,27 @@
-"""Warm worker pools and arena-backed verification.
+"""Warm worker pools.
 
 The load-bearing assertion: a batch run through a reused
-:class:`WarmPoolManager` pool — with or without a shared BDD arena
-attached to the workers — produces **byte-identical** reports to the
-cold-pool (and serial) paths, for 1 and 4 workers alike.  Warm serving
-is a latency optimization, never a different answer.
+:class:`WarmPoolManager` pool produces **byte-identical** reports to
+the cold-pool (and serial) paths, for 1 and 4 workers alike, verify
+included.  Warm serving is a latency optimization, never a different
+answer.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bdd import BDD
-from repro.bdd.arena import BddArena, attach_worker_arena, current_arena
-from repro.benchgen import build_benchmark
 from repro.flows import BatchConfig, WarmPoolManager, run_batch
-from repro.flows.batch import _arena_verify_state, batch_pool, synthesize_one
-from repro.network import global_bdds
+from repro.flows.batch import batch_pool
 
 CIRCUITS = ["alu2", "f51m"]
 
 
-def _publish_arena(keys) -> BddArena:
-    manager = BDD([])
-    roots: dict[str, int] = {}
-    for name in keys:
-        network = build_benchmark(name)
-        manager, edges = global_bdds(network, mgr=manager, max_nodes=300_000)
-        for output, edge in edges.items():
-            roots[f"{name}/{output}"] = edge
-    return BddArena.publish(manager, roots)
-
-
 class TestWarmPoolManager:
+    def test_arena_name_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            WarmPoolManager(arena_name="bdsmaj-block")
+
     def test_acquire_release_cycle_counts_warm_and_cold(self):
         manager = WarmPoolManager()
         try:
@@ -104,73 +93,23 @@ class TestWarmPoolManager:
 
 
 class TestByteIdentity:
-    def test_cold_warm_and_arena_paths_are_byte_identical(self):
-        """Cold 1-worker, cold 4-worker, warm 4-worker (twice, so the
-        second run really reuses a parked pool) and arena-attached warm
-        runs must serialize identically — verification included."""
+    def test_cold_and_warm_paths_are_byte_identical(self):
+        """Cold 1-worker, cold 4-worker and warm 4-worker runs (twice,
+        so the second run really reuses a parked pool) must serialize
+        identically — verification included."""
         config_serial = BatchConfig(flow="bds-maj", workers=1, verify=True)
         config_parallel = BatchConfig(flow="bds-maj", workers=4, verify=True)
         expected = run_batch(CIRCUITS, config_serial).to_json()
         assert run_batch(CIRCUITS, config_parallel).to_json() == expected
 
-        arena = _publish_arena(CIRCUITS)
+        warm = WarmPoolManager()
         try:
-            warm = WarmPoolManager(arena_name=arena.name)
-            try:
-                first = run_batch(CIRCUITS, config_parallel, pool=warm)
-                second = run_batch(CIRCUITS, config_parallel, pool=warm)
-                assert first.to_json() == expected
-                assert second.to_json() == expected
-                stats = warm.stats()
-                assert stats["cold_acquires"] == 1
-                assert stats["warm_acquires"] == 1
-            finally:
-                warm.drain()
-
-            # Serial path with the arena installed in-process.
-            attach_worker_arena(arena)
-            try:
-                assert run_batch(CIRCUITS, config_serial).to_json() == expected
-            finally:
-                attach_worker_arena(None)
+            first = run_batch(CIRCUITS, config_parallel, pool=warm)
+            second = run_batch(CIRCUITS, config_parallel, pool=warm)
+            assert first.to_json() == expected
+            assert second.to_json() == expected
+            stats = warm.stats()
+            assert stats["cold_acquires"] == 1
+            assert stats["warm_acquires"] == 1
         finally:
-            arena.unlink()
-
-
-class TestArenaVerify:
-    def test_absent_circuit_falls_back_to_simulation(self):
-        """A circuit missing from the arena must still verify (through
-        check_equivalence), with the same reported boolean."""
-        arena = _publish_arena(["f51m"])
-        attach_worker_arena(arena)
-        try:
-            config = BatchConfig(flow="bds-maj", verify=True)
-            in_arena = synthesize_one("f51m", config)
-            not_in_arena = synthesize_one("alu2", config)
-            assert in_arena.verified is True
-            assert not_in_arena.verified is True
-        finally:
-            attach_worker_arena(None)
-            arena.unlink()
-
-    def test_detached_arena_unpins_verify_state(self):
-        """After the arena is detached, the thread's next verified
-        circuit drops the verify manager and its imported cones."""
-        arena = _publish_arena(["f51m"])
-        config = BatchConfig(flow="bds-maj", verify=True)
-        try:
-            attach_worker_arena(arena)
-            try:
-                assert synthesize_one("f51m", config).verified is True
-                assert getattr(_arena_verify_state, "value", None) is not None
-            finally:
-                attach_worker_arena(None)
-            assert synthesize_one("f51m", config).verified is True
-            assert getattr(_arena_verify_state, "value", None) is None
-        finally:
-            arena.unlink()
-
-    def test_no_arena_means_no_state(self):
-        assert current_arena() is None
-        config = BatchConfig(flow="bds-maj", verify=True)
-        assert synthesize_one("alu2", config).verified is True
+            warm.drain()

@@ -364,8 +364,6 @@ def _spawn_server(journal: Path, extra: list[str] | None = None):
             "serve",
             "--port",
             "0",
-            "--arena",
-            "off",
             "--concurrency",
             "1",
             "--journal",

@@ -144,8 +144,6 @@ def _spawn_poisoned(journal: Path, wait_listen: bool):
             "serve",
             "--port",
             "0",
-            "--arena",
-            "off",
             "--concurrency",
             "1",
             "--max-attempts",
@@ -270,8 +268,6 @@ def _spawn_compacting(journal: Path, plan: "str | None"):
             "serve",
             "--port",
             "0",
-            "--arena",
-            "off",
             "--concurrency",
             "1",
             "--journal",

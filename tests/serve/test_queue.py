@@ -44,7 +44,9 @@ class TestScheduling:
     def test_priority_orders_execution(self, monkeypatch):
         ran: list[str] = []
 
-        def fake_run_batch(items, config, progress=None, *, cancel=None, stage_progress=None):
+        def fake_run_batch(
+            items, config, progress=None, *, cancel=None, stage_progress=None, pool=None
+        ):
             ran.append(items[0].name)
             return BatchReport(flow=config.flow)
 
@@ -73,7 +75,9 @@ class TestScheduling:
     def test_cancelled_queued_job_is_skipped(self, monkeypatch):
         ran: list[str] = []
 
-        def fake_run_batch(items, config, progress=None, *, cancel=None, stage_progress=None):
+        def fake_run_batch(
+            items, config, progress=None, *, cancel=None, stage_progress=None, pool=None
+        ):
             ran.append(items[0].name)
             return BatchReport(flow=config.flow)
 
@@ -100,7 +104,9 @@ class TestScheduling:
     def test_running_job_cancel_does_not_disturb_others(self, monkeypatch):
         started = threading.Event()
 
-        def fake_run_batch(items, config, progress=None, *, cancel=None, stage_progress=None):
+        def fake_run_batch(
+            items, config, progress=None, *, cancel=None, stage_progress=None, pool=None
+        ):
             if items[0].name == "victim":
                 started.set()
                 while not cancel():
@@ -128,7 +134,9 @@ class TestScheduling:
         assert bystander.state == DONE
 
     def test_job_error_is_isolated(self, monkeypatch):
-        def fake_run_batch(items, config, progress=None, *, cancel=None, stage_progress=None):
+        def fake_run_batch(
+            items, config, progress=None, *, cancel=None, stage_progress=None, pool=None
+        ):
             if items[0].name == "bad":
                 raise RuntimeError("synthesis exploded")
             return BatchReport(flow=config.flow)
@@ -152,7 +160,9 @@ class TestScheduling:
         assert good.state == DONE
 
     def test_shutdown_cancels_everything(self, monkeypatch):
-        def fake_run_batch(items, config, progress=None, *, cancel=None, stage_progress=None):
+        def fake_run_batch(
+            items, config, progress=None, *, cancel=None, stage_progress=None, pool=None
+        ):
             while not cancel():
                 time.sleep(0.01)
             raise BatchCancelled("cancelled by shutdown")

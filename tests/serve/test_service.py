@@ -305,56 +305,17 @@ class TestRunningPooledJobCancel:
         run(with_service(scenario, concurrency=1))
 
 
-class TestArenaRefresh:
-    def test_completed_job_extends_the_snapshot(self):
-        """``--arena refresh``: a finished job for a registry circuit
-        the snapshot does not cover triggers a republish — the fresh
-        arena includes the new circuit's cones, and in-flight state
-        never resets (refreshes are counted, not rebuilt from zero)."""
-
+class TestMetricsPayload:
+    def test_metrics_keys(self):
         async def scenario(service, host, port):
             status, metrics = await http_json(host, port, "GET", "/metrics")
-            arena = metrics["arena"]
-            assert arena["circuits"] == ["alu2"]
-            assert arena["mode"] == "refresh"
-            assert arena["refreshes"] == 0
-            assert "store" not in arena
-            initial_nodes = arena["nodes"]
+            assert status == 200
+            return metrics
 
-            status, job = await http_json(
-                host, port, "POST", "/jobs", {"circuits": ["f51m"]}
-            )
-            assert status == 202
-            final = await poll_job(host, port, job["id"])
-            assert final["status"] == "done"
-            # The republish runs on an executor thread after the
-            # terminal transition; poll the metrics until it lands.
-            deadline = asyncio.get_running_loop().time() + 30
-            while True:
-                status, metrics = await http_json(host, port, "GET", "/metrics")
-                arena = metrics["arena"]
-                if arena["refreshes"] >= 1:
-                    break
-                assert asyncio.get_running_loop().time() < deadline
-                await asyncio.sleep(0.05)
-            assert arena["circuits"] == ["alu2", "f51m"]
-            assert arena["refreshes"] == 1
-            assert arena["nodes"] > initial_nodes
-            # A repeat submission of the now-covered circuit must not
-            # queue another refresh.
-            status, again = await http_json(
-                host, port, "POST", "/jobs", {"circuits": ["f51m"]}
-            )
-            assert status == 202
-            await poll_job(host, port, again["id"])
-            status, metrics = await http_json(host, port, "GET", "/metrics")
-            assert metrics["arena"]["refreshes"] == 1
+        metrics = run(with_service(scenario, concurrency=1))
+        assert "arena" not in metrics
+        assert {"jobs", "worker_pools", "result_cache", "stages"} <= set(metrics)
 
-        run(
-            with_service(
-                scenario,
-                concurrency=1,
-                arena_circuits=("alu2",),
-                arena_refresh=True,
-            )
-        )
+    def test_arena_options_are_gone(self):
+        with pytest.raises(TypeError):
+            SynthesisService(arena_circuits=("alu2",))
