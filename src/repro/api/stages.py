@@ -36,7 +36,7 @@ from ..core.emit import network_from_trees
 from ..flows.bds import BdsTrace
 from ..mapping import analyze, map_network
 from ..mapping.mapper import classify_gate
-from ..network import Supernode, check_equivalence, partition_with_bdds
+from ..network import Supernode, check_all_equivalent, partition_with_bdds
 from ..sop import GateEmitter, expression_from_cover, factor_expression, simplify_cover
 from .context import PipelineError, SynthesisContext
 
@@ -370,10 +370,11 @@ class MapNetwork:
 
 class VerifyEquivalence:
     """Equivalence check of the optimized network and then the mapped
-    netlist against the source.
+    netlist against the source, on one set of stimuli.
 
-    Raises ``AssertionError`` on a counterexample: a flow that broke its
-    circuit must never report success.
+    Raises ``AssertionError`` on a counterexample (the optimized
+    network's, if both differ): a flow that broke its circuit must never
+    report success.
     """
 
     name = "verify"
@@ -383,10 +384,8 @@ class VerifyEquivalence:
         if not ctx.verify:
             return ctx
         source = ctx.require("network")
-        mapped = ctx.require("mapped")
-        equivalence = check_equivalence(source, ctx.require("optimized"))
-        if equivalence.equivalent:
-            equivalence = check_equivalence(source, mapped.network)
+        candidates = (ctx.require("optimized"), ctx.require("mapped").network)
+        equivalence = check_all_equivalent(source, candidates)
         if not equivalence.equivalent:
             raise AssertionError(
                 f"{ctx.flow} broke {source.name}: counterexample "

@@ -3,7 +3,7 @@ structural mapper with MAJ/XOR/XNOR direct assignment, and STA."""
 
 from .library import Cell, CellLibrary, cmos22_library, nand_only_library
 from .cut_mapper import cut_map_network
-from .mapper import MappedCircuit, MappingError, classify_gate, expand_for_library, map_network
+from .mapper import MappedCircuit, MappingError, classify_gate, map_network
 from .sta import TimingReport, analyze
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "classify_gate",
     "cmos22_library",
     "cut_map_network",
-    "expand_for_library",
     "map_network",
     "nand_only_library",
 ]

@@ -14,12 +14,19 @@ mapper:
   hashing, so shared logic and shared inverters are emitted once.
 
 Gates without a matching cell (e.g. XOR under the NAND-only ablation
-library, MUX, or raw SOP nodes) are pre-expanded into AND/OR/NOT.
+library, MUX, or raw SOP nodes) are expanded into AND/OR/NOT.
+
+One walk over the network's topological order lays it out as an
+int-indexed list of gates: each distinct cover is classified once, and
+expansions are emitted in place.  The cost DP, the demand pass and
+materialization then run over list indices, and the mapped
+:class:`LogicNetwork` is built once at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 from ..network import LogicNetwork, NetworkError, Node
 from .library import Cell, CellLibrary, cmos22_library
@@ -35,14 +42,26 @@ class MappingError(NetworkError):
 # ----------------------------------------------------------------------
 # Gate classification
 # ----------------------------------------------------------------------
-#: Canonical covers for 1- and 2-input gates and the 3-input MAJ/MUX.
+#: Two-input covers by row set: ``(base_kind, output_inverted)``.
+_TWO_INPUT_KINDS: dict[frozenset[str], tuple[str, bool]] = {
+    frozenset({"11"}): ("and", False),
+    frozenset({"1-", "-1"}): ("or", False),
+    frozenset({"00"}): ("or", True),
+    frozenset({"0-", "-0"}): ("and", True),
+    frozenset({"10", "01"}): ("xor", False),
+    frozenset({"11", "00"}): ("xor", True),
+    frozenset({"10"}): ("andnot", False),
+    frozenset({"01"}): ("notand", False),
+}
+
+
 def classify_gate(node: Node) -> tuple[str, bool, tuple[str, ...]]:
     """Classify a node as ``(base_kind, output_inverted, fanins)``.
 
-    ``base_kind`` is one of ``const0 const1 buf and or xor maj mux
-    sop``; NAND/NOR/XNOR/NOT are folded into their base kind with
-    ``output_inverted`` set (and the ``inverted`` cover flag handled).
-    ``sop`` marks anything that needs pre-expansion.
+    ``base_kind`` is one of ``const0 const1 buf and or andnot notand
+    xor maj mux sop``; NAND/NOR/XNOR/NOT are folded into their base kind
+    with ``output_inverted`` set (and the ``inverted`` cover flag
+    handled).  ``sop`` marks anything that needs expansion.
     """
     rows = frozenset(node.cover)
     inverted = node.inverted
@@ -58,20 +77,10 @@ def classify_gate(node: Node) -> tuple[str, bool, tuple[str, ...]]:
         value = bool(rows == {"1", "0"} or rows == {"-"}) ^ inverted
         return ("const1" if value else "const0", False, ())
     if arity == 2:
-        table = {
-            frozenset({"11"}): ("and", False, node.fanins),
-            frozenset({"1-", "-1"}): ("or", False, node.fanins),
-            frozenset({"00"}): ("or", True, node.fanins),
-            frozenset({"0-", "-0"}): ("and", True, node.fanins),
-            frozenset({"10", "01"}): ("xor", False, node.fanins),
-            frozenset({"11", "00"}): ("xor", True, node.fanins),
-            frozenset({"10"}): ("andnot", False, node.fanins),
-            frozenset({"01"}): ("notand", False, node.fanins),
-        }
-        entry = table.get(rows)
+        entry = _TWO_INPUT_KINDS.get(rows)
         if entry is not None:
-            kind, out_inv, fanins = entry
-            return kind, out_inv ^ inverted, fanins
+            kind, out_inv = entry
+            return kind, out_inv ^ inverted, node.fanins
         return "sop", inverted, node.fanins
     if arity == 3:
         if rows == {"11-", "1-1", "-11"}:
@@ -80,111 +89,6 @@ def classify_gate(node: Node) -> tuple[str, bool, tuple[str, ...]]:
             return "mux", inverted, node.fanins
         return "sop", inverted, node.fanins
     return "sop", inverted, node.fanins
-
-
-# ----------------------------------------------------------------------
-# Pre-expansion of unmappable nodes
-# ----------------------------------------------------------------------
-def expand_for_library(network: LogicNetwork, library: CellLibrary) -> LogicNetwork:
-    """Rewrite ``network`` so every node is a gate the mapper handles
-    with the given library: SOP and MUX nodes become AND/OR/NOT trees,
-    XOR/XNOR/MAJ are expanded when the library lacks their cells."""
-    result = LogicNetwork(network.name)
-    for name in network.inputs:
-        result.add_input(name)
-    counter = [0]
-
-    def fresh(stem: str) -> str:
-        counter[0] += 1
-        return f"__map{counter[0]}_{stem}"
-
-    def emit_not(source: str) -> str:
-        name = fresh("n")
-        result.add_not(name, source)
-        return name
-
-    def emit_and(left: str, right: str) -> str:
-        name = fresh("a")
-        result.add_and(name, left, right)
-        return name
-
-    def emit_or(left: str, right: str) -> str:
-        name = fresh("o")
-        result.add_or(name, left, right)
-        return name
-
-    def expand_row(row: str, fanins: tuple[str, ...]) -> str | None:
-        literals: list[str] = []
-        for ch, fanin in zip(row, fanins):
-            if ch == "1":
-                literals.append(fanin)
-            elif ch == "0":
-                literals.append(emit_not(fanin))
-        if not literals:
-            return None  # tautological row
-        while len(literals) > 1:
-            literals = [
-                emit_and(literals[i], literals[i + 1])
-                for i in range(0, len(literals) - 1, 2)
-            ] + ([literals[-1]] if len(literals) % 2 else [])
-        return literals[0]
-
-    for name in network.topological_order():
-        node = network.node(name)
-        kind, out_inv, fanins = classify_gate(node)
-        keep_as_is = (
-            kind in ("const0", "const1", "buf", "and", "or", "andnot", "notand")
-            or (kind == "xor" and library.has("xor2"))
-            or (kind == "maj" and library.has("maj3"))
-        )
-        if keep_as_is:
-            result.add_node(name, node.fanins, node.cover, node.inverted)
-            continue
-        # Expand into AND/OR/NOT gates, ending in a node named ``name``.
-        if kind == "mux":
-            select, when_true, when_false = fanins
-            then_part = emit_and(select, when_true)
-            else_part = emit_and(emit_not(select), when_false)
-            result.add_node(
-                name, (then_part, else_part), ("1-", "-1"), inverted=out_inv
-            )
-            continue
-        if kind == "xor":
-            left, right = fanins
-            then_part = emit_and(left, emit_not(right))
-            else_part = emit_and(emit_not(left), right)
-            result.add_node(
-                name, (then_part, else_part), ("1-", "-1"), inverted=out_inv
-            )
-            continue
-        if kind == "maj":
-            a, b, c = fanins
-            ab = emit_and(a, b)
-            ac = emit_and(a, c)
-            bc = emit_and(b, c)
-            result.add_node(
-                name, (emit_or(ab, ac), bc), ("1-", "-1"), inverted=out_inv
-            )
-            continue
-        # General SOP.
-        terms = [expand_row(row, node.fanins) for row in node.cover]
-        if any(term is None for term in terms):
-            result.add_const(name, not node.inverted)
-            continue
-        if not terms:
-            result.add_const(name, node.inverted)
-            continue
-        while len(terms) > 1:
-            terms = [
-                emit_or(terms[i], terms[i + 1])
-                for i in range(0, len(terms) - 1, 2)
-            ] + ([terms[-1]] if len(terms) % 2 else [])
-        result.add_node(name, (terms[0],), ("0",) if node.inverted else ("1",))
-
-    for output in network.outputs:
-        result.add_output(output)
-    result.sweep_dangling()
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -245,6 +149,116 @@ _IMPLEMENTATIONS: dict[tuple[str, int], list[tuple[str, tuple[int, ...], bool]]]
 }
 
 
+#: An available implementation: ``(cell area plus any inverter after
+#: it, cell function, child polarities, invert after)``.
+_Implementation = tuple[float, str, tuple[int, ...], bool]
+
+#: Cover and output-inversion flag of each placed cell function.
+_CELL_COVERS: dict[str, tuple[tuple[str, ...], bool]] = {
+    "inv": (("0",), False),
+    "nand2": (("11",), True),
+    "nor2": (("1-", "-1"), True),
+    "xor2": (("10", "01"), False),
+    "xnor2": (("11", "00"), False),
+    "maj3": (("11-", "1-1", "-11"), False),
+}
+
+#: Pseudo-cell of an alias net that gives an output its own name.
+_WIRE = Cell("WIRE", "wire", 1, 0.0, 0.0, 0.0)
+
+#: One gate of the prepared network: ``(kind, output_inverted, fanin
+#: indices, name)``.  ``name`` is the source signal the gate computes,
+#: or ``None`` for a gate that expansion introduced.
+_Gate = tuple[str, bool, tuple[int, ...], Optional[str]]
+
+
+def _prepare(
+    network: LogicNetwork, library: CellLibrary
+) -> tuple[list[_Gate], dict[str, int]]:
+    """Lay ``network`` out as gates the mapper has a cell for.
+
+    Returns the gates in emission order (the primary inputs first, as
+    ``input`` gates) and the index of the gate computing each source
+    signal.  Every fanin index is smaller than the gate's own, so the
+    list order is topological.  SOP and MUX nodes, and XOR/MAJ when the
+    library lacks their cells, become AND/OR/NOT gates in place;
+    expansion creates fresh gates and never shares them.
+    """
+    has_xor, has_maj = library.has("xor2"), library.has("maj3")
+    gates: list[_Gate] = [("input", False, (), name) for name in network.inputs]
+    index = {name: position for position, name in enumerate(network.inputs)}
+    kinds: dict[tuple[tuple[str, ...], bool, int], tuple[str, bool]] = {}
+
+    def emit(
+        kind: str, out_inv: bool, fanins: tuple[int, ...], name: str | None = None
+    ) -> int:
+        gates.append((kind, out_inv, fanins, name))
+        return len(gates) - 1
+
+    def emit_not(source: int) -> int:
+        return emit("buf", True, (source,))
+
+    def emit_and(left: int, right: int) -> int:
+        return emit("and", False, (left, right))
+
+    def emit_or(left: int, right: int) -> int:
+        return emit("or", False, (left, right))
+
+    def pairwise(terms: list[int], combine: Callable[[int, int], int]) -> int:
+        while len(terms) > 1:
+            terms = [
+                combine(terms[i], terms[i + 1]) for i in range(0, len(terms) - 1, 2)
+            ] + ([terms[-1]] if len(terms) % 2 else [])
+        return terms[0]
+
+    for name in network.topological_order():
+        node = network.node(name)
+        key = (node.cover, node.inverted, len(node.fanins))
+        entry = kinds.get(key)
+        if entry is None:
+            kind, out_inv, _ = classify_gate(node)
+            entry = kinds[key] = (kind, out_inv)
+        kind, out_inv = entry
+        if kind == "const0" or kind == "const1":
+            index[name] = emit(kind, False, (), name)
+            continue
+        fanins = tuple(map(index.__getitem__, node.fanins))
+        if kind == "mux":
+            select, when_true, when_false = fanins
+            then_part = emit_and(select, when_true)
+            else_part = emit_and(emit_not(select), when_false)
+            index[name] = emit("or", out_inv, (then_part, else_part), name)
+        elif kind == "xor" and not has_xor:
+            left, right = fanins
+            then_part = emit_and(left, emit_not(right))
+            else_part = emit_and(emit_not(left), right)
+            index[name] = emit("or", out_inv, (then_part, else_part), name)
+        elif kind == "maj" and not has_maj:
+            a, b, c = fanins
+            ab = emit_and(a, b)
+            ac = emit_and(a, c)
+            bc = emit_and(b, c)
+            index[name] = emit("or", out_inv, (emit_or(ab, ac), bc), name)
+        elif kind == "sop":
+            if not node.cover or any(not row.strip("-") for row in node.cover):
+                # Empty cover, or a tautological row.
+                value = bool(node.cover) ^ node.inverted
+                index[name] = emit("const1" if value else "const0", False, (), name)
+                continue
+            terms = []
+            for row in node.cover:
+                literals = [
+                    fanin if ch == "1" else emit_not(fanin)
+                    for ch, fanin in zip(row, fanins)
+                    if ch != "-"
+                ]
+                terms.append(pairwise(literals, emit_and))
+            index[name] = emit("buf", node.inverted, (pairwise(terms, emit_or),), name)
+        else:
+            index[name] = emit(kind, out_inv, fanins, name)
+    return gates, index
+
+
 def map_network(
     network: LogicNetwork, library: CellLibrary | None = None
 ) -> MappedCircuit:
@@ -252,188 +266,175 @@ def map_network(
     cmos22 library)."""
     if library is None:
         library = cmos22_library()
-    prepared = expand_for_library(network, library)
     inv_area = library.cell("inv").area
+    gates, index = _prepare(network, library)
+    inputs = network.inputs
+    outputs = [index[output] for output in network.outputs]
 
-    kinds: dict[str, tuple[str, bool, tuple[str, ...]]] = {}
-    for name in prepared.topological_order():
-        kinds[name] = classify_gate(prepared.node(name))
+    # Only the gates the outputs reach are mapped (and may raise).
+    live = bytearray(len(gates))
+    for signal in outputs:
+        live[signal] = 1
+    for position in range(len(gates) - 1, len(inputs) - 1, -1):
+        if live[position]:
+            for fanin in gates[position][2]:
+                live[fanin] = 1
+    order = [position for position in range(len(inputs), len(gates)) if live[position]]
 
     # ------------------------------------------------------------------
     # Phase 1: two-polarity cost estimation (tree DP over the DAG),
-    # recording the cheapest implementation of each (node, polarity).
+    # recording the cheapest implementation of each (gate, polarity).
+    # An implementation costs its cell (plus inverter) plus the sum of
+    # its children's costs, in that association: float ties decide.
     # ------------------------------------------------------------------
-    cost: dict[str, tuple[float, float]] = {}
-    chosen: dict[tuple[str, int], tuple[str, tuple[int, ...], bool]] = {}
-    for name in prepared.inputs:
-        cost[name] = (0.0, inv_area)
-
-    def child_cost(signal: str, polarity: int) -> float:
-        return cost[signal][polarity]
-
-    for name in prepared.topological_order():
-        kind, out_inv, fanins = kinds[name]
-        if kind in ("const0", "const1"):
-            cost[name] = (0.0, 0.0)
+    options: dict[tuple[str, int], list[_Implementation]] = {}
+    for key, alternatives in _IMPLEMENTATIONS.items():
+        options[key] = [
+            (library.cells[fn].area + (inv_area if inv_after else 0.0), fn, pols, inv_after)
+            for fn, pols, inv_after in alternatives
+            if library.has(fn)
+        ]
+    cost: list[tuple[float, float]] = [(0.0, inv_area)] * len(gates)
+    chosen: list[list[_Implementation]] = [[] for _ in gates]
+    for position in order:
+        kind, out_inv, fanins, _ = gates[position]
+        if kind == "const0" or kind == "const1":
+            cost[position] = (0.0, 0.0)
             continue
         if kind == "buf":
             base = cost[fanins[0]]
-            cost[name] = (base[out_inv], base[1 - out_inv])
+            cost[position] = (base[out_inv], base[1 - out_inv])
             continue
-        per_polarity: list[float] = []
+        children = [cost[fanin] for fanin in fanins]
+        per_polarity = []
         for want in (POS, NEG):
-            base_want = want ^ out_inv
             best = float("inf")
-            for impl in _IMPLEMENTATIONS[(kind, base_want)]:
-                cell_fn, child_pols, inv_after = impl
-                if not library.has(cell_fn):
-                    continue
-                total = library.cell(cell_fn).area + (inv_area if inv_after else 0.0)
-                total += sum(
-                    child_cost(f, p) for f, p in zip(fanins, child_pols)
-                )
+            for impl in options[(kind, want ^ out_inv)]:
+                pols = impl[2]
+                if len(pols) == 2:
+                    total = impl[0] + (children[0][pols[0]] + children[1][pols[1]])
+                else:
+                    total = impl[0] + (
+                        children[0][pols[0]] + children[1][pols[1]] + children[2][pols[2]]
+                    )
                 if total < best:
                     best = total
-                    chosen[(name, want)] = impl
+                    pick = impl
             if best == float("inf"):
                 raise MappingError(f"no implementation for {kind!r} in {library.name!r}")
             per_polarity.append(best)
-        cost[name] = (per_polarity[0], per_polarity[1])
+            chosen[position].append(pick)
+        cost[position] = (per_polarity[0], per_polarity[1])
 
     # ------------------------------------------------------------------
-    # Phase 2: materialization with structural hashing.
+    # Phase 2a: consumers-to-producers, which polarities of which gate
+    # must exist under the phase 1 choices (bit 1: POS, bit 2: NEG).
     # ------------------------------------------------------------------
-    mapped = LogicNetwork(f"{network.name}_mapped")
-    for name in prepared.inputs:
-        mapped.add_input(name)
+    demand = bytearray(len(gates))
+    for signal in outputs:
+        demand[signal] |= 1
+    for position in reversed(order):
+        kind, out_inv, fanins, _ = gates[position]
+        if kind == "const0" or kind == "const1":
+            continue
+        wanted = demand[position]
+        for polarity in (POS, NEG):
+            if not wanted >> polarity & 1:
+                continue
+            if kind == "buf":
+                demand[fanins[0]] |= 1 << (polarity ^ out_inv)
+                continue
+            for fanin, child_pol in zip(fanins, chosen[position][polarity][2]):
+                demand[fanin] |= 1 << child_pol
+
+    # ------------------------------------------------------------------
+    # Phase 2b: materialization with structural hashing, bottom-up.
+    # ``built[2 * gate + polarity]`` is the mapped net computing it.
+    # ------------------------------------------------------------------
+    nodes: list[tuple[str, tuple[str, ...], tuple[str, ...], bool]] = []
     cell_of: dict[str, Cell] = {}
     intern: dict[tuple[str, tuple[str, ...]], str] = {}
-    counter = [0]
-    output_names = set(prepared.outputs)
-
-    covers = {
-        "inv": (("0",), False),
-        "nand2": (("11",), True),
-        "nor2": (("1-", "-1"), True),
-        "xor2": (("10", "01"), False),
-        "xnor2": (("11", "00"), False),
-        "maj3": (("11-", "1-1", "-11"), False),
-    }
+    counter = 0
+    output_names = set(network.outputs)
 
     def place_cell(cell_fn: str, fanins: tuple[str, ...], preferred: str | None) -> str:
+        nonlocal counter
         key = (cell_fn, fanins)
         existing = intern.get(key)
-        if existing is not None and preferred is None:
-            return existing
-        if existing is not None and preferred is not None:
+        if existing is not None:
+            if preferred is None:
+                return existing
             # An output needs its own named node: emit an alias wire.
-            mapped.add_node(preferred, (existing,), ("1",))
-            cell_of[preferred] = Cell("WIRE", "wire", 1, 0.0, 0.0, 0.0)
+            nodes.append((preferred, (existing,), ("1",), False))
+            cell_of[preferred] = _WIRE
             return preferred
         if preferred is not None:
             name = preferred
         else:
-            counter[0] += 1
-            name = f"g{counter[0]}"
-        cover, inverted = covers[cell_fn]
-        mapped.add_node(name, fanins, cover, inverted)
-        cell_of[name] = library.cell(cell_fn)
-        intern.setdefault(key, name)
+            counter += 1
+            name = f"g{counter}"
+        cover, inverted = _CELL_COVERS[cell_fn]
+        nodes.append((name, fanins, cover, inverted))
+        cell_of[name] = library.cells[cell_fn]
+        intern[key] = name
         return name
 
-    def place_const(value: bool, preferred: str | None) -> str:
+    def place_const(value: bool) -> str:
+        nonlocal counter
         cell_fn = "tie1" if value else "tie0"
-        if preferred is not None:
-            name = preferred
-        else:
-            existing = intern.get((cell_fn, ()))
-            if existing is not None:
-                return existing
-            counter[0] += 1
-            name = f"g{counter[0]}"
-        mapped.add_const(name, value)
+        existing = intern.get((cell_fn, ()))
+        if existing is not None:
+            return existing
+        counter += 1
+        name = f"g{counter}"
+        nodes.append((name, (), ("",) if value else (), False))
         cell_of[name] = library.cell(cell_fn)
-        if preferred is None:
-            intern[(cell_fn, ())] = name
+        intern[(cell_fn, ())] = name
         return name
 
-    # Phase 2a (iterative; deep netlists exceed the recursion limit):
-    # walk consumers-to-producers collecting which polarity of which
-    # signal must exist under the phase 1 implementation choices.
-    order = prepared.topological_order()
-    demands: dict[str, set[int]] = {name: set() for name in order}
-    for name in prepared.inputs:
-        demands[name] = set()
-    for output in prepared.outputs:
-        demands[output].add(POS)
-    for name in reversed(order):
-        kind, out_inv, fanins = kinds[name]
-        for polarity in tuple(demands[name]):
-            if kind in ("const0", "const1"):
+    built: list[str | None] = [None] * (2 * len(gates))
+    for position, name in enumerate(inputs):
+        built[2 * position] = name
+        if demand[position] & 2:
+            built[2 * position + 1] = place_cell("inv", (name,), None)
+    for position in order:
+        kind, out_inv, fanins, name = gates[position]
+        wanted = demand[position]
+        for polarity in (POS, NEG):
+            if not wanted >> polarity & 1:
+                continue
+            if kind == "const0" or kind == "const1":
+                built[2 * position + polarity] = place_const((kind == "const1") ^ bool(polarity))
                 continue
             if kind == "buf":
-                demands[fanins[0]].add(polarity ^ out_inv)
+                built[2 * position + polarity] = built[2 * fanins[0] + (polarity ^ out_inv)]
                 continue
-            _, child_pols, _ = chosen[(name, polarity)]
-            for fanin, child_pol in zip(fanins, child_pols):
-                demands[fanin].add(child_pol)
-
-    # Phase 2b: build bottom-up.  ``built`` maps (signal, polarity) to
-    # the mapped net computing it.
-    built: dict[tuple[str, int], str] = {}
-    for name in prepared.inputs:
-        built[(name, POS)] = name
-        if NEG in demands[name]:
-            built[(name, NEG)] = place_cell("inv", (name,), None)
-    for name in order:
-        kind, out_inv, fanins = kinds[name]
-        for polarity in sorted(demands[name]):
-            if kind in ("const0", "const1"):
-                value = (kind == "const1") ^ bool(polarity)
-                built[(name, polarity)] = place_const(value, None)
-                continue
-            if kind == "buf":
-                built[(name, polarity)] = built[(fanins[0], polarity ^ out_inv)]
-                continue
-            cell_fn, child_pols, inv_after = chosen[(name, polarity)]
+            _, cell_fn, child_pols, inv_after = chosen[position][polarity]
             children = tuple(
-                built[(fanin, child_pol)]
-                for fanin, child_pol in zip(fanins, child_pols)
+                [built[2 * fanin + child_pol] for fanin, child_pol in zip(fanins, child_pols)]
             )
             # Name the cell after the signal when it is a primary output
             # materialized positively (keeps the netlist readable and
             # avoids alias wires for the common case).
-            preferred = None
-            if (
-                polarity == POS
-                and name in output_names
-                and not mapped.has_signal(name)
-                and not inv_after
-            ):
-                preferred = name
-            result = place_cell(cell_fn, children, preferred)
+            preferred = name if polarity == POS and name in output_names else None
+            result = place_cell(cell_fn, children, None if inv_after else preferred)
             if inv_after:
-                inv_preferred = None
-                if (
-                    polarity == POS
-                    and name in output_names
-                    and not mapped.has_signal(name)
-                ):
-                    inv_preferred = name
-                result = place_cell("inv", (result,), inv_preferred)
-            built[(name, polarity)] = result
+                result = place_cell("inv", (result,), preferred)
+            built[2 * position + polarity] = result
 
-    for output in prepared.outputs:
-        if prepared.is_input(output):
-            # Input fed straight to an output: zero-cost wire.
-            mapped.add_output(output)
-            continue
-        signal = built[(output, POS)]
-        if signal != output:
-            mapped.add_node(output, (signal,), ("1",))
-            cell_of[output] = Cell("WIRE", "wire", 1, 0.0, 0.0, 0.0)
+    for output, signal in zip(network.outputs, outputs):
+        if signal < len(inputs):
+            continue  # Input fed straight to an output: zero-cost wire.
+        net = built[2 * signal]
+        if net != output:
+            nodes.append((output, (net,), ("1",), False))
+            cell_of[output] = _WIRE
+
+    mapped = LogicNetwork(f"{network.name}_mapped")
+    for name in inputs:
+        mapped.add_input(name)
+    for name, fanins, cover, inverted in nodes:
+        mapped.add_node(name, fanins, cover, inverted)
+    for output in network.outputs:
         mapped.add_output(output)
-
-    mapped.sweep_dangling()
-    cell_of = {name: cell for name, cell in cell_of.items() if mapped.has_signal(name)}
     return MappedCircuit(mapped, cell_of, library)

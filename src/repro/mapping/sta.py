@@ -8,6 +8,7 @@ reports per circuit: area (µm²), gate count and delay (ns).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .mapper import MappedCircuit
@@ -30,12 +31,13 @@ class TimingReport:
 def analyze(mapped: MappedCircuit) -> TimingReport:
     """Compute arrival times and the critical path of ``mapped``."""
     network = mapped.network
-    fanouts = network.fanouts()
+    order = network.topological_order()
+    loads = Counter(fanin for name in order for fanin in network.node(name).fanins)
     arrival: dict[str, float] = {name: 0.0 for name in network.inputs}
     depth: dict[str, int] = {name: 0 for name in network.inputs}
     predecessor: dict[str, str | None] = {name: None for name in network.inputs}
 
-    for name in network.topological_order():
+    for name in order:
         node = network.node(name)
         cell = mapped.cell_of.get(name)
         if cell is None or not node.fanins:
@@ -43,9 +45,8 @@ def analyze(mapped: MappedCircuit) -> TimingReport:
             depth[name] = 0
             predecessor[name] = None
             continue
-        worst_signal = max(node.fanins, key=lambda f: arrival[f])
-        load = len(fanouts.get(name, ()))
-        arrival[name] = arrival[worst_signal] + cell.delay + cell.load_delay * load
+        worst_signal = max(node.fanins, key=arrival.__getitem__)
+        arrival[name] = arrival[worst_signal] + cell.delay + cell.load_delay * loads[name]
         depth[name] = depth[worst_signal] + (0 if cell.function == "wire" else 1)
         predecessor[name] = worst_signal
 

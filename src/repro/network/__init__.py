@@ -6,6 +6,7 @@ from .blif import BlifError, BlifWarning, parse_blif, read_blif, to_blif, write_
 from .equivalence import (
     EquivalenceResult,
     bdd_equivalent,
+    check_all_equivalent,
     check_equivalence,
     exhaustive_equivalent,
     random_equivalent,
@@ -30,6 +31,7 @@ __all__ = [
     "PartitionConfig",
     "Supernode",
     "bdd_equivalent",
+    "check_all_equivalent",
     "check_equivalence",
     "cover_to_bdd",
     "exhaustive_equivalent",

@@ -47,7 +47,7 @@ class Node:
                     f"node {self.name!r}: row {row!r} does not match "
                     f"{len(self.fanins)} fanins"
                 )
-            if any(ch not in "01-" for ch in row):
+            if row.strip("01-"):
                 raise NetworkError(f"node {self.name!r}: bad cover row {row!r}")
 
     @property
@@ -233,6 +233,16 @@ class LogicNetwork:
         """Internal node names, fanins before fanouts.  Raises on cycles
         or references to undefined signals."""
         if self._order is not None:
+            return self._order
+        # Networks are usually built fanins first; then the depth-first
+        # walk below would return the insertion order itself.
+        defined = set(self._input_set)
+        for name, node in self._nodes.items():
+            if not defined.issuperset(node.fanins):
+                break
+            defined.add(name)
+        else:
+            self._order = tuple(self._nodes)
             return self._order
         state: dict[str, int] = {}
         order: list[str] = []

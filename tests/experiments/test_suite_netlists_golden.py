@@ -1,13 +1,15 @@
-"""Golden regression: the BDS and DC flows' netlists for all 17 circuits.
+"""Golden regression: every flow's netlists for all 17 circuits.
 
 ``golden_suite_netlists.json`` holds, for every registry circuit under
-BDS-MAJ, BDS-PGA and the DC-like baseline (default configs,
-``verify=False``), the sha256 of the optimized and of the mapped BLIF.
+BDS-MAJ, BDS-PGA, the ABC-like and the DC-like baselines (default
+configs, ``verify=False``), the sha256 of the optimized and of the
+mapped BLIF.
 It sits next to the Table I node golden: node counts can stay put while
 a netlist's wiring moves, and this pin catches that on the seven HDL
 circuits the MCNC batch golden does not cover.  The DC cells pin the
 Table II baseline, whose structure memo and factoring tapes must leave
-every netlist byte-identical.
+every netlist byte-identical; together with the abc cells they pin the
+technology mapper's output on all four flows.
 
 If an intentional change moves these netlists, regenerate the golden
 with::
@@ -28,7 +30,7 @@ from repro.benchgen import BENCHMARKS, build_benchmark
 from repro.network import to_blif
 
 GOLDEN = Path(__file__).with_name("golden_suite_netlists.json")
-FLOWS = ("bds-maj", "bds-pga", "dc")
+FLOWS = ("bds-maj", "bds-pga", "abc", "dc")
 
 
 def _sha256(text: str) -> str:

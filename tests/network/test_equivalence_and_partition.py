@@ -15,6 +15,7 @@ from repro.network import (
     PartitionConfig,
     Supernode,
     bdd_equivalent,
+    check_all_equivalent,
     check_equivalence,
     cover_to_bdd,
     exhaustive_equivalent,
@@ -156,6 +157,71 @@ class TestEquivalence:
     def test_interface_mismatch_rejected(self):
         with pytest.raises(NetworkError):
             check_equivalence(ripple_adder(3), ripple_adder(4))
+
+    @pytest.mark.parametrize("num_inputs", range(1, 14))
+    def test_exhaustive_stimuli_are_every_vector_in_order(self, num_inputs):
+        # What the bit-at-a-time loop built: vector ``base + offset``
+        # in bit ``offset`` of the batch starting at ``base``.
+        names = [f"x{i}" for i in range(num_inputs)]
+        total = 1 << num_inputs
+        batch = min(total, 4096)
+        expected = []
+        for base in range(0, total, batch):
+            stimulus = {}
+            for position, name in enumerate(names):
+                packed = 0
+                for offset in range(batch):
+                    if (base + offset) >> position & 1:
+                        packed |= 1 << offset
+                stimulus[name] = packed
+            expected.append((stimulus, batch))
+
+        seen = []
+
+        class Recording(LogicNetwork):
+            def simulate(self, stimulus, width):
+                seen.append((dict(stimulus), width))
+                return super().simulate(stimulus, width)
+
+        left, right = Recording("left"), LogicNetwork("right")
+        for network in (left, right):
+            for name in names:
+                network.add_input(name)
+            network.add_output(names[-1])
+        result = check_equivalence(left, right, exhaustive_limit=13)
+        assert (result.equivalent, result.method, result.vectors) == (True, "exhaustive", total)
+        assert seen == expected
+
+    def test_shared_stimuli_report_the_first_failing_candidate(self):
+        # 13 inputs, two exhaustive batches: ``late`` differs from the
+        # reference only in the second batch (x12 = 1), ``early`` only
+        # in the first.  Checked in turn, the first candidate's failure
+        # is the one reported, whichever batch it shows in.
+        def network(name, extra=None):
+            net = LogicNetwork(name)
+            for i in range(13):
+                net.add_input(f"x{i}")
+            if extra is None:
+                net.add_buf("y", "x0")
+            else:
+                net.add_node("t", ("x1", "x12"), (extra,))
+                net.add_xor("y", "x0", "t")
+            net.add_output("y")
+            return net
+
+        reference = network("reference")
+        late, early = network("late", "11"), network("early", "10")
+        for candidates in ((late, early), (early, late)):
+            shared = check_all_equivalent(reference, candidates, exhaustive_limit=13)
+            alone = check_equivalence(reference, candidates[0], exhaustive_limit=13)
+            assert not shared.equivalent
+            assert shared == alone
+        vectors = 4096
+        shared = check_all_equivalent(reference, (reference, late), 10, vectors=vectors)
+        assert not shared.equivalent
+        assert shared == check_equivalence(reference, late, 10, vectors=vectors)
+        passed = check_all_equivalent(reference, (reference, reference), 10, vectors=vectors)
+        assert (passed.equivalent, passed.method, passed.vectors) == (True, "random", vectors)
 
 
 class TestPartition:
