@@ -129,31 +129,57 @@ class Aig:
     # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
-    def reachable_ands(self, roots: Iterable[int] | None = None) -> list[int]:
-        """AND node ids reachable from ``roots`` (default: the POs),
-        in topological order (fanins first)."""
-        if roots is None:
-            roots = [literal for _, literal in self._outputs]
-        seen: set[int] = set()
+    def reachable_ands(self) -> list[int]:
+        """AND node ids reachable from the POs, in topological order
+        (fanins first)."""
+        return self.walk()[0]
+
+    def walk(self) -> tuple[list[int], list[int]]:
+        """:meth:`reachable_ands` and the fanout counts over it, in one
+        walk: ``refs[node]`` counts the reachable ANDs and POs using
+        ``node`` (a list indexed by node id).
+
+        Depth-first post-order from each PO in turn, the fanin-1 subtree
+        before fanin 0.
+        """
+        fanins = self._fanins
+        refs = [0] * len(fanins)
+        # Constant and PIs count as visited: the walk enters ANDs only.
+        seen = bytearray(len(fanins))
+        seen[0] = 1
+        for node in self._pi_nodes:
+            seen[node] = 1
         order: list[int] = []
-        # Iterative DFS (deep circuits exceed Python's recursion limit).
-        for root_literal in roots:
-            stack: list[tuple[int, bool]] = [(root_literal >> 1, False)]
+        append = order.append
+        # Iterative (deep circuits exceed Python's recursion limit);
+        # ``~node`` on the stack means "all fanins done, emit node".
+        for _, root_literal in self._outputs:
+            root = root_literal >> 1
+            refs[root] += 1
+            if seen[root]:
+                continue
+            stack = [root]
+            pop = stack.pop
+            push = stack.append
             while stack:
-                node, expanded = stack.pop()
-                if expanded:
-                    order.append(node)
+                node = pop()
+                if node < 0:
+                    append(~node)
                     continue
-                if node in seen:
+                if seen[node]:
                     continue
-                entry = self._fanins[node]
-                if entry is None:
-                    continue
-                seen.add(node)
-                stack.append((node, True))
-                stack.append((entry[0] >> 1, False))
-                stack.append((entry[1] >> 1, False))
-        return order
+                seen[node] = 1
+                f0, f1 = fanins[node]
+                child0 = f0 >> 1
+                child1 = f1 >> 1
+                refs[child0] += 1
+                refs[child1] += 1
+                push(~node)
+                if not seen[child0]:
+                    push(child0)
+                if not seen[child1]:
+                    push(child1)
+        return order, refs
 
     def size(self) -> int:
         """AND nodes reachable from the outputs."""
@@ -180,16 +206,9 @@ class Aig:
             level[node] = 1 + max(level[f0 >> 1], level[f1 >> 1])
         return level
 
-    def reference_counts(self, order: list[int] | None = None) -> dict[int, int]:
-        """Fanout counts over the PO-reachable subgraph (PO refs count).
-        ``order`` is :meth:`reachable_ands`, when the caller has it."""
-        refs: dict[int, int] = {}
-        for node in self.reachable_ands() if order is None else order:
-            for literal in self._fanins[node]:
-                refs[literal >> 1] = refs.get(literal >> 1, 0) + 1
-        for _, literal in self._outputs:
-            refs[literal >> 1] = refs.get(literal >> 1, 0) + 1
-        return refs
+    def reference_counts(self) -> dict[int, int]:
+        """Fanout counts over the PO-reachable subgraph (PO refs count)."""
+        return {node: count for node, count in enumerate(self.walk()[1]) if count}
 
     # ------------------------------------------------------------------
     # Simulation
@@ -216,14 +235,14 @@ class Aig:
     def cleanup(self) -> "Aig":
         """A fresh AIG containing only PO-reachable logic."""
         fresh = Aig()
-        mapping: dict[int, int] = {0: Aig.ONE}
+        and_ = fresh.and_
+        fanins = self._fanins
+        mapping = [0] * len(fanins)
         for name, node in zip(self._pi_names, self._pi_nodes):
             mapping[node] = fresh.add_input(name)
         for node in self.reachable_ands():
-            f0, f1 = self._fanins[node]
-            new0 = mapping[f0 >> 1] ^ (f0 & 1)
-            new1 = mapping[f1 >> 1] ^ (f1 & 1)
-            mapping[node] = fresh.and_(new0, new1)
+            f0, f1 = fanins[node]
+            mapping[node] = and_(mapping[f0 >> 1] ^ (f0 & 1), mapping[f1 >> 1] ^ (f1 & 1))
         for name, literal in self._outputs:
             fresh.add_output(name, mapping[literal >> 1] ^ (literal & 1))
         return fresh

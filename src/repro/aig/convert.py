@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..network import LogicNetwork
+from ..network.netlist import LogicNetwork
 from .aig import Aig
 
 

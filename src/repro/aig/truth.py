@@ -6,6 +6,10 @@ Used by the AIG refactoring passes: collapse a cone to a table, derive
 an irredundant SOP (Minato-Morreale), factor it algebraically and
 rebuild it as AND/INV nodes.
 
+Covers are lists of bitmask cubes in the encoding of
+:mod:`repro.sop.algebraic`: bit ``2v`` is the literal ``v'`` and bit
+``2v+1`` the literal ``v``, so a cover is factored as it comes.
+
 Synthesis runs in two steps.  :func:`table_recipe` is pure: it computes
 both ISOPs, picks the cheaper polarity and factors the cover with a
 *recording* emitter, so its result, a :data:`Recipe`, depends on
@@ -22,95 +26,70 @@ see :mod:`repro.aig.opt`).
 
 from __future__ import annotations
 
-from ..sop.algebraic import Cube, Expression, GateEmitter, factor_expression
-
-_VAR_MASKS: dict[tuple[int, int], int] = {}
+from ..sop.algebraic import Expression, GateEmitter, factor_expression
 
 
 def var_mask(var: int, num_vars: int) -> int:
-    """Truth table of variable ``var`` over ``num_vars`` inputs."""
-    key = (var, num_vars)
-    cached = _VAR_MASKS.get(key)
-    if cached is None:
-        block = (1 << (1 << var)) - 1 if var < num_vars else 0
-        stride = 1 << (var + 1)
-        cached = 0
-        for base in range(0, 1 << num_vars, stride):
-            cached |= block << (base + (1 << var))
-        _VAR_MASKS[key] = cached
-    return cached
+    """Truth table of variable ``var`` over ``num_vars`` inputs (runs of
+    ``2**var`` zeros then ``2**var`` ones); 0 when ``var >= num_vars``."""
+    if var >= num_vars:
+        return 0
+    width = 1 << var
+    return full_mask(num_vars) // ((1 << width) + 1) << width
 
 
 def full_mask(num_vars: int) -> int:
     return (1 << (1 << num_vars)) - 1
 
 
-def cofactors(table: int, var: int, num_vars: int) -> tuple[int, int]:
-    """Negative and positive cofactors, both padded back to num_vars."""
-    mask = var_mask(var, num_vars)
+def isop(table: int, num_vars: int) -> list[int]:
+    """Irredundant SOP of ``table`` as bitmask cubes (Minato-Morreale
+    recursion, no don't-cares).
+
+    Without don't-cares every sub-cover computes its function exactly,
+    so the part both cofactors share is their intersection.
+    """
     full = full_mask(num_vars)
-    width = 1 << var
-    positive = table & mask
-    negative = table & ~mask & full
-    positive |= positive >> width
-    negative |= negative << width
-    return negative & full, positive & full
+    masks = [var_mask(var, num_vars) for var in range(num_vars)]
 
-
-def isop(table: int, num_vars: int) -> list[str]:
-    """Irredundant SOP of ``table`` as positional cover rows
-    (Minato-Morreale recursion, no don't-cares)."""
-    full = full_mask(num_vars)
-
-    def recurse(current: int, var: int) -> list[str]:
+    def recurse(current: int, var: int) -> list[int]:
         if current == 0:
             return []
         if current == full:
-            return ["-" * num_vars]
+            return [0]
         # Find the next variable the function depends on.
         while var < num_vars:
-            negative, positive = cofactors(current, var, num_vars)
-            if negative != positive:
+            width = 1 << var
+            positive = current & masks[var]
+            negative = current ^ positive
+            if positive >> width != negative:
                 break
             var += 1
         else:
             raise AssertionError("non-constant table with no support")
-        only_negative = recurse(negative & ~positive & full, var + 1)
-        only_positive = recurse(positive & ~negative & full, var + 1)
-        covered_negative = _eval_cover(only_negative, num_vars)
-        covered_positive = _eval_cover(only_positive, num_vars)
-        shared = recurse(
-            (negative & ~covered_negative | positive & ~covered_positive) & full,
-            var + 1,
-        )
-        rows = []
-        for row in only_negative:
-            rows.append(row[:var] + "0" + row[var + 1 :])
-        for row in only_positive:
-            rows.append(row[:var] + "1" + row[var + 1 :])
-        rows.extend(shared)
-        return rows
+        positive |= positive >> width
+        negative |= negative << width
+        cubes = [cube | 1 << 2 * var for cube in recurse(negative & ~positive, var + 1)]
+        cubes += [cube | 2 << 2 * var for cube in recurse(positive & ~negative, var + 1)]
+        cubes += recurse(negative & positive, var + 1)
+        return cubes
 
     return recurse(table & full, 0)
 
 
-def _eval_cover(rows: list[str], num_vars: int) -> int:
-    table = 0
+def cover_to_table(cubes: list[int], num_vars: int) -> int:
+    """The truth table a cover of bitmask cubes computes."""
     full = full_mask(num_vars)
-    for row in rows:
-        cube = full
-        for var, ch in enumerate(row):
-            if ch == "1":
-                cube &= var_mask(var, num_vars)
-            elif ch == "0":
-                cube &= ~var_mask(var, num_vars) & full
-        table |= cube
-    return table
-
-
-def cover_to_table(rows: list[str], num_vars: int) -> int:
-    """Public wrapper of the cover evaluator (used by tests)."""
-    return _eval_cover(rows, num_vars)
+    table = 0
+    for cube in cubes:
+        term = full
+        for var in range(num_vars):
+            if cube >> 2 * var & 1:
+                term &= ~var_mask(var, num_vars)
+            if cube >> 2 * var & 2:
+                term &= var_mask(var, num_vars)
+        table |= term
+    return table & full
 
 
 #: ``(steps, output)``: ``steps[i] = (a, b)`` is an AND of two handles,
@@ -129,14 +108,9 @@ def table_recipe(table: int, num_vars: int) -> Recipe:
         return (), 1
     if table == full:
         return (), 0
-    rows_pos = isop(table, num_vars)
-    rows_neg = isop(table ^ full, num_vars)
-    negate = _cover_cost(rows_neg) < _cover_cost(rows_pos)
-    rows = rows_neg if negate else rows_pos
-    expression = Expression(
-        Cube((var, ch == "1") for var, ch in enumerate(row) if ch != "-")
-        for row in rows
-    )
+    cubes_pos = isop(table, num_vars)
+    cubes_neg = isop(table ^ full, num_vars)
+    negate = _cover_cost(cubes_neg) < _cover_cost(cubes_pos)
     steps: list[tuple[int, int]] = []
     first_step = num_vars + 1
 
@@ -150,7 +124,7 @@ def table_recipe(table: int, num_vars: int) -> Recipe:
         or2=lambda a, b: and2(a ^ 1, b ^ 1) ^ 1,
         const=lambda value: 0 if value else 1,
     )
-    output = factor_expression(expression, emitter)
+    output = factor_expression(Expression(cubes_neg if negate else cubes_pos), emitter)
     return tuple(steps), (output ^ 1 if negate else output)
 
 
@@ -187,5 +161,5 @@ def synthesize_table(
     return replay_recipe(aig, recipe, leaves)
 
 
-def _cover_cost(rows: list[str]) -> tuple[int, int]:
-    return (sum(1 for row in rows for ch in row if ch != "-"), len(rows))
+def _cover_cost(cubes: list[int]) -> tuple[int, int]:
+    return (sum(cube.bit_count() for cube in cubes), len(cubes))

@@ -268,11 +268,12 @@ class CollapseNetwork:
         return ctx
 
 
-def _tape_emitter(tape: TreeTape) -> GateEmitter:
-    """A :func:`factor_expression` emitter recording on ``tape``."""
+def _tape_emitter(tape: TreeTape, names: list[str]) -> GateEmitter:
+    """A :func:`factor_expression` emitter recording on ``tape``;
+    variable ``i`` is ``names[i]``."""
     return GateEmitter(
-        literal=lambda name, phase: (
-            tape.literal(name) if phase else tape.not_(tape.literal(name))
+        literal=lambda var, phase: (
+            tape.literal(names[var]) if phase else tape.not_(tape.literal(names[var]))
         ),
         and2=tape.and_,
         or2=tape.or_,
@@ -286,7 +287,8 @@ class FactorCovers:
 
     The cover is computed once per structure: its rows are positional,
     so every copy has the first one's.  Factoring reads the names only
-    through their sorted order (literal ties break by name), so it runs
+    through their sorted order (literal ties break by name): the
+    expression numbers each input by the rank of its name.  So it runs
     once per structure and rank of the input names, on a
     :class:`TreeTape` that every supernode with that key, the first
     included, replays onto the shared builder under its own names.
@@ -330,7 +332,8 @@ class FactorCovers:
                 continue
             first = firsts[name]
             inputs = supernode.inputs
-            key = (first.output, tuple(sorted(range(len(inputs)), key=inputs.__getitem__)))
+            by_rank = tuple(sorted(range(len(inputs)), key=inputs.__getitem__))
+            key = (first.output, by_rank)
             taped = tapes.get(key)
             if taped is None:
                 rows = covers.get(first.output)
@@ -338,9 +341,15 @@ class FactorCovers:
                     rows = covers[first.output] = simplify_cover(
                         isop_cover_rows(mgr, root, first.inputs)
                     )
+                ranks = [0] * len(inputs)
+                for rank, position in enumerate(by_rank):
+                    ranks[position] = rank
                 tape = TreeTape(inputs)
-                expression = expression_from_cover(rows, inputs)
-                taped = tapes[key] = (tape, factor_expression(expression, _tape_emitter(tape)))
+                emitter = _tape_emitter(tape, [inputs[position] for position in by_rank])
+                taped = tapes[key] = (
+                    tape,
+                    factor_expression(expression_from_cover(rows, ranks), emitter),
+                )
             tape, tape_root = taped
             roots[name] = tape.replay(builder, inputs, tape_root)
         ctx.optimized = network_from_trees(

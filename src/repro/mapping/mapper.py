@@ -74,7 +74,7 @@ def classify_gate(node: Node) -> tuple[str, bool, tuple[str, ...]]:
             return "buf", inverted, node.fanins
         if rows == {"0"}:
             return "buf", not inverted, node.fanins
-        value = bool(rows == {"1", "0"} or rows == {"-"}) ^ inverted
+        value = bool("-" in rows or {"0", "1"} <= rows) ^ inverted
         return ("const1" if value else "const0", False, ())
     if arity == 2:
         entry = _TWO_INPUT_KINDS.get(rows)

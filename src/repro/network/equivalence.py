@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from ..aig.truth import var_mask
 from .bdds import BddSizeExceeded, global_bdds
 from .netlist import LogicNetwork, NetworkError
 
@@ -63,7 +64,7 @@ def _exhaustive_batches(inputs: Sequence[str]) -> Iterator[_Batch]:
     width = min(total, _BATCH)
     full = (1 << width) - 1
     low = width.bit_length() - 1
-    masks = [full // ((1 << (1 << i)) + 1) << (1 << i) for i in range(min(len(inputs), low))]
+    masks = [var_mask(i, low) for i in range(min(len(inputs), low))]
     for base in range(0, total, width):
         stimulus = {
             name: masks[i] if i < low else (full if base >> i & 1 else 0)

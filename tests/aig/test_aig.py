@@ -19,6 +19,8 @@ from repro.aig import (
 from repro.benchgen import ripple_carry_adder
 from repro.network import check_equivalence
 
+from . import reference_opt
+
 
 class TestAigCore:
     def test_constant_folding(self):
@@ -108,21 +110,40 @@ class TestTruthTables:
         assert var_mask(1, 2) == 0b1100
         assert full_mask(3) == 0xFF
 
+    def test_var_mask_closed_form_matches_the_loop(self):
+        for num_vars in range(11):
+            for var in range(num_vars + 3):
+                assert var_mask(var, num_vars) == reference_opt.var_mask(var, num_vars)
+            assert var_mask(num_vars, num_vars) == 0
+
     @settings(max_examples=120, deadline=None)
     @given(table=st.integers(min_value=0, max_value=(1 << 16) - 1))
     def test_isop_round_trip(self, table):
-        rows = isop(table, 4)
-        assert cover_to_table(rows, 4) == table
+        cubes = isop(table, 4)
+        assert cover_to_table(cubes, 4) == table
 
     @settings(max_examples=60, deadline=None)
     @given(table=st.integers(min_value=0, max_value=255))
     def test_isop_is_irredundant_cover(self, table):
-        rows = isop(table, 3)
-        # Each row must contribute at least one minterm of the function.
-        for index, row in enumerate(rows):
-            rest = rows[:index] + rows[index + 1 :]
-            assert cover_to_table([row], 3) & table == cover_to_table([row], 3)
-            assert cover_to_table(rest, 3) != table or len(rows) == 1
+        cubes = isop(table, 3)
+        # Each cube must contribute at least one minterm of the function.
+        for index, cube in enumerate(cubes):
+            rest = cubes[:index] + cubes[index + 1 :]
+            assert cover_to_table([cube], 3) & table == cover_to_table([cube], 3)
+            assert cover_to_table(rest, 3) != table or len(cubes) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_cube_isop_is_the_reference_rows(self, data):
+        """Bit 2v of a cube is v', bit 2v+1 is v; cubes come in the
+        reference ISOP's row order."""
+        num_vars = data.draw(st.integers(min_value=0, max_value=8))
+        table = data.draw(st.integers(min_value=0, max_value=full_mask(num_vars)))
+        rows = [
+            "".join("-01"[cube >> 2 * var & 3] for var in range(num_vars))
+            for cube in isop(table, num_vars)
+        ]
+        assert rows == reference_opt.isop(table, num_vars)
 
     @settings(max_examples=80, deadline=None)
     @given(table=st.integers(min_value=0, max_value=(1 << 16) - 1))

@@ -4,7 +4,8 @@
 the recorded recipe on every other cone with that function.  That is
 only sound if a replay issues exactly the calls a direct build would,
 so these tests compare warm-memo, cold-memo and direct builds
-(``reference_opt.py``, the passes as they were before the memo)
+(``reference_opt.py``, the passes as they were before the memo and
+before they ran over int-indexed arrays and bitmask cubes)
 literal for literal and graph for graph, and check that no memo
 outlives one script run.
 """
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.aig import (
     Aig,
+    balance,
     network_to_aig,
     refactor,
     resyn2,
@@ -129,13 +131,14 @@ def test_refactor_with_a_warm_memo_builds_what_the_direct_pass_does(aigs, index)
     # Warm the memo on every circuit, this one included.
     memo: dict = {}
     for other in aigs:
-        opt._refactor(other.cleanup(), 8, False, memo)
-        opt._refactor(other.cleanup(), 4, True, memo)
+        cleaned = other.cleanup()
+        opt._refactor(cleaned, cleaned.walk(), 8, False, memo)
+        opt._refactor(cleaned, cleaned.walk(), 4, True, memo)
     assert memo
     for zero_cost in (False, True):
         for max_leaves, public in ((8, refactor), (4, rewrite)):
             direct = graph(reference_opt.refactor(aig, max_leaves, zero_cost))
-            warm, size = opt._refactor(aig, max_leaves, zero_cost, memo)
+            warm, size = opt._refactor(aig, aig.walk(), max_leaves, zero_cost, memo)
             assert graph(warm) == direct
             assert size == warm.size()
             assert graph(public(aig, zero_cost=zero_cost)) == direct
@@ -149,17 +152,42 @@ def test_refactor_with_a_warm_memo_builds_what_the_direct_pass_does(aigs, index)
 )
 def test_one_pass_mffc_matches_the_fixpoint_search(seed, num_gates, max_leaves):
     aig = random_aig(seed, num_inputs=8, num_gates=num_gates)
-    order = aig.reachable_ands()
-    refs = aig.reference_counts(order)
+    order, refs = aig.walk()
+    reference_refs = reference_opt.reference_counts(aig)
+    released = [0] * len(refs)
     for node in order:
-        live = opt._mffc(aig, node, refs, max_leaves)
-        reference = reference_opt.mffc(aig, node, refs, max_leaves)
+        live = opt._mffc(aig._fanins, node, refs, released, max_leaves)
+        assert not any(released)
+        reference = reference_opt.mffc(aig, node, reference_refs, max_leaves)
         if reference is None:
             assert live is None
             continue
         cone, leaves = live
         assert len(cone) == len(set(cone))
         assert (set(cone), leaves) == reference
+        # refactor skips a node without a single-reference AND fanin:
+        # its cone is the node alone.
+        assert any(
+            refs[literal >> 1] == 1 and aig.is_and(literal >> 1)
+            for literal in aig.fanins(node)
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**20),
+    num_gates=st.integers(min_value=0, max_value=150),
+)
+def test_walk_matches_the_reference_walk_and_fanout_counts(seed, num_gates):
+    aig = random_aig(seed, num_inputs=8, num_gates=num_gates)
+    order, refs = aig.walk()
+    assert order == reference_opt.reachable_ands(aig)
+    assert {node: count for node, count in enumerate(refs) if count} == (
+        reference_opt.reference_counts(aig)
+    )
+    assert aig.reachable_ands() == order
+    assert graph(aig.cleanup()) == graph(reference_opt.cleanup(aig))
+    assert graph(balance(aig)) == graph(reference_opt.balance(aig))
 
 
 @pytest.mark.parametrize("script", [resyn2, resyn_quick])

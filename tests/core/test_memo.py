@@ -40,9 +40,10 @@ from repro.benchgen.random_logic import random_control_network
 from repro.core import DecompositionEngine, TreeBuilder, TreeTape, find_m_dominators
 from repro.mapping.mapper import classify_gate
 from repro.network import LogicNetwork, supernode_bdd
-from repro.sop import GateEmitter, expression_from_cover, factor_expression, simplify_cover
+from repro.sop import simplify_cover
 
 from ..conftest import random_function
+from ..sop.reference_algebraic import GateEmitter, expression_from_cover, factor_expression
 
 
 class CheckingEngine(DecompositionEngine):
@@ -201,8 +202,9 @@ def preserved_gate(builder, node):
 
 def factor_network(network):
     """Partition ``network`` as the DC flow does, then build, minimize
-    and factor every supernode the slow way: its own manager, straight
-    onto one builder.  Returns ``(tree_nodes, roots)``."""
+    and factor every supernode the slow way: its own manager, the
+    name-based reference factorer, straight onto one builder.  Returns
+    ``(tree_nodes, roots)``."""
     ctx = get_pipeline("dc").up_to("collapse").run_context(network)
     hard = ctx.scratch["hard"]
     builder = TreeBuilder()

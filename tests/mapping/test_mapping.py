@@ -14,7 +14,8 @@ from repro.mapping import (
     map_network,
     nand_only_library,
 )
-from repro.network import LogicNetwork, check_equivalence
+from repro.api import get_pipeline
+from repro.network import LogicNetwork, check_equivalence, parse_blif
 
 
 class TestLibrary:
@@ -171,6 +172,31 @@ class TestMapper:
         net = ripple_carry_adder(6)
         mapped = map_network(net)
         assert check_equivalence(net, mapped.network).equivalent
+
+    @pytest.mark.parametrize(
+        "rows, value",
+        [
+            (("1 1", "- 1"), True),
+            (("0 1", "- 1"), True),
+            (("1 0", "- 0"), False),
+            (("0 0", "- 0"), False),
+        ],
+    )
+    def test_one_input_tautology_maps_to_a_tie_cell(self, rows, value):
+        # A cover holding "-" or both "0" and "1" is constant 1 (constant
+        # 0 when it lists the off-set), whatever else it holds.
+        net = parse_blif(".model taut\n.inputs a\n.outputs y\n.names a y\n"
+                         + "\n".join(rows) + "\n.end\n")
+        assert classify_gate(net.node("y"))[0] == ("const1" if value else "const0")
+        mapped = map_network(net)
+        functions = {cell.function for cell in mapped.cell_of.values()}
+        assert functions <= {"tie1" if value else "tie0", "wire"}
+        assert mapped.gate_count == 0
+        assert check_equivalence(net, mapped.network).equivalent
+        ctx = get_pipeline("dc").run_context(net)
+        assert ctx.equivalence.equivalent
+        assert check_equivalence(net, ctx.optimized).equivalent
+        assert check_equivalence(net, ctx.mapped.network).equivalent
 
     def test_missing_cells_raise(self):
         # An empty library cannot map anything.

@@ -6,7 +6,6 @@ import itertools
 
 from repro.sop import (
     algebraic,
-    Cube,
     Expression,
     GateEmitter,
     best_kernel,
@@ -16,20 +15,19 @@ from repro.sop import (
     kernels,
     weak_division,
 )
+from repro.sop.algebraic import cube_literals
+
+
+def literal_of(token: str) -> int:
+    """``"b"`` -> literal of variable 1; ``"~b"`` -> its complement."""
+    if token.startswith("~"):
+        return 2 * (ord(token[1:]) - ord("a"))
+    return 2 * (ord(token) - ord("a")) + 1
 
 
 def expr(*cubes) -> Expression:
     """Helper: expr(("a", "b"), ("a", "~c")) -> ab + ac'."""
-    result = []
-    for cube in cubes:
-        literals = []
-        for token in cube:
-            if token.startswith("~"):
-                literals.append((token[1:], False))
-            else:
-                literals.append((token, True))
-        result.append(Cube(literals))
-    return Expression(result)
+    return Expression(sum(1 << literal_of(token) for token in cube) for cube in cubes)
 
 
 class EvalEmitter:
@@ -38,10 +36,10 @@ class EvalEmitter:
     def __init__(self):
         self.gate_count = 0
         self.emitter = GateEmitter(
-            literal=lambda name, phase: (
-                (lambda env, n=name: bool(env[n]))
+            literal=lambda var, phase: (
+                (lambda env, v=var: bool(env[v]))
                 if phase
-                else (lambda env, n=name: not env[n])
+                else (lambda env, v=var: not env[v])
             ),
             and2=self._and2,
             or2=self._or2,
@@ -59,12 +57,13 @@ class EvalEmitter:
 
 def eval_expression(expression: Expression, env) -> bool:
     return any(
-        all(env[name] == phase for name, phase in cube) for cube in expression
+        all(env[literal >> 1] == bool(literal & 1) for literal in cube_literals(cube))
+        for cube in expression
     )
 
 
-def support(expression: Expression) -> set[str]:
-    return {name for cube in expression for name, _ in cube}
+def support(expression: Expression) -> set[int]:
+    return {literal >> 1 for cube in expression for literal in cube_literals(cube)}
 
 
 class TestWeakDivision:
@@ -166,24 +165,29 @@ class TestFactoring:
         self._check(expr(("a", "~b"), ("~a", "b"), ("c", "~a")))
 
     def test_expression_from_cover(self):
-        expression = expression_from_cover(["11-", "1-0"], ["x", "y", "z"])
-        assert expression == expr(("x", "y"), ("x", "~z"))
+        expression = expression_from_cover(["11-", "1-0"])
+        assert expression == expr(("a", "b"), ("a", "~c"))
+
+    def test_expression_from_cover_numbers_positions_by_rank(self):
+        # Positions x, y, z with ranks 2, 0, 1.
+        expression = expression_from_cover(["11-", "1-0"], [2, 0, 1])
+        assert expression == expr(("c", "a"), ("c", "~b"))
 
 
 class TestLiteralFallbackTieBreak:
     """The literal fallback pulls out the most frequent literal and, on
-    a tie, the first in sorted order: never the iteration order of the
-    expression's sets, which follows string hashing."""
+    a tie, the first in literal order: never the iteration order of the
+    expression's sets."""
 
     @staticmethod
-    def _first_literal(expression: Expression, monkeypatch) -> tuple[str, bool]:
+    def _first_literal(expression: Expression, monkeypatch) -> tuple[int, bool]:
         # Without kernels every shared literal reaches the fallback.
         monkeypatch.setattr(algebraic, "best_kernel", lambda _expression: None)
         literals = []
 
-        def literal(name, phase):
-            literals.append((name, phase))
-            return name, phase
+        def literal(var, phase):
+            literals.append((var, phase))
+            return var, phase
 
         emitter = GateEmitter(
             literal=literal,
@@ -202,13 +206,13 @@ class TestLiteralFallbackTieBreak:
         for names in quads:
             first, second = names[:2], names[2:]
             expression = expr(*((p, s) for p in first for s in second))
-            expected = min((name, True) for name in first + second)
+            expected = min((literal_of(name) >> 1, True) for name in first + second)
             assert self._first_literal(expression, monkeypatch) == expected, names
 
     def test_complement_sorts_first_on_a_tie(self, monkeypatch):
         expression = expr(("~a", "b"), ("~a", "c"), ("a", "d"), ("a", "e"))
-        assert self._first_literal(expression, monkeypatch) == ("a", False)
+        assert self._first_literal(expression, monkeypatch) == (0, False)
 
     def test_higher_count_beats_the_sorted_first_literal(self, monkeypatch):
         expression = expr(("a", "z"), ("b", "z"), ("c", "z"), ("a", "y"))
-        assert self._first_literal(expression, monkeypatch) == ("z", True)
+        assert self._first_literal(expression, monkeypatch) == (25, True)
