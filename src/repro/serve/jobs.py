@@ -28,11 +28,11 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from ..api import InputItem
 from ..flows.batch import BatchConfig, BatchReport
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
-    from ..api import InputItem
-    from .journal import JobJournal
+    from .journal import JobJournal, ReplayedJob
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -163,49 +163,29 @@ class Job:
 
     def finish(self, report: BatchReport) -> None:
         self.report = report
-        self.state = DONE
         summary = report.summary()
-        self.add_event(
-            {
-                "type": "state",
-                "status": DONE,
-                "ok": summary["ok"],
-                "failed": summary["failed"],
-            }
-        )
-        self._truncate_events()
-        self._notify_terminal()
+        self._terminate(DONE, ok=summary["ok"], failed=summary["failed"])
 
     def fail(self, error: str) -> None:
         self.error = error
-        self.state = ERROR
-        self.add_event({"type": "state", "status": ERROR, "error": error})
-        self._truncate_events()
-        self._notify_terminal()
+        self._terminate(ERROR, error=error)
 
     def mark_cancelled(self) -> None:
-        self.state = CANCELLED
-        self.add_event({"type": "state", "status": CANCELLED})
-        self._truncate_events()
-        self._notify_terminal()
+        self._terminate(CANCELLED)
 
     def mark_quarantined(self, error: str) -> None:
         """Park a poison job: terminal, never re-enqueued, with the
         attempt count on the record so operators can see the history."""
         self.error = error
-        self.state = QUARANTINED
-        self.add_event(
-            {
-                "type": "state",
-                "status": QUARANTINED,
-                "attempts": self.attempts,
-                "error": error,
-            }
-        )
-        self._truncate_events()
-        self._notify_terminal()
+        self._terminate(QUARANTINED, attempts=self.attempts, error=error)
 
-    def _notify_terminal(self) -> None:
+    def _terminate(self, state: str, **fields: object) -> None:
+        """Enter terminal ``state``: emit its state event (plus
+        ``fields``), cut the log down to the cap, then run the
+        ``on_terminal`` hook."""
+        self.state = state
+        self.add_event({"type": "state", "status": state, **fields})
+        self._truncate_events()
         if self.on_terminal is not None:
             self.on_terminal(self)
 
@@ -286,14 +266,28 @@ class JobStore:
         self._expire_finished()
         return job
 
-    def adopt(self, job: Job, next_id: int | None = None) -> Job:
-        """Insert a journal-replayed job under its original id (and keep
-        the id counter past it, so new jobs never collide)."""
-        if job.id in self._jobs:
-            raise ValueError(f"job id {job.id!r} already in the store")
+    def adopt(
+        self,
+        replayed: "ReplayedJob",
+        next_id: int,
+        items: "Sequence[InputItem] | None" = None,
+        resubmitted: bool = False,
+    ) -> Job:
+        """Insert a journal-replayed job under its original id, with its
+        attempt count and cache key, and keep the id counter past
+        ``next_id`` so new jobs never collide.  ``items`` defaults to
+        the journaled item names; the job's log records the replay
+        (and whether the job runs again) after its queued event."""
+        if replayed.id in self._jobs:
+            raise ValueError(f"job id {replayed.id!r} already in the store")
+        if items is None:
+            items = [InputItem(name=name) for name in replayed.item_names]
+        job = Job(replayed.id, replayed.request, items, event_cap=self._event_cap)
+        job.attempts = replayed.attempts
+        job.cache_key = replayed.cache_key
+        job.add_event({"type": "replayed", "resubmitted": resubmitted})
         self._jobs[job.id] = job
-        if next_id is not None:
-            self._next_id = max(self._next_id, next_id)
+        self._next_id = max(self._next_id, next_id)
         if self._journal is not None:
             job.on_terminal = self._record_terminal
         return job

@@ -3,9 +3,8 @@
 The serving layer's job store is in-memory by default — a restart loses
 every finished report and evicts every result-cache entry.  With
 ``bdsmaj serve --journal PATH`` the :class:`JobStore` writes through a
-:class:`JobJournal`: one fsync'd NDJSON record per state change
-(``submit`` / ``attempt`` / ``finish`` / ``error`` / ``cancel`` /
-``quarantine``), so that on startup the server replays the file and
+:class:`JobJournal`: one fsync'd record per state change, so that on
+startup the server replays the file and
 
 * restores every finished job — its ``/jobs/<id>/result`` bytes are
   **identical** to what the pre-crash server returned (the journaled
@@ -18,14 +17,30 @@ every finished report and evicts every result-cache entry.  With
   their original ids.
 
 Poison jobs are the exception to that last point: every re-enqueue is
-journaled as an ``attempt`` record *before* the job runs again, so a
-job that crashes the service on every run accumulates evidence across
-restarts.  Once its start count reaches the service's
-``--max-attempts``, replay parks it as ``quarantined`` (a terminal
-``quarantine`` record) instead of re-enqueueing — ending the restart
-crash loop while keeping the job inspectable via ``/jobs/<id>``.
-Both record kinds are *skipped* by older readers' replay switch, so
-the journal version is unchanged.
+journaled *before* the job runs again, so a job that crashes the
+service on every run accumulates evidence across restarts.  Once its
+start count reaches the service's ``--max-attempts``, replay parks it
+as ``quarantined`` instead of re-enqueueing — ending the restart crash
+loop while keeping the job inspectable via ``/jobs/<id>``.
+
+Records
+-------
+Every record carries ``"v"`` (:data:`JOURNAL_VERSION`), ``"type"`` and,
+except ``meta``, the job ``"id"``.  Write-through and compaction build
+them with the same three builders (:func:`_submit_record`,
+:func:`_attempt_record`, :func:`_terminal_record`), so each kind is
+built in one place.
+
+``submit``      request knobs and item names of a new job
+``attempt``     ``count``: the job's start count at a replay re-enqueue
+``finish``      ``report`` payload and ``cache_key`` of a done job
+``error``       ``error`` message of a failed job
+``cancel``      the job was cancelled
+``quarantine``  ``attempts`` and ``error`` of a parked poison job
+``meta``        ``next_id``: the id counter (written by compaction)
+
+Replay skips record types it does not know, which is how ``attempt``
+and ``quarantine`` joined without a version bump.
 
 Record framing
 --------------
@@ -44,9 +59,10 @@ records (expired jobs, superseded states).  When the file grows past
 ``compact_bytes`` (and past twice its size after the previous rewrite,
 so a genuinely large live set does not thrash), the store triggers
 :meth:`JobJournal.compact`: the journal is rewritten to a temp file
-holding only the *live* records — one ``submit`` (+ terminal record)
-per job still in the store, behind a ``meta`` record preserving the id
-counter — fsync'd and atomically renamed over the old file.
+holding only the *live* records — a ``meta`` record preserving the id
+counter, then per job still in the store its ``submit``, its
+``attempt`` (if restarted) and its terminal record (if terminal) —
+fsync'd and atomically renamed over the old file.
 
 Threading: every journal method is called on the event-loop thread
 (job state transitions are loop-thread by the serve layer's threading
@@ -177,6 +193,45 @@ def _report_payload(report: BatchReport) -> dict[str, Any]:
         "flow": report.flow,
         "circuits": [circuit.to_payload() for circuit in report.circuits],
     }
+
+
+def _record(kind: str, **fields: Any) -> dict[str, Any]:
+    """A journal record of ``kind``, stamped with the format version."""
+    return {"v": JOURNAL_VERSION, "type": kind, **fields}
+
+
+def _submit_record(job: "Job") -> dict[str, Any]:
+    return _record(
+        "submit",
+        id=job.id,
+        request=_request_payload(job.request),
+        items=[item.name for item in job.items],
+    )
+
+
+def _attempt_record(job: "Job") -> dict[str, Any]:
+    return _record("attempt", id=job.id, count=job.attempts)
+
+
+def _terminal_record(job: "Job") -> dict[str, Any] | None:
+    """The record of the terminal state ``job`` is in (``None`` while
+    it is queued or running)."""
+    if job.state == DONE and job.report is not None:
+        return _record(
+            "finish", id=job.id, cache_key=job.cache_key, report=_report_payload(job.report)
+        )
+    if job.state == ERROR:
+        return _record("error", id=job.id, error=job.error or "unknown error")
+    if job.state == QUARANTINED:
+        return _record(
+            "quarantine",
+            id=job.id,
+            attempts=job.attempts,
+            error=job.error or "crash-looped the service",
+        )
+    if job.state == CANCELLED:
+        return _record("cancel", id=job.id)
+    return None
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -362,15 +417,7 @@ class JobJournal:
         if job.id in self._submitted:
             return
         self._submitted.add(job.id)
-        self._append(
-            {
-                "v": JOURNAL_VERSION,
-                "type": "submit",
-                "id": job.id,
-                "request": _request_payload(job.request),
-                "items": [item.name for item in job.items],
-            }
-        )
+        self._append(_submit_record(job))
 
     def record_attempt(self, job: "Job") -> None:
         """Journal a replay re-enqueue *before* the job runs again: a
@@ -378,53 +425,22 @@ class JobJournal:
         ``attempt`` record per restart, the quarantine gate's evidence."""
         if job.id not in self._submitted or job.id in self._terminal:
             return
-        self._append(
-            {
-                "v": JOURNAL_VERSION,
-                "type": "attempt",
-                "id": job.id,
-                "count": job.attempts,
-            }
-        )
+        self._append(_attempt_record(job))
 
     def record_terminal(self, job: "Job") -> None:
         """Journal a job reaching its terminal state (exactly once per
         id: replayed jobs and double transitions are no-ops)."""
         if job.id in self._terminal or job.id not in self._submitted:
             return
-        self._terminal.add(job.id)
-        record: dict[str, Any]
-        if job.state == DONE and job.report is not None:
-            record = {
-                "v": JOURNAL_VERSION,
-                "type": "finish",
-                "id": job.id,
-                "cache_key": job.cache_key,
-                "report": _report_payload(job.report),
-            }
-        elif job.state == ERROR:
-            record = {
-                "v": JOURNAL_VERSION,
-                "type": "error",
-                "id": job.id,
-                "error": job.error or "unknown error",
-            }
-        elif job.state == QUARANTINED:
-            record = {
-                "v": JOURNAL_VERSION,
-                "type": "quarantine",
-                "id": job.id,
-                "attempts": job.attempts,
-                "error": job.error or "crash-looped the service",
-            }
-        else:
-            record = {"v": JOURNAL_VERSION, "type": "cancel", "id": job.id}
-        self._append(record)
+        record = _terminal_record(job)
+        if record is not None:
+            self._terminal.add(job.id)
+            self._append(record)
 
     def _append(self, record: dict[str, Any]) -> None:
         if self._file is None:
             raise JournalError("journal is not open")
-        inject_fault("journal.append", str(record.get("type", "")))
+        inject_fault("journal.append", str(record["type"]))
         line = _encode_record(record)
         self._file.write(line)
         self._file.flush()
@@ -436,93 +452,28 @@ class JobJournal:
     # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------
-    def should_compact(self) -> bool:
-        """True when the file outgrew the threshold *and* doubled since
-        the previous rewrite (so a large live set does not thrash)."""
-        return self._bytes >= max(
-            self._compact_bytes, 2 * self._last_compact_bytes
-        )
-
     def compact(self, jobs: "list[Job]", next_id: int) -> None:
         """Rewrite the journal to the live records only: a ``meta``
-        record pinning the id counter, then one ``submit`` (plus
-        terminal record, if terminal) per retained job.  Written to a
-        temp file, fsync'd, atomically renamed."""
+        record pinning the id counter, then per retained job its
+        ``submit``, its ``attempt`` (if restarted) and its terminal
+        record (if terminal).  Written to a temp file, fsync'd,
+        atomically renamed."""
         if self._file is None:
             raise JournalError("journal is not open")
+        records = [_record("meta", next_id=next_id)]
+        for job in jobs:
+            records.append(_submit_record(job))
+            if job.attempts > 1:
+                # Keep the start count: the quarantine gate must still
+                # see the history after a rewrite.
+                records.append(_attempt_record(job))
+            terminal = _terminal_record(job)
+            if terminal is not None:
+                records.append(terminal)
         temp_path = self.path.with_name(self.path.name + ".compact")
         with open(temp_path, "wb") as sink:
-            sink.write(
-                _encode_record(
-                    {"v": JOURNAL_VERSION, "type": "meta", "next_id": next_id}
-                )
-            )
-            for job in jobs:
-                sink.write(
-                    _encode_record(
-                        {
-                            "v": JOURNAL_VERSION,
-                            "type": "submit",
-                            "id": job.id,
-                            "request": _request_payload(job.request),
-                            "items": [item.name for item in job.items],
-                        }
-                    )
-                )
-                if job.attempts > 1:
-                    # Keep the start count: the quarantine gate must
-                    # still see the history after a rewrite.
-                    sink.write(
-                        _encode_record(
-                            {
-                                "v": JOURNAL_VERSION,
-                                "type": "attempt",
-                                "id": job.id,
-                                "count": job.attempts,
-                            }
-                        )
-                    )
-                if job.state == DONE and job.report is not None:
-                    sink.write(
-                        _encode_record(
-                            {
-                                "v": JOURNAL_VERSION,
-                                "type": "finish",
-                                "id": job.id,
-                                "cache_key": job.cache_key,
-                                "report": _report_payload(job.report),
-                            }
-                        )
-                    )
-                elif job.state == ERROR:
-                    sink.write(
-                        _encode_record(
-                            {
-                                "v": JOURNAL_VERSION,
-                                "type": "error",
-                                "id": job.id,
-                                "error": job.error or "unknown error",
-                            }
-                        )
-                    )
-                elif job.state == QUARANTINED:
-                    sink.write(
-                        _encode_record(
-                            {
-                                "v": JOURNAL_VERSION,
-                                "type": "quarantine",
-                                "id": job.id,
-                                "attempts": job.attempts,
-                                "error": job.error or "crash-looped the service",
-                            }
-                        )
-                    )
-                elif job.state == CANCELLED:
-                    sink.write(
-                        _encode_record(
-                            {"v": JOURNAL_VERSION, "type": "cancel", "id": job.id}
-                        )
-                    )
+            for record in records:
+                sink.write(_encode_record(record))
             sink.flush()
             os.fsync(sink.fileno())
         # The window the crash test targets: the temp file is complete
@@ -544,7 +495,10 @@ class JobJournal:
         self._terminal &= live
 
     def maybe_compact(self, jobs: "list[Job]", next_id: int) -> bool:
-        if not self.should_compact():
+        """Compact once the file outgrew the threshold *and* doubled
+        since the previous rewrite (so a large live set does not
+        thrash); returns whether it did."""
+        if self._bytes < max(self._compact_bytes, 2 * self._last_compact_bytes):
             return False
         self.compact(jobs, next_id)
         return True

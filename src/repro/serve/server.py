@@ -52,7 +52,7 @@ from http import HTTPStatus
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
-from ..api import InputItem, InputSourceError, resolve_source
+from ..api import InputSourceError, resolve_source
 from ..flows.batch import WarmPoolManager
 from .cache import DEFAULT_RESULT_CACHE_SIZE, ResultCache, submission_key
 from .jobs import (
@@ -65,7 +65,7 @@ from .jobs import (
     JobRequest,
     JobStore,
 )
-from .journal import DEFAULT_COMPACT_BYTES, JobJournal, ReplayResult
+from .journal import DEFAULT_COMPACT_BYTES, JobJournal, ReplayedJob, ReplayResult
 from .metrics import ServiceMetrics
 from .queue import JobQueue
 from .wire import WireError, encode_event_line, encode_json, job_payload, parse_submission
@@ -109,7 +109,6 @@ class SynthesisService:
         idle_timeout: float | None = DEFAULT_IDLE_TIMEOUT,
         result_cache_size: int | None = DEFAULT_RESULT_CACHE_SIZE,
         journal_path: "str | os.PathLike | None" = None,
-        journal_fsync: bool = True,
         journal_compact_bytes: int = DEFAULT_COMPACT_BYTES,
         max_pending: int | None = None,
         auth_token: str | None = None,
@@ -130,11 +129,7 @@ class SynthesisService:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.journal = (
-            JobJournal(
-                journal_path,
-                fsync=journal_fsync,
-                compact_bytes=journal_compact_bytes,
-            )
+            JobJournal(journal_path, compact_bytes=journal_compact_bytes)
             if journal_path is not None
             else None
         )
@@ -409,92 +404,65 @@ class SynthesisService:
         result = self.journal.open()
         self.last_replay = result
         for replayed in result.jobs:
-            if replayed.state is None:
-                if replayed.attempts >= self._max_attempts:
-                    # Poison job: it was started max_attempts times
-                    # without ever reaching a terminal record.  Park it
-                    # (terminal, inspectable) instead of re-enqueueing —
-                    # and do not even re-resolve its inputs.
-                    items = [InputItem(name=name) for name in replayed.item_names]
-                    job = Job(replayed.id, replayed.request, items)
-                    self.store.adopt(job, next_id=result.next_id)
-                    job.attempts = replayed.attempts
-                    job.add_event({"type": "replayed", "resubmitted": False})
-                    job.mark_quarantined(
-                        f"quarantined after {replayed.attempts} attempt(s): "
-                        "the job never finished before a service restart"
-                    )
-                    self.metrics.inc("jobs_quarantined")
-                    continue
-                # Interrupted mid-run: re-resolve and run it again.
-                try:
-                    items = self._resolve_items(replayed.request)
-                except WireError as exc:
-                    items = [InputItem(name=name) for name in replayed.item_names]
-                    job = Job(replayed.id, replayed.request, items)
-                    self.store.adopt(job, next_id=result.next_id)
-                    job.attempts = replayed.attempts
-                    job.add_event({"type": "replayed", "resubmitted": False})
-                    job.fail(f"journal replay could not re-resolve inputs: {exc}")
-                    continue
-                job = Job(
-                    replayed.id,
-                    replayed.request,
-                    items,
-                    event_cap=self.store._event_cap,  # noqa: SLF001 - own module
-                )
-                self.store.adopt(job, next_id=result.next_id)
-                job.attempts = replayed.attempts
-                job.cache_key = (
-                    submission_key(items, replayed.request.batch_config())
-                    if self.result_cache is not None
-                    else None
-                )
-                # An identical submission may already have been replayed
-                # finished (ids replay in order): answer from the
-                # rehydrated cache instead of synthesizing twice.
-                cached = (
-                    self.result_cache.get(job.cache_key)
-                    if self.result_cache is not None
-                    else None
-                )
-                if cached is not None:
-                    job.cache_hit = True
-                    job.add_event({"type": "replayed", "resubmitted": False})
-                    job.finish(cached)
-                    continue
-                # This re-enqueue is one more start; journal it *before*
-                # the job runs so the evidence survives another crash.
-                job.attempts = replayed.attempts + 1
-                self.journal.record_attempt(job)
-                job.add_event({"type": "replayed", "resubmitted": True})
-                self.queue.submit(job)
+            if replayed.state is not None:
+                self._restore_terminal(self.store.adopt(replayed, result.next_id), replayed)
                 continue
-            items = [InputItem(name=name) for name in replayed.item_names]
-            job = Job(
-                replayed.id,
-                replayed.request,
-                items,
-                event_cap=self.store._event_cap,  # noqa: SLF001 - own module
-            )
-            self.store.adopt(job, next_id=result.next_id)
-            job.attempts = replayed.attempts
-            job.cache_key = replayed.cache_key
-            job.add_event({"type": "replayed", "resubmitted": False})
-            if replayed.state == DONE and replayed.report is not None:
-                job.finish(replayed.report)
-                if (
-                    self.result_cache is not None
-                    and replayed.cache_key is not None
-                    and all(circuit.ok for circuit in replayed.report.circuits)
-                ):
-                    self.result_cache.put(replayed.cache_key, replayed.report)
-            elif replayed.state == ERROR:
-                job.fail(replayed.error or "unknown error")
-            elif replayed.state == QUARANTINED:
-                job.mark_quarantined(replayed.error or "crash-looped the service")
-            else:
-                job.mark_cancelled()
+            if replayed.attempts >= self._max_attempts:
+                # Poison job: it was started max_attempts times
+                # without ever reaching a terminal record.  Park it
+                # (terminal, inspectable) instead of re-enqueueing —
+                # and do not even re-resolve its inputs.
+                self.store.adopt(replayed, result.next_id).mark_quarantined(
+                    f"quarantined after {replayed.attempts} attempt(s): "
+                    "the job never finished before a service restart"
+                )
+                self.metrics.inc("jobs_quarantined")
+                continue
+            # Interrupted mid-run: re-resolve and run it again.
+            try:
+                items = self._resolve_items(replayed.request)
+            except WireError as exc:
+                self.store.adopt(replayed, result.next_id).fail(
+                    f"journal replay could not re-resolve inputs: {exc}"
+                )
+                continue
+            key = None
+            cached = None
+            if self.result_cache is not None:
+                key = submission_key(items, replayed.request.batch_config())
+                # An identical submission may already have been
+                # replayed finished (ids replay in order): answer from
+                # the rehydrated cache instead of synthesizing twice.
+                cached = self.result_cache.get(key)
+            job = self.store.adopt(replayed, result.next_id, items, resubmitted=cached is None)
+            job.cache_key = key
+            if cached is not None:
+                job.cache_hit = True
+                job.finish(cached)
+                continue
+            # This re-enqueue is one more start; journal it *before*
+            # the job runs so the evidence survives another crash.
+            job.attempts += 1
+            self.journal.record_attempt(job)
+            self.queue.submit(job)
+
+    def _restore_terminal(self, job: Job, replayed: ReplayedJob) -> None:
+        """Put a replayed job back in its journaled terminal state; a
+        fully successful report also rehydrates the result cache."""
+        if replayed.state == DONE and replayed.report is not None:
+            job.finish(replayed.report)
+            if (
+                self.result_cache is not None
+                and replayed.cache_key is not None
+                and all(circuit.ok for circuit in replayed.report.circuits)
+            ):
+                self.result_cache.put(replayed.cache_key, replayed.report)
+        elif replayed.state == ERROR:
+            job.fail(replayed.error or "unknown error")
+        elif replayed.state == QUARANTINED:
+            job.mark_quarantined(replayed.error or "crash-looped the service")
+        else:
+            job.mark_cancelled()
 
     async def shutdown(self) -> None:
         """Stop accepting, cancel every live job, reap every worker."""

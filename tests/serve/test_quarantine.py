@@ -112,6 +112,35 @@ class TestReplayGate:
         )
 
 
+class TestReplayedEventCap:
+    def test_quarantined_and_unresolvable_jobs_honour_event_cap(self, tmp_path):
+        """Every replayed job keeps at most ``event_cap`` events, the
+        parked and the unresolvable ones too, and reports the head it
+        dropped (queued, replayed) in its status and its stream."""
+        path = tmp_path / "jobs.journal"
+        journal = JobJournal(path, fsync=False)
+        journal.open()
+        store = JobStore(journal=journal)
+        poison = store.create(JobRequest(circuits=("alu2",)), [])
+        poison.attempts = 3
+        journal.record_attempt(poison)
+        missing = store.create(JobRequest(circuits=("no-such-circuit",)), [])
+        journal.close()
+
+        async def scenario(service, host, port):
+            for job_id, status in ((poison.id, "quarantined"), (missing.id, "error")):
+                _, payload = await http_json(host, port, "GET", f"/jobs/{job_id}")
+                assert payload["status"] == status
+                assert payload["events"] == 3
+                assert payload["events_dropped"] == 2
+                _, raw = await http_request(host, port, "GET", f"/jobs/{job_id}/events")
+                events = [json.loads(line) for line in raw.decode().splitlines()]
+                assert events[0] == {"type": "truncated", "dropped": 2, "job": job_id}
+                assert [event["status"] for event in events[1:]] == [status]
+
+        run(with_service(scenario, concurrency=1, journal_path=path, max_attempts=3, event_cap=1))
+
+
 #: Stall long enough for the HTTP 202 to flush, then kill the process:
 #: the poison job crashes the whole server on every run.
 _POISON_PLAN = json.dumps(

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import itertools
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from repro.sop import (
-    algebraic,
     Expression,
     GateEmitter,
     best_kernel,
@@ -13,6 +15,7 @@ from repro.sop import (
     factor_expression,
     is_cube_free,
     kernels,
+    literal_counts,
     weak_division,
 )
 from repro.sop.algebraic import cube_literals
@@ -174,45 +177,31 @@ class TestFactoring:
         assert expression == expr(("c", "a"), ("c", "~b"))
 
 
-class TestLiteralFallbackTieBreak:
-    """The literal fallback pulls out the most frequent literal and, on
-    a tie, the first in literal order: never the iteration order of the
-    expression's sets."""
+@st.composite
+def covers_sharing_a_literal(draw):
+    """Random covers (2 to 8 distinct cubes over up to 6 variables) in
+    which some literal occurs in two cubes."""
+    width = draw(st.integers(min_value=1, max_value=6))
+    # Per variable: absent (None), complemented (0) or plain (1).
+    cube = st.lists(st.sampled_from((None, 0, 1)), min_size=width, max_size=width).map(
+        lambda phases: sum(1 << (2 * v + p) for v, p in enumerate(phases) if p is not None)
+    )
+    cubes = draw(st.lists(cube, min_size=2, max_size=8, unique=True))
+    expression = Expression(cubes)
+    assume(any(count >= 2 for count in literal_counts(expression).values()))
+    return expression
 
-    @staticmethod
-    def _first_literal(expression: Expression, monkeypatch) -> tuple[int, bool]:
-        # Without kernels every shared literal reaches the fallback.
-        monkeypatch.setattr(algebraic, "best_kernel", lambda _expression: None)
-        literals = []
 
-        def literal(var, phase):
-            literals.append((var, phase))
-            return var, phase
+class TestBestKernelInvariant:
+    """``factor_expression`` divides by the best kernel whenever a
+    literal is shared, and relies on that division making progress."""
 
-        emitter = GateEmitter(
-            literal=literal,
-            and2=lambda left, right: (left, right),
-            or2=lambda left, right: (left, right),
-            const=lambda value: value,
-        )
-        factor_expression(expression, emitter)
-        return literals[0]
-
-    def test_tied_counts_pull_the_sorted_first_literal(self, monkeypatch):
-        # Ten 2x2 products, each a four-way tie at count 2: insertion or
-        # hash order would pick the sorted-first literal for all ten only
-        # by a one-in-a-million chance.
-        quads = ("wxyz", "qmca", "tsrp", "hdkb", "ngfe", "ulio", "vjab", "zyxw", "kcem", "phxy")
-        for names in quads:
-            first, second = names[:2], names[2:]
-            expression = expr(*((p, s) for p in first for s in second))
-            expected = min((literal_of(name) >> 1, True) for name in first + second)
-            assert self._first_literal(expression, monkeypatch) == expected, names
-
-    def test_complement_sorts_first_on_a_tie(self, monkeypatch):
-        expression = expr(("~a", "b"), ("~a", "c"), ("a", "d"), ("a", "e"))
-        assert self._first_literal(expression, monkeypatch) == (0, False)
-
-    def test_higher_count_beats_the_sorted_first_literal(self, monkeypatch):
-        expression = expr(("a", "z"), ("b", "z"), ("c", "z"), ("a", "y"))
-        assert self._first_literal(expression, monkeypatch) == (25, True)
+    @settings(max_examples=300, deadline=None)
+    @given(covers_sharing_a_literal())
+    def test_shared_literal_yields_a_dividing_kernel(self, expression):
+        choice = best_kernel(expression)
+        assert choice is not None
+        _, kernel = choice
+        quotient, _ = weak_division(expression, kernel)
+        assert any(quotient)  # a non-empty cube, not just the 1 cube
+        assert kernel != expression
