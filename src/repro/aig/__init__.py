@@ -4,7 +4,8 @@ from .aig import Aig
 from .convert import aig_to_network, network_to_aig
 from .cuts import cut_truth_table, enumerate_cuts
 from .opt import balance, refactor, resyn2, resyn_quick, rewrite
-from .truth import cover_to_table, full_mask, isop, synthesize_table, var_mask
+from ..truthtable import full_mask, var_mask
+from .truth import cover_to_table, isop, synthesize_table
 
 __all__ = [
     "Aig",

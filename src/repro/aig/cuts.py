@@ -10,8 +10,8 @@ including truth-table computation per cut.
 
 from __future__ import annotations
 
+from ..truthtable import full_mask, var_mask
 from .aig import Aig
-from .truth import full_mask, var_mask
 
 
 def enumerate_cuts(

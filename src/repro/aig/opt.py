@@ -37,8 +37,9 @@ from __future__ import annotations
 
 import heapq
 
+from ..truthtable import full_mask, var_mask
 from .aig import Aig
-from .truth import Recipe, full_mask, synthesize_table, var_mask
+from .truth import Recipe, synthesize_table
 
 #: :meth:`Aig.walk` of a graph: its reachable ANDs and fanout counts.
 Walk = tuple[list[int], list[int]]

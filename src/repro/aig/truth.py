@@ -27,19 +27,7 @@ see :mod:`repro.aig.opt`).
 from __future__ import annotations
 
 from ..sop.algebraic import Expression, GateEmitter, factor_expression
-
-
-def var_mask(var: int, num_vars: int) -> int:
-    """Truth table of variable ``var`` over ``num_vars`` inputs (runs of
-    ``2**var`` zeros then ``2**var`` ones); 0 when ``var >= num_vars``."""
-    if var >= num_vars:
-        return 0
-    width = 1 << var
-    return full_mask(num_vars) // ((1 << width) + 1) << width
-
-
-def full_mask(num_vars: int) -> int:
-    return (1 << (1 << num_vars)) - 1
+from ..truthtable import full_mask, var_mask
 
 
 def isop(table: int, num_vars: int) -> list[int]:

@@ -48,11 +48,9 @@ from .reorder import reorder, sift_rebuild
 from .substitute import (
     EdgeStatistics,
     NodeFanin,
-    PathDominators,
     cut_nodes,
     edge_statistics,
     function_at,
-    path_dominators,
     replace_node,
 )
 
@@ -70,9 +68,7 @@ __all__ = [
     "KIND_OR",
     "KIND_XOR",
     "NodeFanin",
-    "PathDominators",
     "TERMINAL_LEVEL",
-    "path_dominators",
     "bdd_isop",
     "best_simple_decomposition",
     "classify_cut_node",

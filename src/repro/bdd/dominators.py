@@ -15,14 +15,40 @@ equality.  A certified decomposition is correct by construction, so
 subtle interactions with complemented edges cannot produce wrong
 decompositions.
 
-The XOR identity ``F == F[d:=0] ⊕ func(d)`` holds exactly at the cut
-nodes of :func:`repro.bdd.substitute.cut_nodes` (nodes on every
-root-to-terminal path).  A path through ``d`` arriving with parity
-``p`` computes ``p ⊕ h`` where ``F[d:=0]`` computes ``p``; a path
-avoiding ``d`` is chosen by the variables above ``d`` alone, so the
-identity there would force ``h ≡ 0``.  The XNOR form never holds for a
-reachable node.  XOR candidates are therefore only the cut nodes, found
-in one structural pass; each is still certified.
+Most candidate identities fail, so the scan refutes them by simulation
+first and proves only the survivors by BDD (the simulate-then-prove
+pattern of Kuehlmann & Krohm, DAC 1997).  :func:`simulate_paths` makes
+one bit-parallel pass per root over its reachable nodes; a column is an
+int with one bit per stimulus.  Bottom-up it computes each node's
+function ``h``; top-down, each node's ``through`` column (the stimuli
+whose evaluation path passes the node: a node's high child gets
+``through & var``, its low child ``through & ~var``) and the complement
+parities of the paths reaching it.  A stimulus that avoids node ``d``
+sees the same value in ``F`` and in both uppers ``U0``/``U1``; one that
+passes ``d`` with parity ``c`` sees ``F = h ⊕ c`` and ``U1 = c'``,
+``U0 = c``.  So with ``A = ~through[d]`` each identity holds exactly
+when its column is 0:
+
+* at even parity, ``F = U1·h`` needs ``A·F·h' = 0`` and ``F = U0+h``
+  needs ``A·F'·h = 0``;
+* at odd parity, ``F = U0·h'`` needs ``A·F·h = 0`` and ``F = U1+h'``
+  needs ``A·F'·h' = 0``;
+* ``F = U0⊕h`` needs ``A·h = 0``.
+
+A node reached with both parities admits no AND/OR identity: along the
+paths of the other parity the identity would force ``h`` constant.  The
+XOR identity holds exactly at the cut nodes of
+:func:`repro.bdd.substitute.cut_nodes` (nodes on every root-to-terminal
+path): a path avoiding ``d`` is chosen by the variables above ``d``
+alone, so ``A·h = 0`` with ``A ≠ 0`` would force ``h ≡ 0``.  The XNOR
+form never holds for a reachable node.
+
+A root with at most :data:`EXHAUSTIVE_LEVELS` support levels gets every
+stimulus (columns of up to 4,096 bits), so the pass is exact and each
+node needs at most one certification.  Beyond that the top levels stay
+exhaustive and the deeper ones get fixed seeded columns; the pass then
+only refutes, and certification decides.  Either way every returned
+decomposition is certified.
 
 It also provides :func:`xor_split`, the "balanced XOR decomposition"
 primitive that BDS-MAJ's cyclic optimization (γ-phase, Theorem 3.4)
@@ -31,23 +57,44 @@ uses to derive the K and M functions from ``Fb ⊕ Fc``.
 
 from __future__ import annotations
 
-from collections.abc import Container
+import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from ..truthtable import full_mask, var_mask
 from .manager import BDD
-from .substitute import (
-    EVEN,
-    ODD,
-    cut_nodes,
-    function_at,
-    reference_parities,
-    replace_node,
-)
+from .substitute import cut_nodes, function_at, replace_node
 
 #: Decomposition kinds certified by this module.
 KIND_AND = "and"
 KIND_OR = "or"
 KIND_XOR = "xor"
+
+#: Bits of a parity mask: paths reach a node with an even or an odd
+#: number of complement bits (the root edge's and the entering edge's
+#: included).  Along a path of parity ``c`` the root computes
+#: ``func(node) ⊕ c``.
+EVEN = 1
+ODD = 2
+
+#: Support levels simulated exhaustively (2**12 = 4,096 stimuli).
+EXHAUSTIVE_LEVELS = 12
+
+#: Seed of the fixed stimulus columns of the deeper support levels.
+DEEP_LEVEL_SEED = 1997
+
+#: ``_VARIABLE_COLUMNS[k]``: the ``k`` exhaustive variable columns of a
+#: root whose simulation covers ``k`` support levels.
+_VARIABLE_COLUMNS = tuple(
+    tuple(var_mask(position, k) for position in range(k)) for k in range(EXHAUSTIVE_LEVELS + 1)
+)
+
+#: Bits of a :func:`classify_cut_node` candidate mask, one per identity.
+AND_ONE = 1  # F = U1·h
+AND_ZERO = 2  # F = U0·h'
+OR_ZERO = 4  # F = U0+h
+OR_ONE = 8  # F = U1+h'
+XOR_ZERO = 16  # F = U0⊕h
 
 
 @dataclass(frozen=True)
@@ -71,8 +118,76 @@ class DominatorDecomposition:
         )
 
 
+class PathSimulation(NamedTuple):
+    """One bit-parallel pass over a root's reachable nodes.
+
+    Every column has ``full``'s width.  ``root_value`` is the root's
+    function; ``function``, ``through`` and ``parities`` map each
+    internal node to its function, to the stimuli whose path passes it,
+    and to its :data:`EVEN`/:data:`ODD` mask.
+    """
+
+    full: int
+    root_value: int
+    function: dict[int, int]
+    through: dict[int, int]
+    parities: dict[int, int]
+
+
+def simulate_paths(mgr: BDD, root: int, nodes: list[int] | None = None) -> PathSimulation:
+    """Simulate ``root`` on its stimuli (see the module docstring).
+
+    The support levels are numbered top-down; the first
+    :data:`EXHAUSTIVE_LEVELS` take the closed-form variable columns, the
+    rest columns drawn from :data:`DEEP_LEVEL_SEED`.  Levels strictly
+    increase along edges, so visiting nodes by level settles children
+    first (bottom-up) or parents first (top-down).  ``nodes`` is
+    ``mgr.nodes_reachable([root])``, when the caller holds it already.
+    """
+    if nodes is None:
+        nodes = mgr.nodes_reachable([root])
+    fields = [mgr.node_fields(index) for index in nodes]
+    order = sorted(zip(fields, nodes))  # by level
+    support = sorted({level for level, _, _ in fields})
+    exact = min(len(support), EXHAUSTIVE_LEVELS)
+    full = full_mask(exact)
+    column = dict(zip(support, _VARIABLE_COLUMNS[exact]))
+    if len(support) > exact:
+        rng = random.Random(DEEP_LEVEL_SEED)
+        for level in support[exact:]:
+            column[level] = rng.getrandbits(1 << exact)
+
+    function = {0: full}
+    for (level, high, low), index in reversed(order):
+        high_value = function[high >> 1]  # high edges are regular
+        low_value = function[low >> 1]
+        if low & 1:
+            low_value ^= full
+        function[index] = low_value ^ (high_value ^ low_value) & column[level]
+
+    root_index = root >> 1
+    through = {root_index: full}
+    parities = {root_index: ODD if root & 1 else EVEN}
+    for (level, high, low), index in order:
+        path = through[index]
+        taken = path & column[level]
+        mask = parities[index]
+        high >>= 1
+        through[high] = through.get(high, 0) | taken
+        parities[high] = parities.get(high, 0) | mask
+        if low & 1:
+            mask = (mask & EVEN) << 1 | mask >> 1
+        low >>= 1
+        through[low] = through.get(low, 0) | path ^ taken
+        parities[low] = parities.get(low, 0) | mask
+    root_value = function[root_index] ^ (full if root & 1 else 0)
+    for column_of in (function, through, parities):
+        column_of.pop(0, None)  # the terminal
+    return PathSimulation(full, root_value, function, through, parities)
+
+
 def classify_cut_node(
-    mgr: BDD, root: int, node_index: int, cut: Container[int], parities: int
+    mgr: BDD, root: int, node_index: int, candidates: int
 ) -> DominatorDecomposition | None:
     """Certify the decomposition induced by ``node_index`` in ``root``.
 
@@ -85,61 +200,39 @@ def classify_cut_node(
     complemented.  Each candidate identity is certified by canonical BDD
     equality; complement variants are folded into ``lower``.
 
-    ``parities`` is the node's :func:`reference_parities` mask, and it
-    rules most identities out unchecked.  Along a path of parity ``c``
-    into the node, ``F = h ⊕ c`` while ``U1 = c'`` and ``U0 = c`` (the
-    uppers with the node replaced by ONE and by ZERO).  The variables
-    below the node are free on such a path, so an identity that forces
-    a constant there forces ``h`` constant: only ``U1·h`` and ``U0+h``
-    can hold at even parity, only ``U0·h'`` and ``U1+h'`` at odd
-    parity, and no AND/OR identity at a node reached with both.
-
-    ``cut`` holds ``root``'s cut nodes (:func:`cut_nodes`): the XOR
-    identity can only hold there, so its ``xor`` build is skipped for
-    other nodes.  It is only consulted when no AND/OR identity holds.
+    ``candidates`` is a mask of :data:`AND_ONE`, :data:`AND_ZERO`,
+    :data:`OR_ZERO`, :data:`OR_ONE` and :data:`XOR_ZERO`: the identities
+    that :func:`simulate_paths` did not refute.  Only those are built.
 
     Returns the first certified decomposition, in the order AND(U1, h),
     AND(U0, h'), OR(U0, h), OR(U1, h'), XOR(U0, h), or ``None``.
     """
     lower = function_at(mgr, node_index)
-    upper_zero = None
-    if parities == EVEN:
+    upper_one = upper_zero = None
+    if candidates & AND_ONE:
         upper_one = replace_node(mgr, root, node_index, mgr.ONE)
         if root == mgr.and_(upper_one, lower):
             return DominatorDecomposition(KIND_AND, node_index, upper_one, lower)
-        upper_zero = replace_node(mgr, root, node_index, mgr.ZERO)
-        if root == mgr.or_(upper_zero, lower):
-            return DominatorDecomposition(KIND_OR, node_index, upper_zero, lower)
-    elif parities == ODD:
+    if candidates & AND_ZERO:
         upper_zero = replace_node(mgr, root, node_index, mgr.ZERO)
         if root == mgr.and_(upper_zero, lower ^ 1):
             return DominatorDecomposition(KIND_AND, node_index, upper_zero, lower ^ 1)
-        upper_one = replace_node(mgr, root, node_index, mgr.ONE)
+    if candidates & OR_ZERO:
+        if upper_zero is None:
+            upper_zero = replace_node(mgr, root, node_index, mgr.ZERO)
+        if root == mgr.or_(upper_zero, lower):
+            return DominatorDecomposition(KIND_OR, node_index, upper_zero, lower)
+    if candidates & OR_ONE:
+        if upper_one is None:
+            upper_one = replace_node(mgr, root, node_index, mgr.ONE)
         if root == mgr.or_(upper_one, lower ^ 1):
             return DominatorDecomposition(KIND_OR, node_index, upper_one, lower ^ 1)
-    if node_index in cut:
+    if candidates & XOR_ZERO:
         if upper_zero is None:
             upper_zero = replace_node(mgr, root, node_index, mgr.ZERO)
         if root == mgr.xor(upper_zero, lower):
             return DominatorDecomposition(KIND_XOR, node_index, upper_zero, lower)
     return None
-
-
-class _CutSet:
-    """The cut nodes of ``root``, computed on the first membership test:
-    most roots of AND/OR-heavy logic certify every node as AND or OR
-    and never ask.  ``reachable`` is ``root``'s reachable node list."""
-
-    def __init__(self, mgr: BDD, root: int, reachable: list[int]) -> None:
-        self._mgr = mgr
-        self._root = root
-        self._reachable = reachable
-        self._nodes: set[int] | None = None
-
-    def __contains__(self, node_index: object) -> bool:
-        if self._nodes is None:
-            self._nodes = set(cut_nodes(self._mgr, self._root, self._reachable))
-        return node_index in self._nodes
 
 
 def find_simple_decompositions(mgr: BDD, root: int) -> list[DominatorDecomposition]:
@@ -152,21 +245,36 @@ def find_simple_decompositions(mgr: BDD, root: int) -> list[DominatorDecompositi
     classified and the claimed identity certified by BDD equality — the
     certified set is exactly the set of nodes whose substitution yields
     a valid AND/OR/XOR split, which subsumes the parity-aware
-    0-/1-/x-dominator definitions.  The parities with which paths reach
-    each node (:func:`reference_parities`, one pass) only skip the
-    identities that cannot hold, so they never change the result.
+    0-/1-/x-dominator definitions.  One :func:`simulate_paths` pass
+    refutes the identities that cannot hold; a refuted identity never
+    holds, so the filter never changes the result.
     """
-    root_index = root >> 1
     nodes = mgr.nodes_reachable([root])
-    cut = _CutSet(mgr, root, nodes)
-    parities = reference_parities(mgr, root, nodes)
+    full, root_value, function, through, parities = simulate_paths(mgr, root, nodes)
     result = []
-    for node_index in nodes:
-        if node_index == root_index:
-            continue
-        decomposition = classify_cut_node(mgr, root, node_index, cut, parities[node_index])
-        if decomposition is not None:
-            result.append(decomposition)
+    for node_index in nodes[1:]:  # nodes[0] is the root
+        avoiding = full ^ through[node_index]
+        ones = avoiding & root_value  # A·F
+        zeros = avoiding ^ ones  # A·F'
+        h = function[node_index]
+        ones_h = ones & h
+        zeros_h = zeros & h
+        candidates = 0 if ones_h or zeros_h else XOR_ZERO
+        reached = parities[node_index]
+        if reached == EVEN:
+            if ones_h == ones:
+                candidates |= AND_ONE
+            if not zeros_h:
+                candidates |= OR_ZERO
+        elif reached == ODD:
+            if not ones_h:
+                candidates |= AND_ZERO
+            if zeros_h == zeros:
+                candidates |= OR_ONE
+        if candidates:
+            decomposition = classify_cut_node(mgr, root, node_index, candidates)
+            if decomposition is not None:
+                result.append(decomposition)
     return result
 
 

@@ -6,11 +6,12 @@ the BDD of ``F`` and conceptually cuts the graph there: the function
 replacing references to ``d`` with a constant (or, in general, any
 function).  :func:`replace_node` performs that rewrite; dominator
 classification in :mod:`repro.bdd.dominators` then certifies candidate
-decompositions with exact BDD equality checks.  :func:`cut_nodes`
-finds, in one pass, the nodes on every root-to-terminal path: the only
-places an XOR decomposition can be certified.  :func:`reference_parities`
-finds, in one pass, the complement parities with which paths reach each
-node, which rule out most AND/OR identities before they are built.
+decompositions with exact BDD equality checks, building the uppers of
+only those identities that its path simulation does not refute (each
+``replace_node`` is a full rebuild of the part above the cut, so it is
+the scan's main cost).  :func:`cut_nodes` finds, in one pass, the nodes
+on every root-to-terminal path: the only places an XOR decomposition can
+be certified.
 
 :func:`edge_statistics` computes per-node fan-in counts (regular /
 complemented, 0-edge / 1-edge) needed by the m-dominator criteria of
@@ -116,89 +117,9 @@ def edge_statistics(mgr: BDD, roots: list[int]) -> EdgeStatistics:
     return stats
 
 
-@dataclass
-class PathDominators:
-    """Structural dominator sets of a BDD root (node indices).
-
-    In a complemented-edge BDD there is a single terminal and the
-    *value* of a root-to-terminal path is the parity of the complement
-    bits along it (even parity = 1).  The classical BDS dominator
-    classes therefore become parity conditions:
-
-    * ``to_one`` — 1-dominators: every even-parity (value-1) path
-      passes through the node (AND-decomposition candidates);
-    * ``to_zero`` — 0-dominators: every odd-parity (value-0) path
-      passes through the node (OR-decomposition candidates);
-    * ``all_paths`` — nodes on every path regardless of parity
-      (x-dominator candidates).
-    """
-
-    to_one: set[int] = field(default_factory=set)
-    to_zero: set[int] = field(default_factory=set)
-
-    @property
-    def all_paths(self) -> set[int]:
-        return self.to_one & self.to_zero
-
-
-def path_dominators(mgr: BDD, root: int) -> PathDominators:
-    """Compute parity-aware dominator sets for ``root``.
-
-    Uses per-candidate reachability over (node, parity) states; the
-    BDDs handled here are small (network partitioning caps their size),
-    so the O(N^2) formulation is acceptable and obviously correct.
-    """
-    result = PathDominators()
-    root_index = root >> 1
-    if root_index == 0:
-        return result
-    for candidate in mgr.nodes_reachable([root]):
-        if candidate == root_index:
-            continue
-        reachable = _terminal_parities_avoiding(mgr, root, candidate)
-        if 0 not in reachable:
-            result.to_one.add(candidate)
-        if 1 not in reachable:
-            result.to_zero.add(candidate)
-    return result
-
-
-#: Bits of a :func:`reference_parities` mask.
-EVEN = 1
-ODD = 2
-
-
-def reference_parities(mgr: BDD, root: int, nodes: list[int] | None = None) -> dict[int, int]:
-    """For every internal node reachable from ``root``, the complement
-    parities with which root-to-node paths reach it, as a mask of
-    :data:`EVEN` and :data:`ODD`.
-
-    A path's parity counts the complement bits on its edges, the root
-    edge's and the edge entering the node included: along a path of
-    parity ``c`` the root computes ``func(node) ⊕ c``.  Parents are
-    visited before children (by level), so one pass settles every mask.
-    ``nodes`` is ``mgr.nodes_reachable([root])``, when the caller holds
-    it already.
-    """
-    if nodes is None:
-        nodes = mgr.nodes_reachable([root])
-    fields = {index: mgr.node_fields(index) for index in nodes}
-    reached = {root >> 1: ODD if root & 1 else EVEN}
-    for index in sorted(nodes, key=lambda node: fields[node][0]):
-        mask = reached[index]
-        _, high, low = fields[index]
-        reached[high >> 1] = reached.get(high >> 1, 0) | mask
-        if low & 1:
-            mask = (mask & EVEN) << 1 | mask >> 1
-        reached[low >> 1] = reached.get(low >> 1, 0) | mask
-    reached.pop(0, None)
-    return reached
-
-
 def cut_nodes(mgr: BDD, root: int, nodes: list[int] | None = None) -> list[int]:
     """Nodes on *every* root-to-terminal path (both parities), sorted,
-    root excluded: ``sorted(path_dominators(mgr, root).all_paths)`` in
-    one pass.
+    root excluded, in one pass.
 
     Levels strictly increase along a path, so a path avoids node ``d``
     exactly when it crosses ``level(d)`` through another node there or
@@ -231,27 +152,3 @@ def cut_nodes(mgr: BDD, root: int, nodes: list[int] | None = None) -> list[int]:
         for index, (level, _, _) in zip(nodes, fields)
         if index != root_index and width[level] == 1 and spanning[level] == 0
     )
-
-
-def _terminal_parities_avoiding(mgr: BDD, root: int, banned: int) -> set[int]:
-    """Parities (0 = value 1, 1 = value 0) of root-to-terminal paths
-    that avoid node ``banned``."""
-    seen: set[tuple[int, int]] = set()
-    found: set[int] = set()
-    stack = [(root >> 1, root & 1)]
-    while stack:
-        index, parity = stack.pop()
-        if index == banned:
-            continue
-        if index == 0:
-            found.add(parity)
-            if len(found) == 2:
-                break
-            continue
-        if (index, parity) in seen:
-            continue
-        seen.add((index, parity))
-        _, high, low = mgr.node_fields(index)
-        stack.append((high >> 1, parity ^ (high & 1)))
-        stack.append((low >> 1, parity ^ (low & 1)))
-    return found

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from ..aig.truth import var_mask
+from ..truthtable import var_mask
 from .bdds import BddSizeExceeded, global_bdds
 from .netlist import LogicNetwork, NetworkError
 

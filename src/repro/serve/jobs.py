@@ -296,7 +296,7 @@ class JobStore:
         """Journal write-through for terminal transitions, triggering
         compaction once the file outgrows its threshold."""
         self._journal.record_terminal(job)
-        self._journal.maybe_compact(self.jobs(), self._next_id)
+        self._journal.maybe_compact(self.jobs, self._next_id)
 
     def _expire_finished(self) -> None:
         """Evict the oldest finished jobs beyond ``max_finished_jobs``

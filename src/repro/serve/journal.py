@@ -84,6 +84,8 @@ from ..flows.batch import BatchReport
 from .jobs import CANCELLED, DONE, ERROR, QUARANTINED, JobRequest
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
+    from collections.abc import Callable
+
     from .jobs import Job
 
 #: Default file size (bytes) past which an append triggers compaction.
@@ -494,13 +496,15 @@ class JobJournal:
         self._submitted &= live
         self._terminal &= live
 
-    def maybe_compact(self, jobs: "list[Job]", next_id: int) -> bool:
+    def maybe_compact(self, jobs: "Callable[[], list[Job]]", next_id: int) -> bool:
         """Compact once the file outgrew the threshold *and* doubled
         since the previous rewrite (so a large live set does not
-        thrash); returns whether it did."""
+        thrash); returns whether it did.  ``jobs`` lists the live jobs;
+        it is called only when compaction runs, so a transition below
+        the threshold costs O(1)."""
         if self._bytes < max(self._compact_bytes, 2 * self._last_compact_bytes):
             return False
-        self.compact(jobs, next_id)
+        self.compact(jobs(), next_id)
         return True
 
     # ------------------------------------------------------------------

@@ -12,8 +12,10 @@ still existed and this suite proved every pipeline identical to them;
 since then only its op-cache counters moved: when the engine's shape
 memo stopped repeating the BDD work of decisions already taken, when
 the engine stopped searching for majority splits of functions with one
-BDD node per support variable, and when the BDS flows began to build,
-sift and decompose each distinct supernode structure once per run.
+BDD node per support variable, when the BDS flows began to build,
+sift and decompose each distinct supernode structure once per run, and
+when the simple-dominator scan began to refute identities by path
+simulation before building them.
 
 If an intentional change moves these numbers, regenerate the golden
 with::

@@ -19,10 +19,16 @@ from repro.bdd import (
     simple_dominator_nodes,
     xor_split,
 )
-from repro.bdd.dominators import find_xor_decompositions
-from repro.bdd.substitute import EVEN, ODD, reference_parities
+from repro.bdd.dominators import (
+    EVEN,
+    EXHAUSTIVE_LEVELS,
+    ODD,
+    find_xor_decompositions,
+    simulate_paths,
+)
 
 from ..conftest import random_function
+from . import reference_dominators
 
 
 def _check_decomposition(mgr: BDD, root: int, decomposition) -> None:
@@ -322,9 +328,105 @@ def _path_parities(mgr: BDD, root: int) -> dict[int, int]:
 
 @settings(max_examples=200, deadline=None)
 @given(spec=_functions)
-def test_property_reference_parities_match_path_walk(spec):
+def test_property_simulated_parities_match_path_walk(spec):
     mgr, f = _draw(spec)
-    assert reference_parities(mgr, f) == _path_parities(mgr, f)
+    assert simulate_paths(mgr, f).parities == _path_parities(mgr, f)
+
+
+def _path_columns(mgr: BDD, root: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Each node's truth table over the root's support (in level order)
+    and its ``through`` column, found by walking every minterm's path."""
+    support = sorted(mgr.support_levels(root))
+    names = [mgr.name_of(level) for level in support]
+    nodes = mgr.nodes_reachable([root])
+    function = {node: mgr.truth_table(function_at(mgr, node), names) for node in nodes}
+    through = dict.fromkeys(nodes, 0)
+    for minterm in range(1 << len(support)):
+        index = root >> 1
+        while index:
+            through[index] |= 1 << minterm
+            level, high, low = mgr.node_fields(index)
+            index = (high if minterm >> support.index(level) & 1 else low) >> 1
+    return function, through
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_functions)
+def test_property_simulated_columns_are_exact_on_small_supports(spec):
+    mgr, f = _draw(spec)
+    if mgr.is_constant(f):
+        return
+    simulation = simulate_paths(mgr, f)
+    support = len(mgr.support_levels(f))
+    assert support <= EXHAUSTIVE_LEVELS
+    assert simulation.full == (1 << (1 << support)) - 1
+    function, through = _path_columns(mgr, f)
+    assert {node: simulation.function[node] for node in function} == function
+    assert simulation.through == through
+    assert simulation.root_value == mgr.truth_table(
+        f, [mgr.name_of(level) for level in sorted(mgr.support_levels(f))]
+    )
+
+
+def _wide_function(mgr: BDD, names: list[str], rng: random.Random) -> int:
+    """A random formula that reads every variable (so its support is all
+    of ``names``): disjoint halves joined by AND, OR, XOR or a MUX on a
+    variable that appears again inside them, with random negations."""
+    if len(names) == 1:
+        return mgr.var(names[0]) ^ rng.getrandbits(1)
+    names = rng.sample(names, len(names))
+    split = rng.randint(1, len(names) - 1)
+    left = _wide_function(mgr, names[:split], rng)
+    right = _wide_function(mgr, names[split:], rng)
+    op = rng.choice(["and", "or", "xor", "mux"])
+    if op == "mux":
+        joined = mgr.ite(mgr.var(rng.choice(names)), left, right)
+    else:
+        joined = {"and": mgr.and_, "or": mgr.or_, "xor": mgr.xor}[op](left, right)
+    return joined ^ rng.getrandbits(1)
+
+
+_wide_functions = st.tuples(
+    st.integers(min_value=0, max_value=(1 << 32) - 1),
+    st.integers(min_value=2, max_value=15) | st.integers(min_value=13, max_value=15),
+    st.integers(min_value=2, max_value=4),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_wide_functions)
+def test_property_simple_decompositions_match_reference_scan(spec):
+    """The simulated scan certifies the same identities, in the same
+    order, as the parity-filtered scan it replaced; roots over 2-15
+    variables cover both the exact (at most 12 support levels) and the
+    refute-only (seeded deep columns) passes."""
+    seed, num_vars, depth, wide, negate = spec
+    names = [f"x{i}" for i in range(num_vars)]
+    mgr = BDD(names)
+    rng = random.Random(seed)
+    f = _wide_function(mgr, names, rng) if wide else random_function(mgr, names, rng, depth)
+    f ^= int(negate)
+    expected = reference_dominators.find_simple_decompositions(mgr, f)
+    found = [(d.kind, d.node, d.upper, d.lower) for d in find_simple_decompositions(mgr, f)]
+    assert found == expected
+
+
+def test_wide_roots_match_reference_scan():
+    """Roots with more than 12 support levels take the seeded columns
+    below the exhaustive ones; the result is still the reference's."""
+    rng = random.Random(7)
+    wide = 0
+    for num_vars in (13, 14, 15) * 10:
+        names = [f"x{i}" for i in range(num_vars)]
+        mgr = BDD(names)
+        f = _wide_function(mgr, names, rng)
+        wide += len(mgr.support_levels(f)) > EXHAUSTIVE_LEVELS
+        expected = reference_dominators.find_simple_decompositions(mgr, f)
+        found = [(d.kind, d.node, d.upper, d.lower) for d in find_simple_decompositions(mgr, f)]
+        assert found == expected
+    assert wide >= 20  # 24 at this seed: a MUX can drop a variable it reads
 
 
 @settings(max_examples=200, deadline=None)
@@ -333,7 +435,7 @@ def test_property_parity_lemma_rules_out_and_or_identities(spec):
     """At even parity only U1·h and U0+h can hold, at odd parity only
     U0·h' and U1+h', and at a node reached with both parities none."""
     mgr, f = _draw(spec)
-    for node, parities in reference_parities(mgr, f).items():
+    for node, parities in simulate_paths(mgr, f).parities.items():
         if node == f >> 1:
             continue
         lower = function_at(mgr, node)

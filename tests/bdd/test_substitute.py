@@ -13,11 +13,11 @@ from repro.bdd import (
     cut_nodes,
     edge_statistics,
     function_at,
-    path_dominators,
     replace_node,
 )
 
 from ..conftest import random_function
+from .reference_dominators import path_dominators
 
 
 class TestFunctionAt:

@@ -10,10 +10,10 @@ resubmission of replayed work from the rehydrated result cache.
 from __future__ import annotations
 
 import asyncio
+import gc
 import hashlib
 import json
-import os
-import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -25,13 +25,14 @@ from repro.serve.cache import submission_key
 from repro.serve.journal import (
     JobJournal,
     JournalError,
+    ReplayResult,
     _decode_line,
     _encode_record,
     _report_payload,
 )
 
 from .client import http_json, http_request, poll_job
-from .harness import with_service
+from .harness import spawn_serve, with_service
 
 
 def run(coro):
@@ -51,6 +52,15 @@ class TestFraming:
         assert _decode_line(line[:-1]) is None  # torn: no newline
         assert _decode_line(b"not a journal line\n") is None
         assert _decode_line(b"00000000\t[1,2]\n") is None  # CRC mismatch
+
+
+def _replay(path: Path) -> ReplayResult:
+    """Replay the journal at ``path`` and close it again."""
+    journal = JobJournal(path, fsync=False)
+    try:
+        return journal.open()
+    finally:
+        journal.close()
 
 
 def _fill_store(path: Path, **journal_kwargs) -> tuple[JobJournal, JobStore]:
@@ -76,7 +86,7 @@ class TestReplay:
         assert interrupted.state == "queued"  # no terminal record written
         journal.close()
 
-        replay = JobJournal(path, fsync=False).open()
+        replay = _replay(path)
         by_id = {job.id: job for job in replay.jobs}
         assert len(by_id) == 4
         assert by_id[done.id].state == "done"
@@ -122,7 +132,7 @@ class TestReplay:
         lines[1] = b"00000000\tcorrupted-but-terminated\n"
         path.write_bytes(b"".join(lines))
 
-        replay = JobJournal(path, fsync=False).open()
+        replay = _replay(path)
         assert replay.corrupt_lines == 1
         by_id = {job.id: job for job in replay.jobs}
         # first lost its cancel record to bit rot -> replays interrupted;
@@ -134,7 +144,7 @@ class TestReplay:
         path = tmp_path / "jobs.journal"
         path.write_bytes(_encode_record({"v": 99, "type": "meta", "next_id": 7}))
         with pytest.raises(JournalError):
-            JobJournal(path, fsync=False).open()
+            _replay(path)
 
     def test_compaction_keeps_live_records_and_id_counter(self, tmp_path):
         path = tmp_path / "jobs.journal"
@@ -146,7 +156,7 @@ class TestReplay:
         assert journal.compactions >= 1
         journal.close()
 
-        replay = JobJournal(path, fsync=False).open()
+        replay = _replay(path)
         assert len(replay.jobs) == 3
         assert all(job.state == "cancelled" for job in replay.jobs)
         assert replay.next_id == 4  # the meta record pinned the counter
@@ -163,6 +173,39 @@ class TestReplay:
         store.create(JobRequest(circuits=("f51m",)), [])
         assert journal.compactions == first_compactions
         journal.close()
+
+
+class TestTransitionCost:
+    def test_terminal_transition_cost_does_not_grow_with_the_store(self, tmp_path, monkeypatch):
+        """Cancelling every job of a journaled store costs the same per
+        job with N and with 4N jobs: below the compaction threshold a
+        terminal transition appends one record and lists no jobs (the
+        job list is built only when compaction runs)."""
+        listed = []
+        jobs_of = JobStore.jobs
+
+        def counted(store):
+            jobs = jobs_of(store)
+            listed.append(len(jobs))
+            return jobs
+
+        monkeypatch.setattr(JobStore, "jobs", counted)
+        per_job = {}
+        for count in (300, 1200):
+            journal, store = _fill_store(tmp_path / f"{count}.journal")
+            jobs = [store.create(JobRequest(circuits=("alu2",)), []) for _ in range(count)]
+            listed.clear()
+            gc.collect()
+            start = time.process_time()
+            for job in jobs:
+                job.mark_cancelled()
+            seconds = time.process_time() - start
+            assert journal.compactions == 0
+            journal.close()
+            per_job[count] = (sum(listed) / count, seconds / count)
+        assert per_job[300][0] == per_job[1200][0] == 0
+        # Generous: a transition that walked the store would cost 4x.
+        assert per_job[1200][1] < 2.5 * per_job[300][1]
 
 
 class TestEarlierFormat:
@@ -229,7 +272,7 @@ class TestEarlierFormat:
         path = tmp_path / "jobs.journal"
         report = self._write_journal(path)
 
-        replay = JobJournal(path, fsync=False).open()
+        replay = _replay(path)
         assert replay.corrupt_lines == 0
         done, interrupted = replay.jobs
         assert done.request == JobRequest(circuits=("alu2",), workers=2, priority=3)
@@ -247,7 +290,7 @@ class TestEarlierFormat:
         request = dict(self.REQUEST, reorder="converge")
         self._write_journal(path, request)
 
-        done, interrupted = JobJournal(path, fsync=False).open().jobs
+        done, interrupted = _replay(path).jobs
         assert done.request == JobRequest(circuits=("alu2",), workers=2, priority=3)
         assert done.state == "done"
         assert done.cache_key == self._earlier_key(request)
@@ -258,7 +301,7 @@ class TestEarlierFormat:
         path = tmp_path / "jobs.journal"
         self._write_journal(path)
 
-        done, _ = JobJournal(path, fsync=False).open().jobs
+        done, _ = _replay(path).jobs
         assert done.cache_key == self._earlier_key()
         # Old keys hashed the policies and the capacity, so no new
         # submission of the same work can be answered from a report
@@ -343,56 +386,13 @@ class TestServiceReplay:
         run(with_service(after_restart, concurrency=1, journal_path=journal))
 
 
-def _spawn_server(journal: Path, extra: list[str] | None = None):
-    """Start a ``bdsmaj serve`` subprocess on an ephemeral port; returns
-    (process, port) once the listen line appears on stderr."""
-    import re
-    import subprocess
-
-    src_root = Path(__file__).resolve().parents[2] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        str(src_root)
-        + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    )
-    env["BDSMAJ_AUTH_TOKEN"] = ""
-    process = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.experiments.cli",
-            "serve",
-            "--port",
-            "0",
-            "--concurrency",
-            "1",
-            "--journal",
-            str(journal),
-            *(extra or []),
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-    )
-    pattern = re.compile(r"listening on http://([0-9.]+):(\d+)")
-    while True:
-        line = process.stderr.readline()
-        if not line:
-            raise RuntimeError(
-                f"server exited with {process.wait()} before listening"
-            )
-        match = pattern.search(line.decode("utf-8", "replace"))
-        if match:
-            return process, int(match.group(2))
-
-
 class TestCrashReplay:
     def test_sigkill_mid_batch_replays_and_reruns(self, tmp_path):
         """SIGKILL a journaled server mid-batch; the restart must serve
         the finished job byte-identically, re-run the interrupted ones,
         and answer resubmissions from the rehydrated cache."""
         journal = tmp_path / "jobs.journal"
-        process, port = _spawn_server(journal)
+        process, port = spawn_serve(journal)
         try:
 
             async def submit_and_wait():
@@ -421,7 +421,7 @@ class TestCrashReplay:
             process.kill()  # SIGKILL: no shutdown hooks, no cancel records
             process.wait()
 
-        process, port = _spawn_server(journal)
+        process, port = spawn_serve(journal)
         try:
 
             async def after_crash():

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
-import re
 import signal
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -24,7 +20,7 @@ from repro.serve import JobRequest, JobStore, SynthesisService
 from repro.serve.journal import JobJournal
 
 from .client import http_json, http_request, poll_job
-from .harness import with_service
+from .harness import spawn_serve, with_service
 
 
 def run(coro):
@@ -157,45 +153,7 @@ _POISON_PLAN = json.dumps(
 def _spawn_poisoned(journal: Path, wait_listen: bool):
     """Start a ``bdsmaj serve --max-attempts 3`` subprocess whose fault
     plan SIGKILLs it whenever f51m is synthesized."""
-    src_root = Path(__file__).resolve().parents[2] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        str(src_root)
-        + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    )
-    env["BDSMAJ_AUTH_TOKEN"] = ""
-    env["BDSMAJ_FAULT_PLAN"] = _POISON_PLAN
-    process = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.experiments.cli",
-            "serve",
-            "--port",
-            "0",
-            "--concurrency",
-            "1",
-            "--max-attempts",
-            "3",
-            "--journal",
-            str(journal),
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE if wait_listen else subprocess.DEVNULL,
-    )
-    if not wait_listen:
-        return process, None
-    pattern = re.compile(r"listening on http://([0-9.]+):(\d+)")
-    while True:
-        line = process.stderr.readline()
-        if not line:
-            raise RuntimeError(
-                f"server exited with {process.wait()} before listening"
-            )
-        match = pattern.search(line.decode("utf-8", "replace"))
-        if match:
-            return process, int(match.group(2))
+    return spawn_serve(journal, ["--max-attempts", "3"], _POISON_PLAN, wait_listen)
 
 
 class TestPoisonJobCrashLoop:
@@ -279,45 +237,7 @@ def _spawn_compacting(journal: Path, plan: "str | None"):
     """Start a serve subprocess with ``--journal-compact-bytes 1`` (the
     first terminal record triggers compaction); ``plan`` arms the fault
     plan, ``None`` runs clean.  Returns (process, port)."""
-    src_root = Path(__file__).resolve().parents[2] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        str(src_root)
-        + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    )
-    env["BDSMAJ_AUTH_TOKEN"] = ""
-    env.pop("BDSMAJ_FAULT_PLAN", None)
-    if plan is not None:
-        env["BDSMAJ_FAULT_PLAN"] = plan
-    process = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.experiments.cli",
-            "serve",
-            "--port",
-            "0",
-            "--concurrency",
-            "1",
-            "--journal",
-            str(journal),
-            "--journal-compact-bytes",
-            "1",
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-    )
-    pattern = re.compile(r"listening on http://([0-9.]+):(\d+)")
-    while True:
-        line = process.stderr.readline()
-        if not line:
-            raise RuntimeError(
-                f"server exited with {process.wait()} before listening"
-            )
-        match = pattern.search(line.decode("utf-8", "replace"))
-        if match:
-            return process, int(match.group(2))
+    return spawn_serve(journal, ["--journal-compact-bytes", "1"], plan)
 
 
 class TestCrashDuringCompaction:
