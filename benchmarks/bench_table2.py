@@ -11,13 +11,14 @@ subset (cuts wall-clock roughly in half for iterative runs).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
 
 from repro.api import get_pipeline
 from repro.benchgen import BENCHMARKS, build_benchmark
-from repro.experiments.table2 import FLOW_ORDER, _flow_config
+from repro.experiments import FLOW_ORDER
 
 from conftest import run_once
 
@@ -39,8 +40,9 @@ _RESULTS: dict[tuple[str, str], tuple[float, int, float]] = {}
 
 
 def _synthesize(network, flow_name: str):
-    config = _flow_config(flow_name, quick=False, verify=False)
-    return get_pipeline(flow_name).run(network, config)
+    pipeline = get_pipeline(flow_name)
+    config = dataclasses.replace(pipeline.default_config(), verify=False)
+    return pipeline.run(network, config)
 
 
 @pytest.mark.parametrize("key", KEYS)

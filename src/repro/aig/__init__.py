@@ -3,7 +3,7 @@
 from .aig import Aig
 from .convert import aig_to_network, network_to_aig
 from .cuts import cut_truth_table, enumerate_cuts
-from .opt import balance, refactor, resyn2, resyn_quick, rewrite
+from .opt import balance, refactor, resyn2, rewrite
 from ..truthtable import full_mask, var_mask
 from .truth import cover_to_table, isop, synthesize_table
 
@@ -19,7 +19,6 @@ __all__ = [
     "network_to_aig",
     "refactor",
     "resyn2",
-    "resyn_quick",
     "rewrite",
     "synthesize_table",
     "var_mask",

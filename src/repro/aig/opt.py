@@ -27,10 +27,10 @@ Resynthesis goes through :func:`~repro.aig.truth.synthesize_table`
 with a recipe memo keyed by ``(table, num_vars)``: a cut function is
 factored once and every later cone computing it replays the recorded
 AND calls on its own leaves, which builds exactly what factoring it
-afresh would.  ``resyn2`` and ``resyn_quick`` create one memo per call
-and hand it to every pass; :func:`refactor`/:func:`rewrite` each make
-their own.  No memo outlives the call that made it, so a run's result
-never depends on earlier runs.
+afresh would.  ``resyn2`` creates one memo per call and hands it to
+every pass; :func:`refactor`/:func:`rewrite` each make their own.  No
+memo outlives the call that made it, so a run's result never depends
+on earlier runs.
 """
 
 from __future__ import annotations
@@ -251,8 +251,3 @@ def _run_script(aig: Aig, script: str) -> Aig:
 def resyn2(aig: Aig) -> Aig:
     """The classic ``resyn2`` sequence."""
     return _run_script(aig, "b; rw; rf; b; rw; rwz; b; rfz; rwz; b")
-
-
-def resyn_quick(aig: Aig) -> Aig:
-    """A short script (balance; rewrite; balance) for quick runs."""
-    return _run_script(aig, "b; rw; b")

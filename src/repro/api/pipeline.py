@@ -126,8 +126,9 @@ class Pipeline:
         return self.with_stages(self.stages[: self._index_of(stage_name) + 1])
 
     def optimize_prefix(self) -> "Pipeline":
-        """The prefix covering every optimization stage — what Table I
-        and the batch service run (no mapping, no verification)."""
+        """The prefix covering every optimization stage, without map or
+        verify — what Table I and the batch service run (the batch layer
+        appends the ``verify`` stage when asked to verify)."""
         last = max(
             (i for i, s in enumerate(self.stages) if stage_is_optimize_timed(s)),
             default=len(self.stages) - 1,

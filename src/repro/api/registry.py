@@ -11,7 +11,7 @@ Registering a custom flow is a one-liner::
     from repro.api import Pipeline, register_pipeline, standard_stages as S
 
     register_pipeline(Pipeline(
-        "bds-maj-quick",
+        "bds-maj-noreorder",
         [S.LoadInput(), S.BuildBdds(), S.Decompose(), S.RewriteTrees(),
          S.MapNetwork(), S.VerifyEquivalence()],
         default_config=BdsFlowConfig,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..aig import aig_to_network, network_to_aig, resyn2, resyn_quick
+from ..aig import aig_to_network, network_to_aig, resyn2
 from ..bdd.isop import isop_cover_rows
 from ..core import DecompositionEngine, EngineStats, TreeBuilder, TreeTape
 from ..core.emit import network_from_trees
@@ -206,15 +206,14 @@ class Strash:
 
 
 class RewriteAig:
-    """The balance/rewrite/refactor script (``resyn2``, or the short
-    script with ``config.quick``)."""
+    """The balance/rewrite/refactor script ``resyn2``, the paper's ABC
+    baseline."""
 
     name = "rewrite"
     optimize_timed = True
 
     def run(self, ctx: SynthesisContext) -> SynthesisContext:
-        aig = ctx.scratch["aig"]
-        ctx.scratch["aig"] = resyn_quick(aig) if ctx.config.quick else resyn2(aig)
+        ctx.scratch["aig"] = resyn2(ctx.scratch["aig"])
         return ctx
 
 
@@ -378,8 +377,10 @@ class MapNetwork:
 
 
 class VerifyEquivalence:
-    """Equivalence check of the optimized network and then the mapped
-    netlist against the source, on one set of stimuli.
+    """Equivalence check of the optimized network and then, when the
+    ``map`` stage ran, the mapped netlist against the source, on one
+    set of stimuli.  The only verify call site: the batch layer appends
+    this stage to an optimize prefix it is asked to verify.
 
     Raises ``AssertionError`` on a counterexample (the optimized
     network's, if both differ): a flow that broke its circuit must never
@@ -393,7 +394,9 @@ class VerifyEquivalence:
         if not ctx.verify:
             return ctx
         source = ctx.require("network")
-        candidates = (ctx.require("optimized"), ctx.require("mapped").network)
+        candidates = [ctx.require("optimized")]
+        if ctx.mapped is not None:
+            candidates.append(ctx.mapped.network)
         equivalence = check_all_equivalent(source, candidates)
         if not equivalence.equivalent:
             raise AssertionError(

@@ -41,8 +41,8 @@ from ..flows import BATCH_FLOWS, BatchConfig, run_batch
 from ..network import to_blif
 from ..serve.journal import DEFAULT_COMPACT_BYTES
 from .figures import figure1, figure2, figure3
-from .table1 import format_table1, run_table1
-from .table2 import format_table2, run_table2
+from .table1 import TOOLS, format_table1
+from .table2 import FLOW_ORDER, format_table2
 
 
 def _positive_int(text: str) -> int:
@@ -105,7 +105,6 @@ def main(argv: list[str] | None = None) -> int:
 
     t2 = sub.add_parser("table2", help="regenerate Table II")
     t2.add_argument("--benchmarks", help="comma-separated registry keys")
-    t2.add_argument("--quick", action="store_true", help="short ABC script")
     t2.add_argument("--no-verify", action="store_true")
     t2.add_argument("--no-paper", action="store_true")
 
@@ -269,19 +268,30 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "table1":
-        entries = run_table1(
-            _parse_keys(args.benchmarks), verify=args.verify, progress=_progress
-        )
-        print(format_table1(entries, include_paper=not args.no_paper))
-    elif args.command == "table2":
-        entries = run_table2(
-            _parse_keys(args.benchmarks),
-            quick=args.quick,
-            verify=not args.no_verify,
-            progress=_progress,
-        )
-        print(format_table2(entries, include_paper=not args.no_paper))
+    if args.command in ("table1", "table2"):
+        keys = _parse_keys(args.benchmarks)
+        if keys is None:
+            keys = list(BENCHMARKS)
+        elif not keys:
+            raise SystemExit(f"{args.command}: --benchmarks names no circuit")
+        if args.command == "table1":
+            flows, mapped, verify, render = TOOLS, False, args.verify, format_table1
+        else:
+            flows, mapped, verify, render = FLOW_ORDER, True, not args.no_verify, format_table2
+        reports = [
+            run_batch(keys, BatchConfig(flow=flow, verify=verify, mapped=mapped), _progress)
+            for flow in flows
+        ]
+        failed = [circuit for report in reports for circuit in report.failed_circuits]
+        if failed:
+            raise SystemExit(
+                "\n".join(
+                    f"{args.command}: {circuit.benchmark} failed under {circuit.flow}: "
+                    f"{circuit.error}"
+                    for circuit in failed
+                )
+            )
+        print(render(reports, include_paper=not args.no_paper))
     elif args.command == "fig1":
         result = figure1()
         print(result.dot)

@@ -1,86 +1,57 @@
-"""Table I regeneration: decomposition node counts, BDS-MAJ vs BDS-PGA.
+"""Table I: decomposition node counts, BDS-MAJ vs BDS-PGA.
 
-For every benchmark the harness runs the *optimize prefix* of both BDD
-pipelines (no mapping needed for Table I), collects the
-AND/OR/XOR/XNOR/MAJ node counts of the decomposed network and the
-runtime, and prints the table with the paper's published row next to
-each measured row.
+``bdsmaj table1`` runs the optimize prefix of both BDD pipelines over
+the suite with :func:`~repro.flows.run_batch`, one batch per tool (no
+mapping needed for Table I).  This module formats the two
+:class:`~repro.flows.BatchReport` objects: the AND/OR/XOR/XNOR/MAJ node
+counts of the decomposed network and the optimization runtime measured
+in the worker, with the paper's published row next to each measured row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable, Sequence
 
-from ..api import get_pipeline
 from ..bdd.manager import combine_cache_stats
-from ..benchgen import BENCHMARKS, build_benchmark
-from ..network import check_equivalence
+from ..benchgen import BENCHMARKS
+from ..flows import BatchReport, CircuitReport
 from .paper_data import PAPER_TABLE1
 
 TOOLS = ("bds-maj", "bds-pga")
 
 
-@dataclass
-class Table1Entry:
-    key: str
-    display: str
-    category: str
-    counts: dict[str, dict[str, int]] = field(default_factory=dict)
-    runtime: dict[str, float] = field(default_factory=dict)
-    verified: dict[str, bool] = field(default_factory=dict)
-    #: Per-tool BDD operation-cache counters (hits/misses/evictions/
-    #: hit_rate) aggregated over the flow's supernode managers.
-    cache: dict[str, dict[str, int | float]] = field(default_factory=dict)
+def table_rows(
+    reports: Iterable[BatchReport], flows: Sequence[str]
+) -> list[dict[str, CircuitReport]]:
+    """One ``{flow: circuit report}`` per circuit, in input order.
 
-    def total(self, tool: str) -> int:
-        return sum(self.counts[tool].values())
-
-
-def run_table1(
-    keys: Iterable[str] | None = None,
-    verify: bool = False,
-    progress: Callable[[str], None] | None = None,
-) -> list[Table1Entry]:
-    """Run the Table I experiment; returns one entry per benchmark."""
-    if keys is None:
-        keys = list(BENCHMARKS)
-    entries = []
-    for key in keys:
-        benchmark = BENCHMARKS[key]
-        network = build_benchmark(key)
-        entry = Table1Entry(key, benchmark.display, benchmark.category)
-        for tool in TOOLS:
-            ctx = get_pipeline(tool).optimize_prefix().run_context(network)
-            entry.runtime[tool] = ctx.optimize_seconds
-            entry.counts[tool] = ctx.node_counts
-            entry.cache[tool] = ctx.cache_stats
-            if verify:
-                entry.verified[tool] = bool(
-                    check_equivalence(network, ctx.optimized).equivalent
+    Raises ``ValueError`` on a failed row: a table never prints a
+    failed circuit as zeros.
+    """
+    circuits = {report.flow: report.circuits for report in reports}
+    rows = [
+        dict(zip(flows, row)) for row in zip(*(circuits[flow] for flow in flows), strict=True)
+    ]
+    for row in rows:
+        for circuit in row.values():
+            if not circuit.ok:
+                raise ValueError(
+                    f"{circuit.benchmark} failed under {circuit.flow}: {circuit.error}"
                 )
-            if progress is not None:
-                progress(
-                    f"{benchmark.display:18s} {tool:8s} "
-                    f"total={entry.total(tool):5d} "
-                    f"({entry.runtime[tool]:.1f}s)"
-                )
-        entries.append(entry)
-    return entries
+    return rows
 
 
-def summarize_table1(entries: list[Table1Entry]) -> dict[str, float]:
-    """The paper's headline aggregates over the measured entries."""
-    maj_totals = [e.total("bds-maj") for e in entries]
-    pga_totals = [e.total("bds-pga") for e in entries]
-    maj_nodes = [e.counts["bds-maj"]["maj"] for e in entries]
+def summarize_table1(reports: Iterable[BatchReport]) -> dict[str, float]:
+    """The paper's headline aggregates over the measured circuits."""
+    rows = table_rows(reports, TOOLS)
+    maj_totals = [row["bds-maj"].total_nodes for row in rows]
+    pga_totals = [row["bds-pga"].total_nodes for row in rows]
+    maj_nodes = [row["bds-maj"].node_counts["maj"] for row in rows]
     mean_maj = sum(maj_totals) / len(maj_totals)
     mean_pga = sum(pga_totals) / len(pga_totals)
-    runtime_maj = sum(e.runtime["bds-maj"] for e in entries)
-    runtime_pga = sum(e.runtime["bds-pga"] for e in entries)
-    cache = combine_cache_stats(
-        e.cache[t] for e in entries for t in TOOLS if t in e.cache
-    )
+    runtime_maj = sum(row["bds-maj"].optimize_seconds for row in rows)
+    runtime_pga = sum(row["bds-pga"].optimize_seconds for row in rows)
+    cache = combine_cache_stats(row[tool].cache for row in rows for tool in TOOLS)
     return {
         "mean_total_bds_maj": mean_maj,
         "mean_total_bds_pga": mean_pga,
@@ -90,12 +61,12 @@ def summarize_table1(entries: list[Table1Entry]) -> dict[str, float]:
         "runtime_bds_pga": runtime_pga,
         "runtime_overhead": runtime_maj / runtime_pga - 1.0 if runtime_pga else 0.0,
         "wins": sum(1 for m, p in zip(maj_totals, pga_totals) if m < p),
-        "benchmarks": len(entries),
+        "benchmarks": len(rows),
         "bdd_cache_hit_rate": cache["hit_rate"],
     }
 
 
-def format_table1(entries: list[Table1Entry], include_paper: bool = True) -> str:
+def format_table1(reports: Sequence[BatchReport], include_paper: bool = True) -> str:
     """Render the table in the paper's column layout."""
     lines = []
     header = (
@@ -107,28 +78,31 @@ def format_table1(entries: list[Table1Entry], include_paper: bool = True) -> str
     lines.append(header)
     lines.append("-" * len(header))
     current_category = None
-    for entry in entries:
-        if entry.category != current_category:
-            current_category = entry.category
+    for row in table_rows(reports, TOOLS):
+        key = row[TOOLS[0]].benchmark
+        benchmark = BENCHMARKS[key]
+        if benchmark.category != current_category:
+            current_category = benchmark.category
             title = "MCNC Benchmarks" if current_category == "mcnc" else "HDL Benchmarks"
             lines.append(f"-- {title} --")
         for tool in TOOLS:
-            counts = entry.counts[tool]
+            circuit = row[tool]
+            counts = circuit.node_counts
             lines.append(
-                f"{entry.display:18s} {tool:8s} "
+                f"{benchmark.display:18s} {tool:8s} "
                 f"{counts['and']:5d} {counts['or']:5d} {counts['xor']:5d} "
                 f"{counts['xnor']:5d} {counts['maj']:5d} "
-                f"{entry.total(tool):6d} {entry.runtime[tool]:6.1f}"
+                f"{circuit.total_nodes:6d} {circuit.optimize_seconds:6.1f}"
             )
-            if include_paper and entry.key in PAPER_TABLE1:
-                paper = PAPER_TABLE1[entry.key][tool]
+            if include_paper and key in PAPER_TABLE1:
+                paper = PAPER_TABLE1[key][tool]
                 lines.append(
                     f"{'  (paper)':18s} {tool:8s} "
                     f"{paper.and_:5d} {paper.or_:5d} {paper.xor:5d} "
                     f"{paper.xnor:5d} {paper.maj:5d} "
                     f"{paper.total:6d} {paper.runtime:6.1f}"
                 )
-    summary = summarize_table1(entries)
+    summary = summarize_table1(reports)
     lines.append("-" * len(header))
     lines.append(
         f"Average node reduction vs BDS-PGA: {summary['node_reduction'] * 100:.1f}% "

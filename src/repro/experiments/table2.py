@@ -1,74 +1,46 @@
-"""Table II regeneration: mapped area / gate count / delay for the four
-synthesis flows on the 22 nm library."""
+"""Table II: mapped area / gate count / delay for the four synthesis
+flows on the 22 nm library.
+
+``bdsmaj table2`` runs every flow's whole pipeline over the suite with
+:func:`~repro.flows.run_batch` (``BatchConfig(mapped=True)``), one batch
+per flow; this module formats the four :class:`~repro.flows.BatchReport`
+objects from each circuit's ``table2_row``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable, Sequence
 
-from ..api import get_pipeline
-from ..benchgen import BENCHMARKS, build_benchmark
-from ..flows import AbcFlowConfig, BdsFlowConfig, DcFlowConfig
+from ..benchgen import BENCHMARKS
+from ..flows import BatchReport
 from .paper_data import PAPER_TABLE2
+from .table1 import table_rows
 
 FLOW_ORDER = ("bds-maj", "bds-pga", "abc", "dc")
 
 
-@dataclass
-class Table2Entry:
-    key: str
-    display: str
-    category: str
-    rows: dict[str, tuple[float, int, float]] = field(default_factory=dict)
-    runtime: dict[str, float] = field(default_factory=dict)
+def _table2_rows(
+    reports: Iterable[BatchReport],
+) -> list[tuple[str, dict[str, tuple[float, int, float]]]]:
+    """``(registry key, {flow: (area, gates, delay)})`` per circuit."""
+    rows = []
+    for row in table_rows(reports, FLOW_ORDER):
+        key = row[FLOW_ORDER[0]].benchmark
+        cells = {flow: circuit.table2_row for flow, circuit in row.items()}
+        if None in cells.values():
+            raise ValueError(f"{key} has no Table II row: only a mapped batch records it")
+        rows.append((key, cells))
+    return rows
 
 
-def _flow_config(flow: str, quick: bool, verify: bool):
-    if flow in ("bds-maj", "bds-pga"):
-        return BdsFlowConfig(verify=verify)
-    if flow == "abc":
-        return AbcFlowConfig(quick=quick, verify=verify)
-    return DcFlowConfig(verify=verify)
-
-
-def run_table2(
-    keys: Iterable[str] | None = None,
-    quick: bool = False,
-    verify: bool = True,
-    progress: Callable[[str], None] | None = None,
-) -> list[Table2Entry]:
-    """Run all four flows on the selected benchmarks."""
-    if keys is None:
-        keys = list(BENCHMARKS)
-    entries = []
-    for key in keys:
-        benchmark = BENCHMARKS[key]
-        network = build_benchmark(key)
-        entry = Table2Entry(key, benchmark.display, benchmark.category)
-        for flow_name in FLOW_ORDER:
-            config = _flow_config(flow_name, quick, verify)
-            result = get_pipeline(flow_name).run(network, config)
-            entry.rows[flow_name] = result.table2_row()
-            entry.runtime[flow_name] = result.optimize_seconds
-            if progress is not None:
-                area, gates, delay = entry.rows[flow_name]
-                progress(
-                    f"{benchmark.display:18s} {flow_name:8s} "
-                    f"A={area:8.2f} GC={gates:5d} D={delay:6.3f} "
-                    f"({result.optimize_seconds:.1f}s)"
-                )
-        entries.append(entry)
-    return entries
-
-
-def summarize_table2(entries: list[Table2Entry]) -> dict[str, float]:
+def summarize_table2(reports: Iterable[BatchReport]) -> dict[str, float]:
     """Average metrics and the paper's headline percentage deltas."""
+    rows = [cells for _, cells in _table2_rows(reports)]
     result: dict[str, float] = {}
     means: dict[str, tuple[float, float, float]] = {}
     for flow in FLOW_ORDER:
-        areas = [entry.rows[flow][0] for entry in entries]
-        gates = [entry.rows[flow][1] for entry in entries]
-        delays = [entry.rows[flow][2] for entry in entries]
+        areas = [cells[flow][0] for cells in rows]
+        gates = [cells[flow][1] for cells in rows]
+        delays = [cells[flow][2] for cells in rows]
         means[flow] = (
             sum(areas) / len(areas),
             sum(gates) / len(gates),
@@ -83,7 +55,7 @@ def summarize_table2(entries: list[Table2Entry]) -> dict[str, float]:
     return result
 
 
-def format_table2(entries: list[Table2Entry], include_paper: bool = True) -> str:
+def format_table2(reports: Sequence[BatchReport], include_paper: bool = True) -> str:
     lines = []
     header = f"{'Benchmark':18s} " + " | ".join(
         f"{flow:>24s}" for flow in FLOW_ORDER
@@ -96,23 +68,24 @@ def format_table2(entries: list[Table2Entry], include_paper: bool = True) -> str
     lines.append(sub)
     lines.append("-" * len(sub))
     current_category = None
-    for entry in entries:
-        if entry.category != current_category:
-            current_category = entry.category
+    for key, measured in _table2_rows(reports):
+        benchmark = BENCHMARKS[key]
+        if benchmark.category != current_category:
+            current_category = benchmark.category
             title = "MCNC Benchmarks" if current_category == "mcnc" else "HDL Benchmarks"
             lines.append(f"-- {title} --")
         cells = []
         for flow in FLOW_ORDER:
-            area, gates, delay = entry.rows[flow]
+            area, gates, delay = measured[flow]
             cells.append(f"{area:9.2f}{gates:7d}{delay:8.3f}")
-        lines.append(f"{entry.display:18s} " + " | ".join(cells))
-        if include_paper and entry.key in PAPER_TABLE2:
+        lines.append(f"{benchmark.display:18s} " + " | ".join(cells))
+        if include_paper and key in PAPER_TABLE2:
             cells = []
             for flow in FLOW_ORDER:
-                area, gates, delay = PAPER_TABLE2[entry.key][flow]
+                area, gates, delay = PAPER_TABLE2[key][flow]
                 cells.append(f"{area:9.2f}{gates:7d}{delay:8.3f}")
             lines.append(f"{'  (paper)':18s} " + " | ".join(cells))
-    summary = summarize_table2(entries)
+    summary = summarize_table2(reports)
     lines.append("-" * len(sub))
     lines.append(
         "Average: "

@@ -21,8 +21,6 @@ from ..mapping.library import CellLibrary
 
 @dataclass
 class AbcFlowConfig:
-    #: Use the short balance/rewrite/balance script instead of resyn2.
-    quick: bool = False
     verify: bool = True
     library: CellLibrary | None = None
 

@@ -1,13 +1,12 @@
 """Parallel batch-synthesis service: whole benchmark suites in one call.
 
 The paper's headline results (Tables I/II) are produced by running
-BDS-MAJ over entire benchmark suites, so the reproduction needs a
-throughput layer above the single-circuit flows.  :func:`run_batch`
-fans circuits out across a :mod:`multiprocessing` worker pool — every
-worker synthesizes its circuits with its own private
-:class:`~repro.bdd.BDD` managers, so nothing is shared and nothing
-needs locking — and folds the per-circuit results into one
-:class:`BatchReport`.
+BDS-MAJ over entire benchmark suites: ``bdsmaj table1``/``table2``
+format one :func:`run_batch` report per flow.  :func:`run_batch` fans
+circuits out across a :mod:`multiprocessing` worker pool — every worker
+synthesizes its circuits with its own private :class:`~repro.bdd.BDD`
+managers, so nothing is shared and nothing needs locking — and folds
+the per-circuit results into one :class:`BatchReport`.
 
 Circuits come from the pluggable input layer (:mod:`repro.api.inputs`):
 plain registry keys keep working, and any mix of
@@ -15,8 +14,12 @@ plain registry keys keep working, and any mix of
 :class:`~repro.api.InputSource` (e.g. ``BlifGlobSource("out/*.blif")``)
 is accepted.  Work is executed through the pipeline registry
 (:mod:`repro.api.registry`): each circuit runs the optimize prefix of
-its flow's pipeline, so every registered flow — including ``abc`` and
-``dc`` — can be batched, not just the two BDD flows.
+its flow's pipeline (Table I, ``batch``, serve), or the whole pipeline
+with :attr:`BatchConfig.mapped` (Table II), so every registered flow —
+including ``abc`` and ``dc`` — can be batched, not just the two BDD
+flows.  Verification is the pipeline's ``verify`` stage: a
+counterexample makes the row ``status="error"``, so ``verified`` is
+``True`` or ``None``, never ``False``.
 
 Determinism contract
 --------------------
@@ -69,6 +72,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -82,14 +86,14 @@ from ..bdd.manager import combine_cache_stats
 from ..benchgen import build_benchmark
 from ..faults import active as faults_active
 from ..faults import inject as inject_fault
-from ..network import check_equivalence
 
 if TYPE_CHECKING:  # pragma: no cover - hints only (runtime import is lazy)
     from ..api import InputItem, InputSource, Stage, StageEvent
 
 #: Flows the batch service can run — every pipeline in the default
-#: registry (the two BDD flows define the Table-I node counts and the
-#: op-cache columns; abc/dc rows report status/verification only).
+#: registry, in Table II's column order (the two BDD flows define the
+#: Table-I node counts and the op-cache columns; abc/dc rows report
+#: status, verification and, when mapped, the Table-II row only).
 BATCH_FLOWS = ("bds-maj", "bds-pga", "abc", "dc")
 
 #: Schema tag written into every JSON report.
@@ -136,6 +140,9 @@ class BatchConfig:
     workers: int = 1
     #: Equivalence-check every synthesized circuit (slow on big ones).
     verify: bool = False
+    #: Run the whole pipeline (map included) and record the Table-II
+    #: row, instead of stopping after the optimize prefix.
+    mapped: bool = False
     #: Per-circuit wall-clock deadline in seconds (``None`` = none).  A
     #: parallel batch abandons the attempt at the deadline and retries
     #: or errors it; the serial path enforces the same budget post-hoc
@@ -182,9 +189,15 @@ class CircuitReport:
     #: for ordinary circuit exceptions.  Serialized only when set, so
     #: pre-existing report bytes are untouched.
     reason: str | None = None
+    #: ``(area um^2, gates, delay ns)`` of the mapped netlist; set only
+    #: by a :attr:`BatchConfig.mapped` run and serialized only when set.
+    table2_row: tuple[float, int, float] | None = None
     #: Wall-clock synthesis time; nondeterministic, therefore excluded
     #: from serialized reports unless explicitly requested.
     seconds: float = 0.0
+    #: Summed time of the optimization stages (Table I's runtime),
+    #: measured in the worker; never serialized.
+    optimize_seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -208,6 +221,8 @@ class CircuitReport:
         }
         if self.reason is not None:
             payload["reason"] = self.reason
+        if self.table2_row is not None:
+            payload["table2_row"] = list(self.table2_row)
         if include_timing:
             payload["seconds"] = self.seconds
         return payload
@@ -219,6 +234,7 @@ class CircuitReport:
         report's ``to_payload``/``to_json`` bytes equal the original's
         (timing excluded — wall-clock is nondeterministic and is not
         journaled)."""
+        row = payload.get("table2_row")
         return cls(
             benchmark=payload["benchmark"],
             flow=payload["flow"],
@@ -229,6 +245,7 @@ class CircuitReport:
             verified=payload.get("verified"),
             error=payload.get("error"),
             reason=payload.get("reason"),
+            table2_row=None if row is None else (row[0], row[1], row[2]),
             seconds=float(payload.get("seconds", 0.0)),
         )
 
@@ -343,20 +360,6 @@ class BatchReport:
         )
 
 
-def _flow_config(config: BatchConfig):
-    """Per-flow optimization config for one batch unit of work
-    (verification is handled by the batch layer itself)."""
-    from .abc import AbcFlowConfig
-    from .bds import BdsFlowConfig
-    from .dc import DcFlowConfig
-
-    if config.flow in ("bds-maj", "bds-pga"):
-        return BdsFlowConfig()
-    if config.flow == "abc":
-        return AbcFlowConfig()
-    return DcFlowConfig()
-
-
 def _load_item(item: "InputItem"):
     """Load one input item.
 
@@ -401,10 +404,11 @@ def synthesize_one(
     """Synthesize one circuit; never raises for circuit errors.
 
     This is the unit of work a pool worker executes: it loads the
-    circuit (registry key or BLIF file item), runs the optimize prefix
-    of the flow's registered pipeline with fresh private managers, and
-    snapshots node counts, decomposition steps and op-cache counters
-    into a :class:`CircuitReport`.
+    circuit (registry key or BLIF file item), runs the flow's registered
+    pipeline with fresh private managers — the optimize prefix, plus the
+    ``verify`` stage when ``config.verify``, or the whole pipeline when
+    ``config.mapped`` — and snapshots node counts, decomposition steps,
+    op-cache counters and the Table-II row into a :class:`CircuitReport`.
 
     ``stage_progress`` and ``cancel`` are for in-process callers only
     (callbacks do not cross the pool's pickle boundary):
@@ -420,6 +424,7 @@ def synthesize_one(
     plan can target exactly one attempt of one circuit.
     """
     from ..api import InputItem, StageEventExporter, get_pipeline
+    from ..api.stages import VerifyEquivalence
 
     if isinstance(item, str):
         item = InputItem(name=item, kind="registry")
@@ -436,8 +441,13 @@ def synthesize_one(
         network = _load_item(item)
         if cancel is not None or faults_active():
             observers.append(_StageGuard(benchmark, cancel))
-        pipeline = get_pipeline(config.flow).optimize_prefix()
-        ctx = pipeline.run_context(network, _flow_config(config), observers=observers)
+        pipeline = get_pipeline(config.flow)
+        flow_config = dataclasses.replace(pipeline.default_config(), verify=config.verify)
+        if not config.mapped:
+            pipeline = pipeline.optimize_prefix()
+            if config.verify:
+                pipeline = pipeline.with_stages(pipeline.stages + (VerifyEquivalence(),))
+        ctx = pipeline.run_context(network, flow_config, observers=observers)
         trace = ctx.scratch.get("trace")
         steps: dict[str, int] = {}
         if trace is not None:
@@ -450,9 +460,6 @@ def synthesize_one(
                 "mux": trace.mux_steps,
                 "tree_nodes": trace.tree_nodes,
             }
-        verified: bool | None = None
-        if config.verify:
-            verified = bool(check_equivalence(network, ctx.optimized).equivalent)
         return CircuitReport(
             benchmark=item.name,
             flow=config.flow,
@@ -460,8 +467,10 @@ def synthesize_one(
             node_counts=ctx.node_counts,
             steps=steps,
             cache=ctx.cache_stats,
-            verified=verified,
+            verified=True if ctx.equivalence is not None else None,
+            table2_row=ctx.require("timing_report").row() if config.mapped else None,
             seconds=time.perf_counter() - start,
+            optimize_seconds=ctx.optimize_seconds,
         )
     except BatchCancelled:
         raise  # cancellation is a batch-level abort, not a circuit error
@@ -1008,11 +1017,16 @@ def run_batch(
             )
 
     def note(circuit: CircuitReport) -> None:
-        if progress is not None:
-            outcome = (
-                f"total={circuit.total_nodes}" if circuit.ok else f"ERROR {circuit.error}"
-            )
-            progress(f"{circuit.benchmark:12s} {circuit.flow:8s} {outcome}")
+        if progress is None:
+            return
+        if not circuit.ok:
+            outcome = f"ERROR {circuit.error}"
+        elif circuit.table2_row is not None:
+            area, gates, delay = circuit.table2_row
+            outcome = f"A={area:.2f} GC={gates} D={delay:.3f}"
+        else:
+            outcome = f"total={circuit.total_nodes}"
+        progress(f"{circuit.benchmark:12s} {circuit.flow:8s} {outcome}")
 
     if config.workers == 1 or (len(items) <= 1 and pool is None):
         for item in items:

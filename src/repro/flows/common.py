@@ -1,4 +1,4 @@
-"""The result record every flow produces."""
+"""The result record of one full pipeline run."""
 
 from __future__ import annotations
 
@@ -10,7 +10,10 @@ from ..network import EquivalenceResult, LogicNetwork
 
 @dataclass
 class FlowResult:
-    """Everything a flow produces for one benchmark.
+    """Everything one full pipeline run produces for one benchmark,
+    netlists included (``bdsmaj synth``, API callers).  The batch
+    service, serve and both paper tables record a
+    :class:`~repro.flows.CircuitReport` per circuit instead.
 
     ``node_counts`` holds the Table-I style decomposed-network node
     counts (AND/OR/XOR/XNOR/MAJ) where the flow defines them (the two

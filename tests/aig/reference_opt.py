@@ -15,8 +15,8 @@ the passes ran over int-indexed arrays and bitmask cubes.
   name-based factorer of ``tests/sop/reference_algebraic.py``.
 * :func:`refactor`/:func:`rewrite` are the cone resynthesis loop built
   on those, with the whole-graph ``size()`` guard.
-* :func:`resyn2`/:func:`resyn_quick` run these passes one by one and
-  measure both sizes after every pass.
+* :func:`resyn2` runs these passes one by one and measures both sizes
+  after every pass.
 
 Nothing here calls the live passes, ISOP or factorer, so the tests in
 ``test_recipe_memo.py`` hold the live kernels and scripts to the very
@@ -340,7 +340,3 @@ def resyn2(aig: Aig) -> Aig:
             balance,
         ],
     )
-
-
-def resyn_quick(aig: Aig) -> Aig:
-    return run_passes(aig, [balance, rewrite, balance])

@@ -13,7 +13,6 @@ from repro.aig import (
     network_to_aig,
     refactor,
     resyn2,
-    resyn_quick,
     rewrite,
 )
 from repro.benchgen import ripple_carry_adder, wallace_multiplier
@@ -114,10 +113,10 @@ class TestResyn2:
         back = aig_to_network(optimized, name=net.name)
         assert check_equivalence(net, back).equivalent
 
-    def test_resyn_quick_equivalent(self):
+    def test_resyn2_on_control_network(self):
         net = random_control_network("rc", 12, 6, 80, seed=42)
         aig = network_to_aig(net)
-        optimized = resyn_quick(aig)
+        optimized = resyn2(aig)
         back = aig_to_network(optimized, name=net.name)
         assert check_equivalence(net, back).equivalent
 

@@ -24,7 +24,6 @@ from repro.aig import (
     network_to_aig,
     refactor,
     resyn2,
-    resyn_quick,
     rewrite,
     synthesize_table,
 )
@@ -122,7 +121,6 @@ def aigs():
 def test_scripts_build_what_the_direct_passes_do(aigs, index):
     aig = aigs[index]
     assert graph(resyn2(aig)) == graph(reference_opt.resyn2(aig))
-    assert graph(resyn_quick(aig)) == graph(reference_opt.resyn_quick(aig))
 
 
 @pytest.mark.parametrize("index", range(5))
@@ -190,8 +188,7 @@ def test_walk_matches_the_reference_walk_and_fanout_counts(seed, num_gates):
     assert graph(balance(aig)) == graph(reference_opt.balance(aig))
 
 
-@pytest.mark.parametrize("script", [resyn2, resyn_quick])
-def test_script_runs_share_no_memo_state(monkeypatch, aigs, script):
+def test_script_runs_share_no_memo_state(monkeypatch, aigs):
     """Passes of one run share one memo; the next run starts empty."""
     seen: list[tuple[dict, int]] = []
     original = opt.synthesize_table
@@ -205,7 +202,7 @@ def test_script_runs_share_no_memo_state(monkeypatch, aigs, script):
     runs = []
     for _ in range(2):
         seen.clear()
-        script(aig)
+        resyn2(aig)
         assert seen
         memos = [memo for memo, _ in seen]
         assert all(memo is memos[0] for memo in memos)

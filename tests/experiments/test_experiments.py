@@ -2,26 +2,47 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
+from repro.api import standard_stages
 from repro.benchgen import BENCHMARKS
 from repro.experiments import (
+    FLOW_ORDER,
     PAPER_HEADLINES,
     PAPER_TABLE1,
     PAPER_TABLE2,
+    TOOLS,
     figure1,
     figure2,
     figure3,
     format_table1,
     format_table2,
-    run_table1,
-    run_table2,
     summarize_table1,
     summarize_table2,
 )
 from repro.experiments.cli import main as cli_main
+from repro.flows import BatchConfig, BatchReport, CircuitReport, run_batch
 
-SMALL = ["alu2", "f51m"]
+SMALL = ["alu2", "f51m", "vda"]
+HERE = Path(__file__).parent
+
+
+def table_reports(flows, **config) -> list[BatchReport]:
+    """One serial batch per flow over ``SMALL``, as the table commands run them."""
+    return [run_batch(SMALL, BatchConfig(flow=flow, **config)) for flow in flows]
+
+
+@pytest.fixture(scope="module")
+def table1_reports():
+    return table_reports(TOOLS, verify=True)
+
+
+@pytest.fixture(scope="module")
+def table2_reports():
+    return table_reports(FLOW_ORDER, verify=True, mapped=True)
 
 
 class TestPaperData:
@@ -53,54 +74,98 @@ class TestPaperData:
 
 
 class TestTable1Harness:
-    @pytest.fixture(scope="class")
-    def entries(self):
-        return run_table1(SMALL, verify=True)
+    def test_entries_structure(self, table1_reports):
+        assert [report.flow for report in table1_reports] == list(TOOLS)
+        for report in table1_reports:
+            assert [c.benchmark for c in report.circuits] == SMALL
+            assert all(c.verified is True for c in report.circuits)
 
-    def test_entries_structure(self, entries):
-        assert [e.key for e in entries] == SMALL
-        for entry in entries:
-            assert set(entry.counts) == {"bds-maj", "bds-pga"}
-            assert entry.verified["bds-maj"] and entry.verified["bds-pga"]
+    def test_pga_has_no_maj(self, table1_reports):
+        pga = dict(zip(TOOLS, table1_reports))["bds-pga"]
+        for circuit in pga.circuits:
+            assert circuit.node_counts["maj"] == 0
 
-    def test_pga_has_no_maj(self, entries):
-        for entry in entries:
-            assert entry.counts["bds-pga"]["maj"] == 0
-
-    def test_summary_fields(self, entries):
-        summary = summarize_table1(entries)
+    def test_summary_fields(self, table1_reports):
+        summary = summarize_table1(table1_reports)
         assert summary["benchmarks"] == len(SMALL)
         assert 0 <= summary["maj_fraction"] <= 1
         assert summary["node_reduction"] > 0
 
-    def test_format_includes_paper_rows(self, entries):
-        text = format_table1(entries)
+    def test_format_includes_paper_rows(self, table1_reports):
+        text = format_table1(table1_reports)
         assert "TABLE I" in text
         assert "(paper)" in text
         assert "29.1%" in text
 
-    def test_format_without_paper(self, entries):
-        text = format_table1(entries, include_paper=False)
+    def test_format_without_paper(self, table1_reports):
+        text = format_table1(table1_reports, include_paper=False)
         assert "(paper)" not in text.split("\n---")[0].split("Average")[0]
 
 
 class TestTable2Harness:
-    @pytest.fixture(scope="class")
-    def entries(self):
-        return run_table2(SMALL, verify=True)
-
-    def test_rows_structure(self, entries):
-        for entry in entries:
-            assert set(entry.rows) == {"bds-maj", "bds-pga", "abc", "dc"}
-            for area, gates, delay in entry.rows.values():
+    def test_rows_structure(self, table2_reports):
+        assert [report.flow for report in table2_reports] == list(FLOW_ORDER)
+        for report in table2_reports:
+            assert [c.benchmark for c in report.circuits] == SMALL
+            for circuit in report.circuits:
+                assert circuit.verified is True
+                area, gates, delay = circuit.table2_row
                 assert area > 0 and gates > 0 and delay > 0
 
-    def test_summary_and_format(self, entries):
-        summary = summarize_table2(entries)
+    def test_summary_and_format(self, table2_reports):
+        summary = summarize_table2(table2_reports)
         assert "area_vs_abc" in summary
-        text = format_table2(entries)
+        text = format_table2(table2_reports)
         assert "TABLE II" in text
         assert "CMOS 22nm" in text
+
+
+def _mask_runtimes(text: str) -> str:
+    """Blank Table I's measured seconds column and its runtime line."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("Runtime:"):
+            line = "Runtime: <masked>"
+        elif re.match(r"\S", line) and re.search(r" \d+\.\d$", line):
+            line = line[:-6] + "     -"
+        lines.append(line)
+    return "\n".join(lines)
+
+
+class TestPinnedTables:
+    """The table bytes for three circuits, as the per-table loops printed
+    them before both tables became ``run_batch`` reports.  Table II
+    prints no runtime; Table I's seconds column and runtime line are
+    masked (they are wall-clock)."""
+
+    def test_table2_bytes(self, table2_reports):
+        golden = (HERE / "golden_table2_small.txt").read_text()
+        assert format_table2(table2_reports) + "\n" == golden
+
+    def test_table1_bytes_without_runtimes(self, table1_reports):
+        golden = (HERE / "golden_table1_small.txt").read_text()
+        assert _mask_runtimes(format_table1(table1_reports) + "\n") == _mask_runtimes(golden)
+
+    def test_mask_hides_only_runtimes(self):
+        golden = (HERE / "golden_table1_small.txt").read_text()
+        masked = _mask_runtimes(golden)
+        assert masked.count("<masked>") == 1
+        assert masked.count("     -\n") == 2 * len(SMALL)
+        assert "  (paper)          bds-maj     45    99     4    10    13    171    0.9" in masked
+
+    def test_formatters_refuse_failed_rows(self, table1_reports):
+        broken = CircuitReport(benchmark="f51m", flow="bds-pga", status="error", error="Boom")
+        pga = BatchReport(
+            flow="bds-pga",
+            circuits=[table1_reports[1].circuits[0], broken, table1_reports[1].circuits[2]],
+        )
+        with pytest.raises(ValueError, match="f51m failed under bds-pga: Boom"):
+            format_table1([table1_reports[0], pga])
+
+    def test_table2_refuses_unmapped_reports(self, table1_reports, table2_reports):
+        unmapped = [table1_reports[0], *table2_reports[1:]]
+        with pytest.raises(ValueError, match="alu2 has no Table II row"):
+            format_table2(unmapped)
 
 
 class TestFigures:
@@ -152,6 +217,69 @@ class TestCli:
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["table1", "--benchmarks", "nope"])
+
+    @pytest.mark.parametrize("command", ["table1", "table2"])
+    def test_empty_benchmark_list_is_a_usage_error(self, command):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([command, "--benchmarks", ","])
+        assert "names no circuit" in str(excinfo.value.code)
+
+    def test_quick_flag_is_gone(self, capsys):
+        """Table II's ABC column is resyn2, the paper's baseline."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["table2", "--benchmarks", "alu2", "--quick"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --quick" in capsys.readouterr().err
+
+
+def _break_alu2(monkeypatch):
+    """Make the BDS flows complement one output of alu2's optimized
+    network, as if the rewrite stage dropped an inverter."""
+    original = standard_stages.RewriteTrees.run
+
+    def dropping_an_inverter(self, ctx):
+        ctx = original(self, ctx)
+        if ctx.network.name == "alu2":
+            optimized = ctx.optimized
+            name = next(o for o in optimized.outputs if not optimized.is_input(o))
+            node = optimized.node(name)
+            optimized.replace_node(name, node.fanins, node.cover, not node.inverted)
+        return ctx
+
+    monkeypatch.setattr(standard_stages.RewriteTrees, "run", dropping_an_inverter)
+
+
+class TestFailedCheckFailsTheCommand:
+    """A counterexample is an error row, and every command that can
+    verify exits non-zero naming the broken circuit."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--verify", "--benchmarks", "alu2,f51m"],
+            ["table2", "--benchmarks", "alu2,f51m"],
+            ["batch", "--verify", "--benchmarks", "alu2,f51m"],
+        ],
+    )
+    def test_counterexample_fails_the_command(self, argv, monkeypatch, capsys):
+        _break_alu2(monkeypatch)
+        try:
+            code = cli_main(argv)
+            message = ""
+        except SystemExit as exc:
+            code, message = exc.code, str(exc.code)
+        captured = capsys.readouterr()
+        assert code not in (0, None)
+        lines = (message + "\n" + captured.out + "\n" + captured.err).splitlines()
+        failures = [line for line in lines if "counterexample" in line]
+        assert failures and all("alu2" in line for line in failures)
+        assert not any("f51m" in line for line in failures)
+        assert "TABLE" not in captured.out
+
+    def test_unverified_batch_still_succeeds(self, monkeypatch, capsys):
+        _break_alu2(monkeypatch)
+        assert cli_main(["batch", "--benchmarks", "alu2"]) == 0
+        assert '"verified": null' in capsys.readouterr().out
 
 
 class TestCliValidation:

@@ -1,8 +1,8 @@
 """Golden regression: Table I's node counts for all 17 circuits.
 
 ``golden_table1_nodes.json`` holds the AND/OR/XOR/XNOR/MAJ node counts
-``run_table1`` measures for every registry circuit under BDS-MAJ and
-BDS-PGA.  Timings and op-cache counters are left out: they move
+``bdsmaj table1`` reports for every registry circuit under BDS-MAJ and
+BDS-PGA: one ``run_batch`` per tool over the optimize prefix.  Timings and op-cache counters are left out: they move
 without the decomposed networks moving.  The MCNC batch golden pins
 the ten MCNC circuits byte for byte; this one also covers the seven
 HDL circuits (sqrt32, wallace16, cla64, rev19, div18, mac16, add4x16).
@@ -21,15 +21,20 @@ from pathlib import Path
 import pytest
 
 from repro.benchgen import BENCHMARKS
-from repro.experiments import run_table1
-from repro.experiments.table1 import TOOLS
+from repro.experiments import TOOLS
+from repro.flows import BatchConfig, run_batch
 
 GOLDEN = Path(__file__).with_name("golden_table1_nodes.json")
 
 
 def table1_nodes() -> dict:
     """``{circuit: {tool: node_counts}}`` over the whole registry."""
-    return {entry.key: dict(entry.counts) for entry in run_table1()}
+    nodes: dict = {}
+    for tool in TOOLS:
+        for circuit in run_batch(list(BENCHMARKS), BatchConfig(flow=tool)).circuits:
+            assert circuit.ok, f"{circuit.benchmark}/{tool}: {circuit.error}"
+            nodes.setdefault(circuit.benchmark, {})[tool] = dict(circuit.node_counts)
+    return nodes
 
 
 def render(nodes: dict) -> str:

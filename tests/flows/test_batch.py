@@ -108,6 +108,38 @@ class TestFailureIsolation:
         assert "Boom: nope" in report.to_csv()
 
 
+class TestTable2Row:
+    """A mapped batch records the Table II row; a report carries it
+    through serialization only when it is set."""
+
+    @pytest.fixture(scope="class")
+    def mapped_report(self):
+        return run_batch(["f51m", "alu2"], BatchConfig(flow="abc", mapped=True, verify=True))
+
+    def test_row_matches_the_full_pipeline(self, mapped_report):
+        from repro.api import get_pipeline
+        from repro.benchgen import build_benchmark
+
+        for circuit in mapped_report.circuits:
+            assert circuit.ok and circuit.verified is True
+            expected = get_pipeline("abc").run(build_benchmark(circuit.benchmark)).table2_row()
+            assert circuit.table2_row == expected
+
+    def test_row_round_trips_through_payload(self, mapped_report):
+        circuit = mapped_report.circuits[0]
+        rebuilt = CircuitReport.from_payload(json.loads(json.dumps(circuit.to_payload())))
+        assert rebuilt.table2_row == circuit.table2_row
+        assert rebuilt.to_payload() == circuit.to_payload()
+        text = mapped_report.to_json()
+        assert BatchReport.from_payload(json.loads(text)).to_json() == text
+
+    def test_unmapped_rows_serialize_without_it(self):
+        report = run_batch(["f51m"], BatchConfig(flow="abc"))
+        assert report.circuits[0].table2_row is None
+        assert "table2_row" not in report.circuits[0].to_payload()
+        assert "table2_row" not in report.to_csv()
+
+
 class TestReportContent:
     @pytest.fixture(scope="class")
     def report(self):

@@ -12,7 +12,7 @@ import pytest
 from repro.api import get_pipeline, pipeline_names
 from repro.benchgen import build_benchmark, ripple_carry_adder, wallace_multiplier
 from repro.benchgen.random_logic import random_control_network, random_pla_network
-from repro.flows import AbcFlowConfig, BdsFlowConfig
+from repro.flows import BdsFlowConfig
 
 PAPER_FLOWS = ("bds-maj", "bds-pga", "abc", "dc")
 
@@ -73,10 +73,6 @@ class TestAbcFlow:
         for net in (adder, control):
             result = get_pipeline("abc").run(net)
             assert result.equivalence.equivalent
-
-    def test_quick_mode_equivalent(self, adder):
-        result = get_pipeline("abc").run(adder, AbcFlowConfig(quick=True))
-        assert result.equivalence.equivalent
 
     def test_xor_recovered_but_maj_hidden(self, adder):
         """ABC's Boolean matcher recovers XOR cells, but majority

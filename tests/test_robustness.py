@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.aig import aig_to_network, network_to_aig, resyn_quick
+from repro.aig import aig_to_network, network_to_aig, resyn2
 from repro.api import get_pipeline
 from repro.bdd import BDD, BDDError
 from repro.benchgen import ripple_carry_adder
@@ -159,7 +159,7 @@ class TestAigPathologies:
         net.add_node("o", ("a",), ("1", "0"))  # tautology
         net.add_output("o")
         aig = network_to_aig(net)
-        back = aig_to_network(resyn_quick(aig), name="k")
+        back = aig_to_network(resyn2(aig), name="k")
         assert check_equivalence(net, back).equivalent
 
     def test_mapper_rejects_impossible(self):
