@@ -51,8 +51,10 @@ only refutes, and certification decides.  Either way every returned
 decomposition is certified.
 
 It also provides :func:`xor_split`, the "balanced XOR decomposition"
-primitive that BDS-MAJ's cyclic optimization (γ-phase, Theorem 3.4)
-uses to derive the K and M functions from ``Fb ⊕ Fc``.
+primitive of BDS-MAJ's cyclic optimization (γ-phase, Theorem 3.4),
+which derives the K and M functions from ``Fb ⊕ Fc``.  The γ-phase
+runs it on truth tables (:func:`repro.core.majority.xor_split`) up to
+:data:`EXHAUSTIVE_LEVELS` support levels and on BDDs above.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..truthtable import full_mask, var_mask
+from ..truthtable import full_mask, node_tables, var_mask
 from .manager import BDD
 from .substitute import cut_nodes, function_at, replace_node
 
@@ -157,13 +159,7 @@ def simulate_paths(mgr: BDD, root: int, nodes: list[int] | None = None) -> PathS
         for level in support[exact:]:
             column[level] = rng.getrandbits(1 << exact)
 
-    function = {0: full}
-    for (level, high, low), index in reversed(order):
-        high_value = function[high >> 1]  # high edges are regular
-        low_value = function[low >> 1]
-        if low & 1:
-            low_value ^= full
-        function[index] = low_value ^ (high_value ^ low_value) & column[level]
+    function = node_tables(order, column, full)
 
     root_index = root >> 1
     through = {root_index: full}
@@ -362,6 +358,11 @@ def xor_split(mgr: BDD, f: int, max_dominator_nodes: int = 150) -> tuple[int, in
        two products are built.
 
     A constant ``f`` splits trivially into ``(f, 0)``.
+
+    :func:`repro.core.majority.xor_split` is this function on truth
+    tables, with the same candidates in the same order; the γ-phase
+    calls this one only for functions over more than
+    :data:`EXHAUSTIVE_LEVELS` support levels.
     """
     if mgr.is_constant(f):
         return f, mgr.ZERO

@@ -43,6 +43,8 @@ import ast
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from ..truthtable import full_mask, level_columns, node_tables
+
 #: Level assigned to the terminal node; deeper than any real variable.
 TERMINAL_LEVEL = 1 << 30
 
@@ -1363,6 +1365,57 @@ class BDD:
                     self.cube({name: bool(row >> j & 1) for j, name in enumerate(names)})
                 )
         return self.or_many(minterms)
+
+    # ------------------------------------------------------------------
+    # Truth tables over support levels (top level most significant)
+    # ------------------------------------------------------------------
+    def edge_tables(self, edges: Sequence[int], levels: Sequence[int]) -> list[int]:
+        """Truth tables of ``edges`` over the variables at ``levels``
+        (increasing), in :func:`~repro.truthtable.level_columns` order:
+        the first level is the most significant minterm bit.
+
+        One bottom-up pass over the nodes reachable from ``edges``
+        (:func:`~repro.truthtable.node_tables`).  Raises
+        :class:`BDDError` when an edge depends on a level outside
+        ``levels``.
+        """
+        nodes = self.nodes_reachable(edges)
+        order = sorted(zip(map(self.node_fields, nodes), nodes))
+        column = dict(zip(levels, level_columns(len(levels))))
+        outside = {level for (level, _, _), _ in order} - column.keys()
+        if outside:
+            raise BDDError(f"edge depends on levels {sorted(outside)} outside {list(levels)}")
+        full = full_mask(len(levels))
+        function = node_tables(order, column, full)
+        return [function[edge >> 1] ^ (full if edge & 1 else 0) for edge in edges]
+
+    def table_edge(self, table: int, levels: Sequence[int]) -> int:
+        """The edge whose :meth:`edge_tables` table over ``levels`` is
+        ``table``.  Each distinct chunk (a cofactor on the levels above
+        its depth) is built once, straight through the unique table;
+        the operation cache is never touched."""
+        num_vars = len(levels)
+        built: dict[tuple[int, int], int] = {}
+
+        def build(chunk: int, position: int) -> int:
+            if position == num_vars:
+                return self.ONE if chunk else self.ZERO
+            key = (position, chunk)
+            edge = built.get(key)
+            if edge is None:
+                width = 1 << (num_vars - 1 - position)
+                high = chunk >> width
+                low = chunk & ((1 << width) - 1)
+                if high == low:
+                    edge = build(low, position + 1)
+                else:
+                    edge = self._mk(
+                        levels[position], build(high, position + 1), build(low, position + 1)
+                    )
+                built[key] = edge
+            return edge
+
+        return build(table, 0)
 
     def from_expr(self, text: str) -> int:
         """Build a function from a Python-syntax Boolean expression.

@@ -20,10 +20,32 @@ Given a function ``F``, find ``F = Maj(Fa, Fb, Fc)``:
     sum-of-sizes metric refined by the k-balance condition
     (Section III.E; local k = 1.5).
 
-Every constructed triple is certified: ``Maj(Fa,Fb,Fc) == F`` is a
-canonical BDD equality check, performed after construction and after
-every balancing iteration (disable via ``MajorityConfig.verify`` for
-speed once trust is established — the test suite always verifies).
+γ runs on truth tables.  Every function Algorithm 1 forms is a Boolean
+combination of ``F`` and its subfunctions (``Fa`` is a subfunction of
+``F``; the generalized-cofactor seeds, the ``ITE`` rebalancing and the
+``v·f`` split products combine those), so its support lies inside
+``supp(F)`` and a truth table over ``supp(F)`` represents it exactly;
+an edge with a level outside ``supp(F)`` is refused, never masked.
+While ``F`` has at most :data:`~repro.bdd.dominators.EXHAUSTIVE_LEVELS`
+(12) support levels, a table is one int of at most 4,096 bits, and
+:func:`optimize` balances on tables (:mod:`repro.truthtable` reads BDD
+sizes and cut nodes off them) and builds only the triple it returns.
+The table :func:`xor_split` tries the BDD split's candidates in the BDD
+split's order, so every decision and size is the BDD iteration's.
+Above 12 levels a table is larger than the BDD and the iteration runs
+on BDDs.
+
+Every constructed triple is certified (disable via
+``MajorityConfig.verify`` for speed once trust is established — the
+test suite always verifies):
+
+* after construction, by the canonical BDD equality
+  ``Maj(Fa,Fb,Fc) == F``;
+* after every balancing iteration, by ``Maj(Fa,Fb,Fc) == F`` on the
+  tables, which is exhaustive over ``supp(F)`` (by BDD equality above
+  12 levels);
+* the triple :func:`optimize` builds back into the manager, by BDD
+  equality again.
 """
 
 from __future__ import annotations
@@ -32,8 +54,10 @@ from dataclasses import dataclass, field
 
 from ..bdd import BDD
 from ..bdd.cofactor import generalized_cofactor
-from ..bdd.dominators import xor_split
+from ..bdd.dominators import EXHAUSTIVE_LEVELS
+from ..bdd.dominators import xor_split as split_edge
 from ..bdd.substitute import function_at
+from ..truthtable import bdd_size, cut_functions, full_mask, level_columns
 from .mdominators import MDominatorConfig, find_m_dominators
 
 
@@ -125,19 +149,105 @@ def balance_pair(mgr: BDD, x: int, y: int) -> tuple[int, int]:
     fx = mgr.xor(x, y)
     if fx == mgr.ZERO:
         return x, y
-    m, k = xor_split(mgr, fx)
+    m, k = split_edge(mgr, fx)
     x_new = mgr.ite(fx, k, x)
     y_new = mgr.ite(fx, m, y)
     return x_new, y_new
+
+
+def xor_split(table: int, num_vars: int, max_dominator_nodes: int = 150) -> tuple[int, int]:
+    """:func:`repro.bdd.dominators.xor_split` on a truth table over
+    ``num_vars`` variables in :func:`~repro.truthtable.level_columns`
+    order: the same candidates, scored the same, in the same order, so
+    it returns the tables of the BDD split's ``(M, K)``.
+
+    1. the x-dominators, while the table's BDD has at most
+       ``max_dominator_nodes`` nodes: for each cut node ``h``, top-down,
+       ``M = table ⊕ h`` and ``K = h``;
+    2. for each variable ``v`` the table depends on, top-down,
+       ``M = v·table`` and ``K = v'·table``.
+    """
+    if table == 0 or table == full_mask(num_vars):
+        return table, 0
+    best_pair = (table, 0)
+    best_score: tuple[int, int] | None = None
+    candidates: list[tuple[int, int]] = []
+    if bdd_size(table, num_vars) <= max_dominator_nodes:
+        candidates = [(table ^ h, h) for h in cut_functions(table, num_vars)]
+    for position, column in enumerate(level_columns(num_vars)):
+        high = table & column
+        low = table & ~column
+        if high >> (1 << (num_vars - 1 - position)) != low:
+            candidates.append((high, low))
+    for m, k in candidates:
+        m_size = bdd_size(m, num_vars)
+        if best_score is not None and m_size > best_score[0]:
+            continue  # its score's first key exceeds the best's
+        k_size = bdd_size(k, num_vars)
+        score = (max(m_size, k_size), abs(m_size - k_size))
+        if best_score is None or score < best_score:
+            best_pair, best_score = (m, k), score
+    return best_pair
+
+
+def balance_tables(x: int, y: int, num_vars: int) -> tuple[int, int]:
+    """:func:`balance_pair` on truth tables over ``num_vars`` variables."""
+    fx = x ^ y
+    if not fx:
+        return x, y
+    m, k = xor_split(fx, num_vars)
+    return fx & k | x & ~fx, fx & m | y & ~fx
 
 
 def optimize(
     mgr: BDD, f: int, decomposition: MajorityDecomposition, config: MajorityConfig | None = None
 ) -> MajorityDecomposition:
     """Iterate balancing over all pairs until no improvement or the
-    iteration limit is reached; return the best certified triple seen."""
+    iteration limit is reached; return the best certified triple seen.
+
+    While ``f`` has at most :data:`EXHAUSTIVE_LEVELS` support levels the
+    iterations run on truth tables over them (see the module docstring)
+    and only the returned triple is built; above that they run on BDDs.
+    """
     if config is None:
         config = MajorityConfig()
+    levels = sorted(mgr.support_levels(f))
+    if len(levels) > EXHAUSTIVE_LEVELS:
+        return _optimize_edges(mgr, f, decomposition, config)
+    num_vars = len(levels)
+    table_f, *triple = mgr.edge_tables([f, *decomposition.parts()], levels)
+    best = None
+    best_size = decomposition.total_size(mgr)
+    for _ in range(config.max_balance_iterations):
+        fa, fb, fc = triple
+        # All pairs, in the order of Algorithm 1's inner loop.
+        fb, fc = balance_tables(fb, fc, num_vars)
+        fa, fb = balance_tables(fa, fb, num_vars)
+        fa, fc = balance_tables(fa, fc, num_vars)
+        triple = [fa, fb, fc]
+        if config.verify and (fa & fb | fa & fc | fb & fc) != table_f:
+            raise MajorityDecompositionError(
+                "balanced triple does not reproduce F on every input of its support"
+            )
+        size = sum(bdd_size(table, num_vars) for table in triple)
+        if size < best_size:
+            best, best_size = triple, size
+        else:
+            break  # no improvement this iteration
+    if best is None:
+        return decomposition
+    result = MajorityDecomposition(
+        *(mgr.table_edge(table, levels) for table in best), decomposition.dominator_node
+    )
+    if config.verify:
+        certify(mgr, f, result)
+    return result
+
+
+def _optimize_edges(
+    mgr: BDD, f: int, decomposition: MajorityDecomposition, config: MajorityConfig
+) -> MajorityDecomposition:
+    """:func:`optimize` on BDDs, certifying every iteration."""
     best = decomposition
     best_size = best.total_size(mgr)
     current = decomposition

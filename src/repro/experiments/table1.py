@@ -25,13 +25,19 @@ def table_rows(
 ) -> list[dict[str, CircuitReport]]:
     """One ``{flow: circuit report}`` per circuit, in input order.
 
-    Raises ``ValueError`` on a failed row: a table never prints a
-    failed circuit as zeros.
+    Raises ``ValueError`` on a failed row, since a table never prints a
+    failed circuit as zeros, and when a flow has no report or there is
+    no circuit, since the summaries average over the circuits.
     """
     circuits = {report.flow: report.circuits for report in reports}
+    missing = [flow for flow in flows if flow not in circuits]
+    if missing:
+        raise ValueError(f"no report for {', '.join(missing)}")
     rows = [
         dict(zip(flows, row)) for row in zip(*(circuits[flow] for flow in flows), strict=True)
     ]
+    if not rows:
+        raise ValueError("the reports hold no circuits")
     for row in rows:
         for circuit in row.values():
             if not circuit.ok:

@@ -7,9 +7,20 @@ resynthesis (:mod:`repro.aig.truth`), exhaustive equivalence checking
 (:mod:`repro.network.equivalence`) and the dominator scan's path
 simulation (:mod:`repro.bdd.dominators`) share these columns.  The
 module imports nothing from the package, so every layer can use it.
+
+The majority search's balancing phase (:mod:`repro.core.majority`)
+works on tables over a BDD's support levels listed top-down, with the
+top level as the *most* significant minterm bit (:func:`level_columns`):
+the two cofactors of such a table on its top variable are its upper and
+lower halves, and the cofactors on the variables above a depth are the
+table's aligned chunks of the width below it.  :func:`bdd_size` and
+:func:`cut_functions` read the table's reduced BDD with complement edges
+off those chunks, without building it.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 
 def var_mask(var: int, num_vars: int) -> int:
@@ -23,3 +34,100 @@ def var_mask(var: int, num_vars: int) -> int:
 
 def full_mask(num_vars: int) -> int:
     return (1 << (1 << num_vars)) - 1
+
+
+@lru_cache(maxsize=16)
+def level_columns(num_vars: int) -> tuple[int, ...]:
+    """The columns of ``num_vars`` variables listed top-down, the first
+    the most significant minterm bit (cached: the γ-phase asks for the
+    same few widths on every call)."""
+    return tuple(var_mask(num_vars - 1 - position, num_vars) for position in range(num_vars))
+
+
+def node_tables(order: list, column: dict[int, int], full: int) -> dict[int, int]:
+    """Bottom-up simulation of BDD nodes: each node's regular function.
+
+    ``order`` lists ``((level, high, low), index)`` for nodes of one
+    manager sorted by level, closed under children; edges are
+    ``index << 1 | complement``, node 0 is the terminal ONE and high
+    edges are regular.  ``column[level]`` is the stimulus column of the
+    variable at ``level`` and ``full`` the all-ones column.  The result
+    maps every index of ``order``, and 0, to its column.
+    """
+    function = {0: full}
+    for (level, high, low), index in reversed(order):
+        high_value = function[high >> 1]
+        low_value = function[low >> 1]
+        if low & 1:
+            low_value ^= full
+        function[index] = low_value ^ (high_value ^ low_value) & column[level]
+    return function
+
+
+def bdd_size(table: int, num_vars: int) -> int:
+    """Internal nodes of the reduced BDD with complement edges of
+    ``table`` (over ``num_vars`` variables, :func:`level_columns` order).
+
+    At depth ``d`` the cofactors on the ``d`` top variables are the
+    table's chunks of width ``2**(num_vars - d)``.  A chunk is kept in
+    the polarity whose bit 0 is 0, which identifies a function with its
+    complement as a complement edge does; each distinct chunk whose two
+    halves differ is one node at that depth.  A low half inherits bit 0
+    of its chunk, so only high halves need normalizing.
+    """
+    width = 1 << num_vars
+    if table & 1:
+        table ^= (1 << width) - 1
+    size = 0
+    chunks = {table}
+    for _ in range(num_vars):
+        width >>= 1
+        mask = (1 << width) - 1
+        below = set()
+        for chunk in chunks:
+            low = chunk & mask
+            high = chunk >> width
+            below.add(low)
+            if high != low:
+                size += 1
+                below.add(high ^ mask if high & 1 else high)
+        chunks = below
+    return size
+
+
+def cut_functions(table: int, num_vars: int) -> list[int]:
+    """Functions of the cut nodes of ``table``'s BDD: the nodes other
+    than the root on every root-to-terminal path, top-down.
+
+    A depth holds a cut node when its chunks (see :func:`bdd_size`)
+    are a single function that depends on the depth's variable: no path
+    passes that depth through another node or jumps over it.  The first
+    such depth holds the root.  Each function is in the node's regular
+    polarity, which is 1 on the all-ones input, and is returned over
+    all ``num_vars`` variables.
+    """
+    full = full_mask(num_vars)
+    width = 1 << num_vars
+    if table & 1:
+        table ^= full
+    functions = []
+    chunks = {table}
+    for _ in range(num_vars):
+        half = width >> 1
+        mask = (1 << half) - 1
+        if len(chunks) == 1:
+            (chunk,) = chunks
+            if chunk >> half != chunk & mask:
+                if not chunk >> (width - 1):
+                    chunk ^= (1 << width) - 1
+                functions.append(chunk * (full // ((1 << width) - 1)))
+        below = set()
+        for chunk in chunks:
+            low = chunk & mask
+            high = chunk >> half
+            below.add(low)
+            if high != low:
+                below.add(high ^ mask if high & 1 else high)
+        chunks = below
+        width = half
+    return functions[1:]  # the first is the root

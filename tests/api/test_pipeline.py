@@ -13,9 +13,11 @@ since then only its op-cache counters moved: when the engine's shape
 memo stopped repeating the BDD work of decisions already taken, when
 the engine stopped searching for majority splits of functions with one
 BDD node per support variable, when the BDS flows began to build,
-sift and decompose each distinct supernode structure once per run, and
+sift and decompose each distinct supernode structure once per run,
 when the simple-dominator scan began to refute identities by path
-simulation before building them.
+simulation before building them, and when the majority search began to
+balance its triples on truth tables and build only the triple it
+returns.
 
 If an intentional change moves these numbers, regenerate the golden
 with::

@@ -11,9 +11,10 @@ majority search on functions whose BDD has one node per support
 variable (no triple of those can pass the global test), and again when
 the flows began to build, sift and decompose each distinct supernode
 structure once per circuit, and again when the simple-dominator scan
-began to refute identities by path simulation before building them.
-Each time every QoR field stayed the same and only the ``cache``
-counters fell.
+began to refute identities by path simulation before building them,
+and again when the majority search began to balance its triples on
+truth tables and build only the triple it returns.  Each time every
+QoR field stayed the same and only the ``cache`` counters fell.
 
 If an intentional change moves these numbers, regenerate the golden
 with::
