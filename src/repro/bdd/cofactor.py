@@ -101,7 +101,8 @@ def restrict(mgr: BDD, f: int, c: int) -> int:
 
 
 def generalized_cofactor(mgr: BDD, f: int, c: int, method: str = "restrict") -> int:
-    """Dispatch helper used by the majority construction (Equation 3)."""
+    """The generalized cofactor named by ``method`` (``"restrict"`` or
+    ``"constrain"``)."""
     if method == "restrict":
         return restrict(mgr, f, c)
     if method == "constrain":

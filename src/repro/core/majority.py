@@ -5,7 +5,7 @@ Given a function ``F``, find ``F = Maj(Fa, Fb, Fc)``:
 α.  candidate ``Fa`` functions are rooted at non-trivial m-dominators
     (:mod:`repro.core.mdominators`);
 β.  ``Fb`` and ``Fc`` are constructed per Theorem 3.2 with the
-    Theorem 3.3 generalized-cofactor seeds::
+    Theorem 3.3 generalized-cofactor seeds (Coudert/Madre *restrict*)::
 
         Fb = ITE(Fa ⊕ F, F, F|Fa)
         Fc = ITE(Fa ⊕ F, F, F|Fa')
@@ -20,32 +20,37 @@ Given a function ``F``, find ``F = Maj(Fa, Fb, Fc)``:
     sum-of-sizes metric refined by the k-balance condition
     (Section III.E; local k = 1.5).
 
-γ runs on truth tables.  Every function Algorithm 1 forms is a Boolean
-combination of ``F`` and its subfunctions (``Fa`` is a subfunction of
-``F``; the generalized-cofactor seeds, the ``ITE`` rebalancing and the
-``v·f`` split products combine those), so its support lies inside
-``supp(F)`` and a truth table over ``supp(F)`` represents it exactly;
-an edge with a level outside ``supp(F)`` is refused, never masked.
+The search runs on truth tables.  Every function Algorithm 1 forms is a
+Boolean combination of ``F`` and its subfunctions (``Fa`` is a
+subfunction of ``F``; the restrict seeds, the ``ITE`` rebalancing and
+the ``v·f`` split products combine those), so its support lies inside
+``supp(F)`` and a truth table over ``supp(F)`` represents it exactly.
 While ``F`` has at most :data:`~repro.bdd.dominators.EXHAUSTIVE_LEVELS`
 (12) support levels, a table is one int of at most 4,096 bits, and
-:func:`optimize` balances on tables (:mod:`repro.truthtable` reads BDD
-sizes and cut nodes off them) and builds only the triple it returns.
-The table :func:`xor_split` tries the BDD split's candidates in the BDD
-split's order, so every decision and size is the BDD iteration's.
-Above 12 levels a table is larger than the BDD and the iteration runs
-on BDDs.
+:func:`decompose_majority` runs β, γ and ω on tables (:class:`_Tables`):
 
-Every constructed triple is certified (disable via
-``MajorityConfig.verify`` for speed once trust is established — the
-test suite always verifies):
+* one pass reads the tables of ``F`` and of every candidate ``Fa``; an
+  edge with a level outside ``supp(F)`` is refused, never masked;
+* :func:`repro.truthtable.restrict` takes the BDD ``restrict``'s
+  branches, the table :func:`xor_split` tries the BDD split's candidates
+  in the BDD split's order, and :mod:`repro.truthtable` reads BDD sizes
+  and cut nodes off the tables, so every decision and size is the BDD
+  search's;
+* no node is built: the returned triple builds its edges on the first
+  read of a part, which the engine does only after
+  :func:`accepts_globally` has accepted the triple on its table sizes.
 
-* after construction, by the canonical BDD equality
-  ``Maj(Fa,Fb,Fc) == F``;
-* after every balancing iteration, by ``Maj(Fa,Fb,Fc) == F`` on the
-  tables, which is exhaustive over ``supp(F)`` (by BDD equality above
-  12 levels);
-* the triple :func:`optimize` builds back into the manager, by BDD
-  equality again.
+Above 12 levels a table is larger than the BDD and the search runs on
+BDDs (:class:`_Edges`), as do :func:`construct` and :func:`optimize`
+when they are called on edges.
+
+Every triple is certified (disable via ``MajorityConfig.verify`` for
+speed once trust is established — the test suite always verifies):
+
+* after construction and after every balancing iteration, by
+  ``Maj(Fa,Fb,Fc) == F`` in the search's own space: on tables, which is
+  exhaustive over ``supp(F)``, or by canonical BDD equality;
+* a table triple's edges, when they are built, by BDD equality again.
 """
 
 from __future__ import annotations
@@ -53,11 +58,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..bdd import BDD
-from ..bdd.cofactor import generalized_cofactor
+from ..bdd.cofactor import restrict as restrict_edge
 from ..bdd.dominators import EXHAUSTIVE_LEVELS
 from ..bdd.dominators import xor_split as split_edge
 from ..bdd.substitute import function_at
 from ..truthtable import bdd_size, cut_functions, full_mask, level_columns
+from ..truthtable import restrict as restrict_table
 from .mdominators import MDominatorConfig, find_m_dominators
 
 
@@ -73,57 +79,190 @@ class MajorityConfig:
     local_k: float = 1.5
     #: Maximum cyclic-optimization iterations (Section IV.B sets 5).
     max_balance_iterations: int = 5
-    #: Generalized cofactor used for the Theorem 3.3 seeds.
-    cofactor_method: str = "restrict"
     #: Certify Maj(Fa,Fb,Fc) == F after every construction step.
     verify: bool = True
     #: m-dominator selection constraints (α-phase).
     mdominator: MDominatorConfig = field(default_factory=MDominatorConfig)
 
 
-@dataclass
-class MajorityDecomposition:
-    """A certified decomposition ``F = Maj(fa, fb, fc)`` (edges in ``mgr``)."""
+class _Edges:
+    """Algorithm 1's operations on the BDD edges of ``mgr``."""
 
-    fa: int
-    fb: int
-    fc: int
-    dominator_node: int = -1
-    #: :meth:`sizes`, once computed (the triple never changes).
-    _sizes: tuple[int, int, int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def __init__(self, mgr: BDD) -> None:
+        self.mgr = mgr
+
+    def value(self, edge: int) -> int:
+        return edge
+
+    def complement(self, x: int) -> int:
+        return x ^ 1
+
+    def xor(self, x: int, y: int) -> int:
+        return self.mgr.xor(x, y)
+
+    def ite(self, c: int, t: int, e: int) -> int:
+        return self.mgr.ite(c, t, e)
+
+    def restrict(self, f: int, care: int) -> int:
+        return restrict_edge(self.mgr, f, care)
+
+    def maj(self, a: int, b: int, c: int) -> int:
+        return self.mgr.maj(a, b, c)
+
+    def balance(self, x: int, y: int) -> tuple[int, int]:
+        return balance_pair(self.mgr, x, y)
+
+    def size(self, x: int) -> int:
+        return self.mgr.size(x)
+
+    def edges(self, triple: tuple[int, int, int]) -> tuple[int, int, int]:
+        return triple
+
+
+class _Tables:
+    """Algorithm 1's operations on truth tables over the support
+    ``levels`` of ``f``, for one search.
+
+    One :meth:`BDD.edge_tables` pass reads the tables of ``f`` and of
+    the ``candidates`` edges.  Sizes are memoized for the search only.
+    :meth:`edges` builds a triple in ``mgr`` and, under ``verify``,
+    certifies it by BDD equality.
+    """
+
+    def __init__(
+        self, mgr: BDD, f: int, levels: list[int], candidates: list[int], verify: bool
+    ) -> None:
+        self.mgr = mgr
+        self.f = f
+        self.levels = levels
+        self.verify = verify
+        self.num_vars = len(levels)
+        self.full = full_mask(self.num_vars)
+        edges = [f, *candidates]
+        self._tables = dict(zip(edges, mgr.edge_tables(edges, levels)))
+        self._sizes: dict[int, int] = {}
+
+    def value(self, edge: int) -> int:
+        return self._tables[edge]
+
+    def complement(self, x: int) -> int:
+        return x ^ self.full
+
+    def xor(self, x: int, y: int) -> int:
+        return x ^ y
+
+    def ite(self, c: int, t: int, e: int) -> int:
+        return c & t | e & ~c
+
+    def restrict(self, f: int, care: int) -> int:
+        return restrict_table(f, care, self.num_vars)
+
+    def maj(self, a: int, b: int, c: int) -> int:
+        return a & b | a & c | b & c
+
+    def balance(self, x: int, y: int) -> tuple[int, int]:
+        return balance_tables(x, y, self.num_vars)
+
+    def size(self, x: int) -> int:
+        size = self._sizes.get(x)
+        if size is None:
+            size = self._sizes[x] = bdd_size(x, self.num_vars)
+        return size
+
+    def edges(self, triple: tuple[int, int, int]) -> tuple[int, int, int]:
+        fa, fb, fc = (self.mgr.table_edge(table, self.levels) for table in triple)
+        if self.verify:
+            certify(self.mgr, self.f, MajorityDecomposition(fa, fb, fc))
+        return fa, fb, fc
+
+
+class MajorityDecomposition:
+    """A certified decomposition ``F = Maj(fa, fb, fc)`` (edges in ``mgr``).
+
+    A triple of Algorithm 1 holds the values of its search's ``space``:
+    BDD edges, or truth tables whose sizes are read off the tables and
+    whose edges are built (and certified) on the first read of a part.
+    A triple made by hand holds edges and no space.
+    """
+
+    def __init__(
+        self,
+        fa: int,
+        fb: int,
+        fc: int,
+        dominator_node: int = -1,
+        space: _Edges | _Tables | None = None,
+    ) -> None:
+        self.values = (fa, fb, fc)
+        self.dominator_node = dominator_node
+        self.space = space
+        self._edges: tuple[int, int, int] | None = None
+        self._sizes: tuple[int, int, int] | None = None
+
+    @property
+    def fa(self) -> int:
+        return self.parts()[0]
+
+    @property
+    def fb(self) -> int:
+        return self.parts()[1]
+
+    @property
+    def fc(self) -> int:
+        return self.parts()[2]
 
     def parts(self) -> tuple[int, int, int]:
-        return self.fa, self.fb, self.fc
+        if self._edges is None:
+            self._edges = self.values if self.space is None else self.space.edges(self.values)
+        return self._edges
 
     def sizes(self, mgr: BDD) -> tuple[int, int, int]:
         if self._sizes is None:
-            self._sizes = (mgr.size(self.fa), mgr.size(self.fb), mgr.size(self.fc))
+            size = mgr.size if self.space is None else self.space.size
+            fa, fb, fc = self.values
+            self._sizes = (size(fa), size(fb), size(fc))
         return self._sizes
 
     def total_size(self, mgr: BDD) -> int:
         return sum(self.sizes(mgr))
 
 
+def _check(space: _Edges | _Tables, f: int, triple: tuple[int, int, int], stage: str) -> None:
+    """Raise unless ``Maj(triple) == f`` in ``space``."""
+    if space.maj(*triple) != f:
+        raise MajorityDecompositionError(f"the {stage} triple does not reproduce F")
+
+
 # ----------------------------------------------------------------------
 # β-phase: construction (Theorems 3.2 / 3.3)
 # ----------------------------------------------------------------------
-def construct(mgr: BDD, f: int, fa: int, config: MajorityConfig | None = None) -> MajorityDecomposition:
-    """Build ``Fb``/``Fc`` for a given ``Fa`` candidate (Equation 1 + 3)."""
+def construct(
+    mgr: BDD,
+    f: int,
+    fa: int,
+    config: MajorityConfig | None = None,
+    space: _Edges | _Tables | None = None,
+) -> MajorityDecomposition:
+    """Build ``Fb``/``Fc`` for a given ``Fa`` candidate (Equation 1 + 3).
+
+    ``f`` and ``fa`` are edges.  The construction runs in ``space``
+    (the tables of :func:`decompose_majority`'s search), or on the BDD
+    edges of ``mgr`` when it is ``None``.
+    """
     if config is None:
         config = MajorityConfig()
     if mgr.is_constant(fa):
         raise MajorityDecompositionError("Fa must not be constant")
-    disagreement = mgr.xor(fa, f)
-    seed_h = generalized_cofactor(mgr, f, fa, config.cofactor_method)
-    seed_w = generalized_cofactor(mgr, f, fa ^ 1, config.cofactor_method)
-    fb = mgr.ite(disagreement, f, seed_h)
-    fc = mgr.ite(disagreement, f, seed_w)
-    decomposition = MajorityDecomposition(fa, fb, fc)
+    if space is None:
+        space = _Edges(mgr)
+    f, fa = space.value(f), space.value(fa)
+    disagreement = space.xor(fa, f)
+    seed_h = space.restrict(f, fa)
+    seed_w = space.restrict(f, space.complement(fa))
+    triple = (fa, space.ite(disagreement, f, seed_h), space.ite(disagreement, f, seed_w))
     if config.verify:
-        certify(mgr, f, decomposition)
-    return decomposition
+        _check(space, f, triple, "constructed")
+    return MajorityDecomposition(*triple, space=space)
 
 
 def certify(mgr: BDD, f: int, decomposition: MajorityDecomposition) -> None:
@@ -205,61 +344,26 @@ def optimize(
     """Iterate balancing over all pairs until no improvement or the
     iteration limit is reached; return the best certified triple seen.
 
-    While ``f`` has at most :data:`EXHAUSTIVE_LEVELS` support levels the
-    iterations run on truth tables over them (see the module docstring)
-    and only the returned triple is built; above that they run on BDDs.
+    The iterations run in the triple's space: on the tables of a table
+    search (see the module docstring), or on BDD edges of ``mgr``.
     """
     if config is None:
         config = MajorityConfig()
-    levels = sorted(mgr.support_levels(f))
-    if len(levels) > EXHAUSTIVE_LEVELS:
-        return _optimize_edges(mgr, f, decomposition, config)
-    num_vars = len(levels)
-    table_f, *triple = mgr.edge_tables([f, *decomposition.parts()], levels)
-    best = None
+    space = decomposition.space or _Edges(mgr)
+    f = space.value(f)
+    best = decomposition
     best_size = decomposition.total_size(mgr)
+    triple = decomposition.values
     for _ in range(config.max_balance_iterations):
         fa, fb, fc = triple
         # All pairs, in the order of Algorithm 1's inner loop.
-        fb, fc = balance_tables(fb, fc, num_vars)
-        fa, fb = balance_tables(fa, fb, num_vars)
-        fa, fc = balance_tables(fa, fc, num_vars)
-        triple = [fa, fb, fc]
-        if config.verify and (fa & fb | fa & fc | fb & fc) != table_f:
-            raise MajorityDecompositionError(
-                "balanced triple does not reproduce F on every input of its support"
-            )
-        size = sum(bdd_size(table, num_vars) for table in triple)
-        if size < best_size:
-            best, best_size = triple, size
-        else:
-            break  # no improvement this iteration
-    if best is None:
-        return decomposition
-    result = MajorityDecomposition(
-        *(mgr.table_edge(table, levels) for table in best), decomposition.dominator_node
-    )
-    if config.verify:
-        certify(mgr, f, result)
-    return result
-
-
-def _optimize_edges(
-    mgr: BDD, f: int, decomposition: MajorityDecomposition, config: MajorityConfig
-) -> MajorityDecomposition:
-    """:func:`optimize` on BDDs, certifying every iteration."""
-    best = decomposition
-    best_size = best.total_size(mgr)
-    current = decomposition
-    for _ in range(config.max_balance_iterations):
-        fa, fb, fc = current.parts()
-        # All pairs, in the order of Algorithm 1's inner loop.
-        fb, fc = balance_pair(mgr, fb, fc)
-        fa, fb = balance_pair(mgr, fa, fb)
-        fa, fc = balance_pair(mgr, fa, fc)
-        current = MajorityDecomposition(fa, fb, fc, current.dominator_node)
+        fb, fc = space.balance(fb, fc)
+        fa, fb = space.balance(fa, fb)
+        fa, fc = space.balance(fa, fc)
+        triple = (fa, fb, fc)
         if config.verify:
-            certify(mgr, f, current)
+            _check(space, f, triple, "balanced")
+        current = MajorityDecomposition(*triple, decomposition.dominator_node, space)
         current_size = current.total_size(mgr)
         if current_size < best_size:
             best, best_size = current, current_size
@@ -332,6 +436,11 @@ def decompose_majority(
     """Run Algorithm 1 on ``f``; return the best certified triple or
     ``None`` when no m-dominator candidate exists.
 
+    While ``f`` has at most :data:`EXHAUSTIVE_LEVELS` support levels the
+    search runs on truth tables over them and builds nothing; the
+    returned triple builds its edges when a part is read (see the module
+    docstring).  Above that it runs on BDDs.
+
     The caller decides acceptance (e.g. via :func:`accepts_globally`)
     — Algorithm 1 itself only ranks the candidates it found.
     ``simple_dominators`` is forwarded to the α-phase search.
@@ -340,14 +449,18 @@ def decompose_majority(
         config = MajorityConfig()
     if mgr.is_constant(f):
         return None
+    candidates = find_m_dominators(mgr, f, config.mdominator, simple_dominators)
+    if not candidates:
+        return None
+    seeds = [function_at(mgr, candidate.node) for candidate in candidates]
+    levels = sorted(mgr.support_levels(f))
+    space = None
+    if len(levels) <= EXHAUSTIVE_LEVELS:
+        space = _Tables(mgr, f, levels, seeds, config.verify)
 
     best: MajorityDecomposition | None = None
-    for candidate in find_m_dominators(mgr, f, config.mdominator, simple_dominators):
-        fa = function_at(mgr, candidate.node)
-        try:
-            decomposition = construct(mgr, f, fa, config)
-        except MajorityDecompositionError:
-            raise  # construction is proven correct; surface any violation
+    for candidate, fa in zip(candidates, seeds):
+        decomposition = construct(mgr, f, fa, config, space)
         decomposition.dominator_node = candidate.node
         decomposition = optimize(mgr, f, decomposition, config)
         if best is None or is_better(mgr, decomposition, best, config.local_k):

@@ -8,14 +8,15 @@ resynthesis (:mod:`repro.aig.truth`), exhaustive equivalence checking
 simulation (:mod:`repro.bdd.dominators`) share these columns.  The
 module imports nothing from the package, so every layer can use it.
 
-The majority search's balancing phase (:mod:`repro.core.majority`)
-works on tables over a BDD's support levels listed top-down, with the
-top level as the *most* significant minterm bit (:func:`level_columns`):
-the two cofactors of such a table on its top variable are its upper and
-lower halves, and the cofactors on the variables above a depth are the
+The majority search (:mod:`repro.core.majority`) works on tables over
+a BDD's support levels listed top-down, with the top level as the
+*most* significant minterm bit (:func:`level_columns`): the two
+cofactors of such a table on its top variable are its upper and lower
+halves, and the cofactors on the variables above a depth are the
 table's aligned chunks of the width below it.  :func:`bdd_size` and
 :func:`cut_functions` read the table's reduced BDD with complement edges
-off those chunks, without building it.
+off those chunks, without building it, and :func:`restrict` walks those
+chunks as the BDD ``restrict`` walks nodes.
 """
 
 from __future__ import annotations
@@ -131,3 +132,52 @@ def cut_functions(table: int, num_vars: int) -> list[int]:
         chunks = below
         width = half
     return functions[1:]  # the first is the root
+
+
+def restrict(table: int, care: int, num_vars: int) -> int:
+    """Coudert/Madre *restrict* of ``table`` w.r.t. the non-empty care
+    set ``care`` (both over ``num_vars`` variables, :func:`level_columns`
+    order): the table of :func:`repro.bdd.restrict` on their BDDs.
+
+    The walk takes the BDD walk's branches on chunks: a chunk's top
+    variable is the first depth at which its two halves differ.  Where
+    the care set tests a variable ``table`` skips, that variable is
+    quantified out of the care set; where ``table`` tests it, a care
+    half that is empty sends the walk down the other half alone.  A
+    result that does not depend on a depth's variable fills both halves.
+    """
+    memo: dict[tuple[int, int, int], int] = {}
+
+    def walk(f: int, c: int, width: int) -> int:
+        mask = (1 << width) - 1
+        if c == mask or f == 0 or f == mask:
+            return f
+        if f == c:
+            return mask
+        if f == c ^ mask:
+            return 0
+        key = (width, f, c)
+        result = memo.get(key)
+        if result is None:
+            half = width >> 1
+            low_mask = (1 << half) - 1
+            f1, f0 = f >> half, f & low_mask
+            c1, c0 = c >> half, c & low_mask
+            if f1 == f0:
+                # The care set may test this variable; ``table`` does not.
+                below = walk(f0, c1 | c0, half)
+                result = below << half | below
+            elif c1 == 0:
+                below = walk(f0, c0, half)
+                result = below << half | below
+            elif c0 == 0:
+                below = walk(f1, c1, half)
+                result = below << half | below
+            else:
+                result = walk(f1, c1, half) << half | walk(f0, c0, half)
+            memo[key] = result
+        return result
+
+    if care == 0:
+        raise ValueError("restrict w.r.t. the empty care set is undefined")
+    return walk(table, care, 1 << num_vars)

@@ -15,9 +15,10 @@ the engine stopped searching for majority splits of functions with one
 BDD node per support variable, when the BDS flows began to build,
 sift and decompose each distinct supernode structure once per run,
 when the simple-dominator scan began to refute identities by path
-simulation before building them, and when the majority search began to
+simulation before building them, when the majority search began to
 balance its triples on truth tables and build only the triple it
-returns.
+returns, and when the whole majority search (β, γ and ω) moved onto
+truth tables and began to build only the triple the engine accepts.
 
 If an intentional change moves these numbers, regenerate the golden
 with::

@@ -1,11 +1,14 @@
-"""The γ-phase on truth tables against the BDD operations it replaces.
+"""The majority search on truth tables against the BDD operations it
+replaces.
 
-``repro.core.majority.optimize`` balances triples on truth tables over
-the support of ``F`` and builds only the triple it returns.  These
-properties pin each table operation to its BDD counterpart on random
-functions of up to 8 variables, complemented roots included: the table
-BDD size, the table/edge round trip, the cut-node functions, the
-XOR split, pair balancing and the whole iteration.
+While ``F`` has at most 12 support levels,
+``repro.core.majority.decompose_majority`` runs β (``construct``), γ
+(``optimize``) and ω on truth tables over the support of ``F`` and
+builds only the triple whose parts are read.  These properties pin each
+table operation to its BDD counterpart on random functions of up to 8
+variables, complemented roots included: the table BDD size, the
+table/edge round trip, the cut-node functions, ``restrict``, the XOR
+split, pair balancing, the balancing iteration and the whole search.
 """
 
 from __future__ import annotations
@@ -17,18 +20,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.majority as majority
-from repro.bdd import BDD, BDDError, cut_nodes, function_at
+from repro.bdd import BDD, BDDError, cut_nodes, function_at, restrict, simple_dominator_nodes
 from repro.bdd import xor_split as xor_split_edge
 from repro.core import (
-    MajorityConfig,
-    MajorityDecomposition,
     MajorityDecompositionError,
+    accepts_globally,
     balance_pair,
     certify,
     construct,
+    decompose_majority,
     optimize,
 )
 from repro.truthtable import bdd_size, cut_functions
+from repro.truthtable import restrict as restrict_table
 
 from ..conftest import random_function
 
@@ -52,6 +56,18 @@ def _draw(spec) -> tuple[BDD, list[int], int]:
 
 def _table(mgr: BDD, edge: int, levels: list[int]) -> int:
     return mgr.edge_tables([edge], levels)[0]
+
+
+def _space(mgr: BDD, f: int, candidates: list[int]) -> majority._Tables:
+    """The table space of a search on ``f`` with ``candidates``."""
+    return majority._Tables(mgr, f, sorted(mgr.support_levels(f)), candidates, verify=True)
+
+
+def _bdd_search(mgr: BDD, f: int):
+    """``decompose_majority`` on BDDs whatever the support of ``f``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(majority, "EXHAUSTIVE_LEVELS", -1)
+        return decompose_majority(mgr, f)
 
 
 _tables = st.integers(min_value=1, max_value=8).flatmap(
@@ -125,18 +141,85 @@ def test_property_balance_tables_matches_balance_pair(spec, other):
 
 
 @settings(max_examples=200, deadline=None)
+@given(spec=_specs, other=st.integers(min_value=0, max_value=(1 << 32) - 1), skip=st.booleans())
+def test_property_table_restrict_matches_restrict(spec, other, skip):
+    mgr, levels, f = _draw(spec)
+    care = random_function(mgr, mgr.var_names, random.Random(other), 4)
+    skipped = sorted(set(levels) - mgr.support_levels(f))
+    if skip and skipped:
+        # The care set then depends on a level that f skips.
+        care = mgr.xor(care, mgr.var(mgr.var_names[skipped[0]]))
+    if care == mgr.ZERO:
+        with pytest.raises(ValueError, match="empty care set"):
+            restrict_table(_table(mgr, f, levels), 0, len(levels))
+        return
+    expected = _table(mgr, restrict(mgr, f, care), levels)
+    tables = [_table(mgr, edge, levels) for edge in (f, care)]
+    assert restrict_table(*tables, len(levels)) == expected
+
+
+@settings(max_examples=200, deadline=None)
 @given(spec=_specs, pick=st.integers(min_value=0, max_value=1000))
 def test_property_optimize_matches_the_bdd_iteration(spec, pick):
     mgr, _, f = _draw(spec)
     if mgr.is_constant(f):
         return
     nodes = mgr.nodes_reachable([f])
-    decomposition = construct(mgr, f, function_at(mgr, nodes[pick % len(nodes)]))
-    expected = majority._optimize_edges(mgr, f, decomposition, MajorityConfig())
+    fa = function_at(mgr, nodes[pick % len(nodes)])
+    decomposition = construct(mgr, f, fa, space=_space(mgr, f, [fa]))
     optimized = optimize(mgr, f, decomposition)
+    expected = optimize(mgr, f, construct(mgr, f, fa))
     assert optimized.parts() == expected.parts()
     assert optimized.sizes(mgr) == tuple(mgr.size(part) for part in optimized.parts())
     certify(mgr, f, optimized)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_specs)
+def test_property_the_table_search_matches_the_bdd_search(spec):
+    mgr, _, f = _draw(spec)
+    found = decompose_majority(mgr, f)
+    expected = _bdd_search(mgr, f)
+    if expected is None:
+        assert found is None
+        return
+    assert found.dominator_node == expected.dominator_node
+    assert found.sizes(mgr) == expected.sizes(mgr)
+    assert found.parts() == expected.parts()
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_specs)
+def test_property_the_table_search_builds_only_the_parts_read(spec):
+    mgr, _, f = _draw(spec)
+    if mgr.is_constant(f):
+        return
+    simple = simple_dominator_nodes(mgr, f)
+    before = mgr.num_nodes()
+    found = decompose_majority(mgr, f, simple_dominators=simple)
+    accepted = found is not None and accepts_globally(mgr, mgr.size(f), found)
+    assert mgr.num_nodes() == before
+    if accepted:
+        certify(mgr, f, found)
+
+
+def test_a_rejected_search_leaves_the_manager_unchanged():
+    mgr = BDD(["a", "b", "c", "d"])
+    f = mgr.from_expr("a & b | c & d")
+    simple = simple_dominator_nodes(mgr, f)
+    before = mgr.num_nodes()
+    found = decompose_majority(mgr, f, simple_dominators=simple)
+    assert found is not None
+    assert not accepts_globally(mgr, mgr.size(f), found)
+    assert mgr.num_nodes() == before
+
+
+@pytest.mark.parametrize("fa", [0, 1])
+def test_a_constant_fa_raises_in_the_table_search(fa):
+    mgr = BDD(["a", "b", "c"])
+    f = mgr.from_expr("a & b | b & c | a & c")
+    with pytest.raises(MajorityDecompositionError, match="constant"):
+        construct(mgr, f, fa, space=_space(mgr, f, []))
 
 
 def test_edge_tables_refuse_a_level_outside_the_given_ones():
@@ -146,18 +229,17 @@ def test_edge_tables_refuse_a_level_outside_the_given_ones():
         mgr.edge_tables([f], [0, 1])
 
 
-def test_optimize_refuses_a_triple_outside_the_support_of_f():
+def test_the_table_search_refuses_a_candidate_outside_the_support_of_f():
     mgr = BDD(["a", "b", "c", "d"])
     f = mgr.from_expr("a & b | b & c | a & c")
-    wide = MajorityDecomposition(mgr.var("a"), mgr.from_expr("b | d"), mgr.var("c"))
     with pytest.raises(BDDError, match="outside"):
-        optimize(mgr, f, wide)
+        _space(mgr, f, [mgr.from_expr("b | d")])
 
 
 def test_a_wrong_balanced_triple_fails_the_per_iteration_check(monkeypatch):
     mgr = BDD(["a", "b", "c"])
     f = mgr.from_expr("a & b | b & c | a & c")
-    decomposition = construct(mgr, f, mgr.var("a"))
+    decomposition = construct(mgr, f, mgr.var("a"), space=_space(mgr, f, [mgr.var("a")]))
     monkeypatch.setattr(majority, "balance_tables", lambda x, y, num_vars: (x, ~y & 0xFF))
     with pytest.raises(MajorityDecompositionError):
         optimize(mgr, f, decomposition)
@@ -181,10 +263,8 @@ def test_the_table_path_ends_at_twelve_support_levels(monkeypatch, num_vars, tab
     monkeypatch.setattr(
         majority, "xor_split", lambda *args: table_calls.append(args) or split(*args)
     )
-    nodes = mgr.nodes_reachable([f])
-    decomposition = construct(mgr, f, function_at(mgr, nodes[len(nodes) // 2]))
-    optimized = optimize(mgr, f, decomposition)
+    optimized = decompose_majority(mgr, f)
     assert bool(table_calls) == table_path
-    expected = majority._optimize_edges(mgr, f, decomposition, MajorityConfig())
+    expected = _bdd_search(mgr, f)
     assert optimized.parts() == expected.parts()
     certify(mgr, f, optimized)

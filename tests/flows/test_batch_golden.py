@@ -13,7 +13,9 @@ the flows began to build, sift and decompose each distinct supernode
 structure once per circuit, and again when the simple-dominator scan
 began to refute identities by path simulation before building them,
 and again when the majority search began to balance its triples on
-truth tables and build only the triple it returns.  Each time every
+truth tables and build only the triple it returns, and again when the
+whole majority search (β, γ and ω) moved onto truth tables and began
+to build only the triple the engine accepts.  Each time every
 QoR field stayed the same and only the ``cache`` counters fell.
 
 If an intentional change moves these numbers, regenerate the golden
