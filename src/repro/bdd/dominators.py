@@ -22,11 +22,12 @@ one bit-parallel pass per root over its reachable nodes; a column is an
 int with one bit per stimulus.  Bottom-up it computes each node's
 function ``h``; top-down, each node's ``through`` column (the stimuli
 whose evaluation path passes the node: a node's high child gets
-``through & var``, its low child ``through & ~var``) and the complement
-parities of the paths reaching it.  A stimulus that avoids node ``d``
-sees the same value in ``F`` and in both uppers ``U0``/``U1``; one that
-passes ``d`` with parity ``c`` sees ``F = h ⊕ c`` and ``U1 = c'``,
-``U0 = c``.  So with ``A = ~through[d]`` each identity holds exactly
+``through & var``, its low child ``through & ~var``), its
+``odd_through`` column (those of them whose path reaches it with odd
+parity) and the complement parities of the paths reaching it.  A
+stimulus that avoids node ``d`` sees the same value in ``F`` and in both
+uppers ``U0``/``U1``; one that passes ``d`` with parity ``c`` sees
+``F = h ⊕ c`` and ``U1 = c'``, ``U0 = c``.  So with ``A = ~through[d]`` each identity holds exactly
 when its column is 0:
 
 * at even parity, ``F = U1·h`` needs ``A·F·h' = 0`` and ``F = U0+h``
@@ -44,11 +45,25 @@ alone, so ``A·h = 0`` with ``A ≠ 0`` would force ``h ≡ 0``.  The XNOR
 form never holds for a reachable node.
 
 A root with at most :data:`EXHAUSTIVE_LEVELS` support levels gets every
-stimulus (columns of up to 4,096 bits), so the pass is exact and each
-node needs at most one certification.  Beyond that the top levels stay
-exhaustive and the deeper ones get fixed seeded columns; the pass then
-only refutes, and certification decides.  Either way every returned
-decomposition is certified.
+stimulus (columns of up to 4,096 bits, in
+:func:`~repro.truthtable.level_columns` order), so the pass is exact:
+an identity it does not refute holds.  At most one holds at a
+non-root node: XOR holds only at a cut node, which a non-root node
+reaches with both parities, ruling out AND/OR; and both of a parity's
+AND/OR pair would make the root's cofactor along an avoiding path equal
+``h``, though that cofactor is another node.  So these identities rest
+on the simulation alone.  The scan reads each one's upper table off the
+columns (``F + through`` for AND, ``F·through'`` for OR,
+``F·through' + odd_through`` for XOR) and sizes it with
+:func:`~repro.truthtable.bdd_size`, so :func:`best_simple_decomposition`
+ranks the splits unbuilt.  The BDD certificate runs when a caller reads
+a decomposition's ``upper``: :func:`~repro.bdd.substitute.replace_node`
+builds it and canonical equality checks the identity, raising
+:class:`~repro.bdd.manager.BDDError` if it fails.  The engine reads only
+the winner's.  Beyond 12 levels the top levels stay exhaustive and the
+deeper ones get fixed seeded columns; the pass then only refutes, and
+:func:`classify_cut_node` builds and certifies every survivor during
+the scan.  Either way every upper a caller reads is certified.
 
 It also provides :func:`xor_split`, the "balanced XOR decomposition"
 primitive of BDS-MAJ's cyclic optimization (γ-phase, Theorem 3.4),
@@ -60,11 +75,10 @@ runs it on truth tables (:func:`repro.core.majority.xor_split`) up to
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..truthtable import full_mask, node_tables, var_mask
-from .manager import BDD
+from ..truthtable import bdd_size, full_mask, level_columns, node_tables
+from .manager import BDD, BDDError
 from .substitute import cut_nodes, function_at, replace_node
 
 #: Decomposition kinds certified by this module.
@@ -85,12 +99,6 @@ EXHAUSTIVE_LEVELS = 12
 #: Seed of the fixed stimulus columns of the deeper support levels.
 DEEP_LEVEL_SEED = 1997
 
-#: ``_VARIABLE_COLUMNS[k]``: the ``k`` exhaustive variable columns of a
-#: root whose simulation covers ``k`` support levels.
-_VARIABLE_COLUMNS = tuple(
-    tuple(var_mask(position, k) for position in range(k)) for k in range(EXHAUSTIVE_LEVELS + 1)
-)
-
 #: Bits of a :func:`classify_cut_node` candidate mask, one per identity.
 AND_ONE = 1  # F = U1·h
 AND_ZERO = 2  # F = U0·h'
@@ -98,8 +106,20 @@ OR_ZERO = 4  # F = U0+h
 OR_ONE = 8  # F = U1+h'
 XOR_ZERO = 16  # F = U0⊕h
 
+#: The identities in certification order: bit, kind, whether the upper
+#: replaces the node by ONE (``U1``) rather than ZERO (``U0``), and
+#: whether the lower is ``h'``.
+_IDENTITIES = (
+    (AND_ONE, KIND_AND, True, False),
+    (AND_ZERO, KIND_AND, False, True),
+    (OR_ZERO, KIND_OR, False, False),
+    (OR_ONE, KIND_OR, True, True),
+    (XOR_ZERO, KIND_XOR, False, False),
+)
+_IDENTITY = {bit: (kind, one, negated) for bit, kind, one, negated in _IDENTITIES}
+_APPLY = {KIND_AND: BDD.and_, KIND_OR: BDD.or_, KIND_XOR: BDD.xor}
 
-@dataclass(frozen=True)
+
 class DominatorDecomposition:
     """A certified simple-dominator decomposition ``F = upper <op> lower``.
 
@@ -107,32 +127,79 @@ class DominatorDecomposition:
     ``upper`` and ``lower`` are edges in the same manager.
     """
 
-    kind: str
-    node: int
-    upper: int
-    lower: int
+    def __init__(self, kind: str, node: int, upper: int | None, lower: int) -> None:
+        self.kind = kind
+        self.node = node
+        self.lower = lower
+        self._upper = upper
 
-    def describe(self, mgr: BDD) -> str:
-        op = {KIND_AND: "AND", KIND_OR: "OR", KIND_XOR: "XOR"}[self.kind]
-        return (
-            f"{op} decomposition at node {self.node}: "
-            f"|upper|={mgr.size(self.upper)} |lower|={mgr.size(self.lower)}"
-        )
+    @property
+    def upper(self) -> int:
+        assert self._upper is not None
+        return self._upper
+
+    def sizes(self, mgr: BDD) -> tuple[int, int]:
+        """BDD sizes of ``upper`` and ``lower``."""
+        return mgr.size(self.upper), mgr.size(self.lower)
+
+
+class _SimulatedDecomposition(DominatorDecomposition):
+    """A decomposition that an exact :func:`simulate_paths` pass decided.
+
+    Its upper's size is read off the upper's truth table; the upper
+    itself is built (``root`` with ``node`` replaced by a constant) and
+    the identity certified by BDD equality on the first read of
+    :attr:`upper`, which raises :class:`BDDError` if the certificate
+    fails.
+    """
+
+    def __init__(
+        self, mgr: BDD, root: int, node: int, identity: int, upper_table: int, num_vars: int
+    ) -> None:
+        kind, one, negated = _IDENTITY[identity]
+        super().__init__(kind, node, None, function_at(mgr, node) ^ negated)
+        self._mgr = mgr
+        self._root = root
+        self._replacement = mgr.ONE if one else mgr.ZERO
+        self._upper_table = upper_table
+        self._num_vars = num_vars
+
+    @property
+    def upper(self) -> int:
+        if self._upper is None:
+            mgr, root = self._mgr, self._root
+            upper = replace_node(mgr, root, self.node, self._replacement)
+            if root != _APPLY[self.kind](mgr, upper, self.lower):
+                raise BDDError(
+                    f"{self.kind} identity at node {self.node} fails its BDD certificate"
+                )
+            self._upper = upper
+        return self._upper
+
+    def sizes(self, mgr: BDD) -> tuple[int, int]:
+        return bdd_size(self._upper_table, self._num_vars), mgr.size(self.lower)
 
 
 class PathSimulation(NamedTuple):
     """One bit-parallel pass over a root's reachable nodes.
 
-    Every column has ``full``'s width.  ``root_value`` is the root's
-    function; ``function``, ``through`` and ``parities`` map each
-    internal node to its function, to the stimuli whose path passes it,
-    and to its :data:`EVEN`/:data:`ODD` mask.
+    Every column has ``full``'s width: one bit per minterm of the
+    ``num_vars`` simulated support levels, in
+    :func:`~repro.truthtable.level_columns` order.  ``exact`` says
+    those are all of the root's support levels.  ``root_value`` is the
+    root's function; ``function``, ``through``, ``odd_through`` and
+    ``parities`` map each internal node to its function, to the stimuli
+    whose path passes it, to those of them whose path reaches it with
+    odd parity, and to its :data:`EVEN`/:data:`ODD` mask.
     """
 
     full: int
+    num_vars: int
+    exact: bool
     root_value: int
     function: dict[int, int]
     through: dict[int, int]
+    odd_through: dict[int, int]
     parities: dict[int, int]
 
 
@@ -151,35 +218,47 @@ def simulate_paths(mgr: BDD, root: int, nodes: list[int] | None = None) -> PathS
     fields = [mgr.node_fields(index) for index in nodes]
     order = sorted(zip(fields, nodes))  # by level
     support = sorted({level for level, _, _ in fields})
-    exact = min(len(support), EXHAUSTIVE_LEVELS)
-    full = full_mask(exact)
-    column = dict(zip(support, _VARIABLE_COLUMNS[exact]))
-    if len(support) > exact:
+    num_vars = min(len(support), EXHAUSTIVE_LEVELS)
+    full = full_mask(num_vars)
+    column = dict(zip(support, level_columns(num_vars)))
+    if len(support) > num_vars:
         rng = random.Random(DEEP_LEVEL_SEED)
-        for level in support[exact:]:
-            column[level] = rng.getrandbits(1 << exact)
+        for level in support[num_vars:]:
+            column[level] = rng.getrandbits(1 << num_vars)
 
     function = node_tables(order, column, full)
 
     root_index = root >> 1
     through = {root_index: full}
+    odd_through = {root_index: full if root & 1 else 0}
     parities = {root_index: ODD if root & 1 else EVEN}
     for (level, high, low), index in order:
         path = through[index]
-        taken = path & column[level]
+        odd_path = odd_through[index]
+        variable = column[level]
+        taken = path & variable
+        odd_taken = odd_path & variable
         mask = parities[index]
         high >>= 1
         through[high] = through.get(high, 0) | taken
+        odd_through[high] = odd_through.get(high, 0) | odd_taken
         parities[high] = parities.get(high, 0) | mask
+        path ^= taken
+        odd_path ^= odd_taken
         if low & 1:
             mask = (mask & EVEN) << 1 | mask >> 1
+            odd_path ^= path
         low >>= 1
-        through[low] = through.get(low, 0) | path ^ taken
+        through[low] = through.get(low, 0) | path
+        odd_through[low] = odd_through.get(low, 0) | odd_path
         parities[low] = parities.get(low, 0) | mask
     root_value = function[root_index] ^ (full if root & 1 else 0)
-    for column_of in (function, through, parities):
+    for column_of in (function, through, odd_through, parities):
         column_of.pop(0, None)  # the terminal
-    return PathSimulation(full, root_value, function, through, parities)
+    exact = len(support) == num_vars
+    return PathSimulation(
+        full, num_vars, exact, root_value, function, through, odd_through, parities
+    )
 
 
 def classify_cut_node(
@@ -203,31 +282,16 @@ def classify_cut_node(
     Returns the first certified decomposition, in the order AND(U1, h),
     AND(U0, h'), OR(U0, h), OR(U1, h'), XOR(U0, h), or ``None``.
     """
-    lower = function_at(mgr, node_index)
-    upper_one = upper_zero = None
-    if candidates & AND_ONE:
-        upper_one = replace_node(mgr, root, node_index, mgr.ONE)
-        if root == mgr.and_(upper_one, lower):
-            return DominatorDecomposition(KIND_AND, node_index, upper_one, lower)
-    if candidates & AND_ZERO:
-        upper_zero = replace_node(mgr, root, node_index, mgr.ZERO)
-        if root == mgr.and_(upper_zero, lower ^ 1):
-            return DominatorDecomposition(KIND_AND, node_index, upper_zero, lower ^ 1)
-    if candidates & OR_ZERO:
-        if upper_zero is None:
-            upper_zero = replace_node(mgr, root, node_index, mgr.ZERO)
-        if root == mgr.or_(upper_zero, lower):
-            return DominatorDecomposition(KIND_OR, node_index, upper_zero, lower)
-    if candidates & OR_ONE:
-        if upper_one is None:
-            upper_one = replace_node(mgr, root, node_index, mgr.ONE)
-        if root == mgr.or_(upper_one, lower ^ 1):
-            return DominatorDecomposition(KIND_OR, node_index, upper_one, lower ^ 1)
-    if candidates & XOR_ZERO:
-        if upper_zero is None:
-            upper_zero = replace_node(mgr, root, node_index, mgr.ZERO)
-        if root == mgr.xor(upper_zero, lower):
-            return DominatorDecomposition(KIND_XOR, node_index, upper_zero, lower)
+    uppers: dict[bool, int] = {}
+    for identity, kind, one, negated in _IDENTITIES:
+        if candidates & identity:
+            upper = uppers.get(one)
+            if upper is None:
+                upper = replace_node(mgr, root, node_index, mgr.ONE if one else mgr.ZERO)
+                uppers[one] = upper
+            lower = function_at(mgr, node_index) ^ negated
+            if root == _APPLY[kind](mgr, upper, lower):
+                return DominatorDecomposition(kind, node_index, upper, lower)
     return None
 
 
@@ -238,18 +302,27 @@ def find_simple_decompositions(mgr: BDD, root: int) -> list[DominatorDecompositi
     classical "every path to terminal 1 passes through d" condition of
     a 1-dominator is parity-dependent (a path's value is the parity of
     its complement bits).  Every internal node below the root is
-    classified and the claimed identity certified by BDD equality — the
-    certified set is exactly the set of nodes whose substitution yields
-    a valid AND/OR/XOR split, which subsumes the parity-aware
-    0-/1-/x-dominator definitions.  One :func:`simulate_paths` pass
-    refutes the identities that cannot hold; a refuted identity never
-    holds, so the filter never changes the result.
+    classified — the result is exactly the set of nodes whose
+    substitution yields a valid AND/OR/XOR split, which subsumes the
+    parity-aware 0-/1-/x-dominator definitions.  One
+    :func:`simulate_paths` pass refutes the identities that cannot hold;
+    a refuted identity never holds, so the filter never changes the
+    result.
+
+    When the pass is exact, an identity it does not refute holds, so
+    the lowest one is the one :func:`classify_cut_node` would certify:
+    it is returned unbuilt, with its upper's table (``F + through`` for
+    AND, ``F·through'`` for OR, ``F·through' + odd_through`` for XOR),
+    and is built and certified when its ``upper`` is read.  Otherwise
+    :func:`classify_cut_node` certifies the survivors.
     """
     nodes = mgr.nodes_reachable([root])
-    full, root_value, function, through, parities = simulate_paths(mgr, root, nodes)
-    result = []
+    simulation = simulate_paths(mgr, root, nodes)
+    full, num_vars, exact, root_value, function, through, odd_through, parities = simulation
+    result: list[DominatorDecomposition] = []
     for node_index in nodes[1:]:  # nodes[0] is the root
-        avoiding = full ^ through[node_index]
+        passing = through[node_index]
+        avoiding = full ^ passing
         ones = avoiding & root_value  # A·F
         zeros = avoiding ^ ones  # A·F'
         h = function[node_index]
@@ -267,7 +340,20 @@ def find_simple_decompositions(mgr: BDD, root: int) -> list[DominatorDecompositi
                 candidates |= AND_ZERO
             if zeros_h == zeros:
                 candidates |= OR_ONE
-        if candidates:
+        if not candidates:
+            continue
+        if exact:
+            identity = candidates & -candidates
+            if identity & (AND_ONE | AND_ZERO):
+                upper_table = root_value | passing
+            else:
+                upper_table = root_value & ~passing
+                if identity == XOR_ZERO:
+                    upper_table |= odd_through[node_index]
+            result.append(
+                _SimulatedDecomposition(mgr, root, node_index, identity, upper_table, num_vars)
+            )
+        else:
             decomposition = classify_cut_node(mgr, root, node_index, candidates)
             if decomposition is not None:
                 result.append(decomposition)
@@ -279,15 +365,16 @@ def best_simple_decomposition(
 ) -> DominatorDecomposition | None:
     """Pick the most balanced certified decomposition (BDS favours
     splits whose two halves have similar BDD sizes, which keeps the
-    factoring tree shallow)."""
+    factoring tree shallow).  Sizes come from
+    :meth:`DominatorDecomposition.sizes`, which builds no upper that
+    :func:`find_simple_decompositions` left unbuilt."""
     if candidates is None:
         candidates = find_simple_decompositions(mgr, root)
     best = None
     best_score = None
     total = mgr.size(root)
     for decomposition in candidates:
-        upper_size = mgr.size(decomposition.upper)
-        lower_size = mgr.size(decomposition.lower)
+        upper_size, lower_size = decomposition.sizes(mgr)
         if upper_size >= total or lower_size >= total:
             continue  # no structural progress; would not terminate
         score = (max(upper_size, lower_size), upper_size + lower_size)

@@ -4,14 +4,16 @@ The BDS decomposition theory identifies a candidate node ``d`` inside
 the BDD of ``F`` and conceptually cuts the graph there: the function
 *below* is ``h = func(d)`` and the function *above* is obtained by
 replacing references to ``d`` with a constant (or, in general, any
-function).  :func:`replace_node` performs that rewrite; dominator
-classification in :mod:`repro.bdd.dominators` then certifies candidate
-decompositions with exact BDD equality checks, building the uppers of
-only those identities that its path simulation does not refute (each
-``replace_node`` is a full rebuild of the part above the cut, so it is
-the scan's main cost).  :func:`cut_nodes` finds, in one pass, the nodes
-on every root-to-terminal path: the only places an XOR decomposition can
-be certified.
+function).  :func:`replace_node` performs that rewrite, straight
+through the unique table; dominator classification in
+:mod:`repro.bdd.dominators` then certifies a decomposition with an
+exact BDD equality check, whose AND/OR/XOR goes through the operation
+cache and costs more than the rewrite.  On a root with at most 12
+support levels the scan builds only the uppers its callers read (the
+engine reads its winner's); above, the uppers of the identities its
+path simulation does not refute.  :func:`cut_nodes` finds, in one pass,
+the nodes on every root-to-terminal path: the only places an XOR
+decomposition can be certified.
 
 :func:`edge_statistics` computes per-node fan-in counts (regular /
 complemented, 0-edge / 1-edge) needed by the m-dominator criteria of

@@ -186,8 +186,10 @@ class DecompositionEngine:
         mgr = self.mgr
         config = self.config
         size = len(shape[1])
-        # One certification scan serves both the AND/OR/XOR search and
-        # the m-dominator exclusion filter (condition (i) of III.B).
+        # One scan serves both the AND/OR/XOR search and the
+        # m-dominator exclusion filter (condition (i) of III.B); on at
+        # most 12 support levels it builds no node until the winning
+        # split's upper is read below.
         simple_candidates = find_simple_decompositions(mgr, f)
         # A function with no more nodes than support variables has no
         # triple that accepts_globally could take (the bound in its

@@ -310,9 +310,8 @@ def xor_split(table: int, num_vars: int, max_dominator_nodes: int = 150) -> tupl
         return table, 0
     best_pair = (table, 0)
     best_score: tuple[int, int] | None = None
-    candidates: list[tuple[int, int]] = []
-    if bdd_size(table, num_vars) <= max_dominator_nodes:
-        candidates = [(table ^ h, h) for h in cut_functions(table, num_vars)]
+    size, cuts = cut_functions(table, num_vars)
+    candidates = [(table ^ h, h) for h in cuts] if size <= max_dominator_nodes else []
     for position, column in enumerate(level_columns(num_vars)):
         high = table & column
         low = table & ~column

@@ -3,20 +3,22 @@
 Bit ``m`` of a column is the value on minterm ``m`` over an ordered
 variable list (variable ``j`` is bit ``j`` of the minterm index), so one
 big-int operation simulates every minterm at once.  The AIG cut
-resynthesis (:mod:`repro.aig.truth`), exhaustive equivalence checking
-(:mod:`repro.network.equivalence`) and the dominator scan's path
-simulation (:mod:`repro.bdd.dominators`) share these columns.  The
-module imports nothing from the package, so every layer can use it.
+resynthesis (:mod:`repro.aig.truth`) and exhaustive equivalence checking
+(:mod:`repro.network.equivalence`) share these columns.  The module
+imports nothing from the package, so every layer can use it.
 
-The majority search (:mod:`repro.core.majority`) works on tables over
-a BDD's support levels listed top-down, with the top level as the
+The majority search (:mod:`repro.core.majority`) and the dominator
+scan's path simulation (:mod:`repro.bdd.dominators`) work on tables
+over a BDD's support levels listed top-down, with the top level as the
 *most* significant minterm bit (:func:`level_columns`): the two
 cofactors of such a table on its top variable are its upper and lower
 halves, and the cofactors on the variables above a depth are the
 table's aligned chunks of the width below it.  :func:`bdd_size` and
 :func:`cut_functions` read the table's reduced BDD with complement edges
 off those chunks, without building it, and :func:`restrict` walks those
-chunks as the BDD ``restrict`` walks nodes.
+chunks as the BDD ``restrict`` walks nodes.  :func:`bdd_size` walks the
+chunks down to 16 bits only and reads the bottom four levels from a
+256-entry lookup table of 8-bit chunks (:data:`_NODE_BITS`).
 """
 
 from __future__ import annotations
@@ -65,6 +67,31 @@ def node_tables(order: list, column: dict[int, int], full: int) -> dict[int, int
     return function
 
 
+def _node_bits() -> tuple[int, ...]:
+    """``_NODE_BITS[c]`` for every 8-bit chunk ``c`` (see :func:`bdd_size`)."""
+    ids: dict[tuple[int, int], int] = {}
+
+    def nodes(chunk: int, width: int) -> int:
+        if width == 1:
+            return 0
+        half = width >> 1
+        mask = (1 << half) - 1
+        low = chunk & mask
+        high = chunk >> half
+        bits = nodes(low, half) | nodes(high ^ mask if high & 1 else high, half)
+        if high != low:
+            bits |= 1 << ids.setdefault((width, chunk), len(ids))
+        return bits
+
+    return tuple(nodes(chunk ^ 0xFF if chunk & 1 else chunk, 8) for chunk in range(256))
+
+
+#: One bit per node of the BDD of each 8-bit chunk (three variables), a
+#: chunk and its complement sharing an entry: a node is a depth and a
+#: normalized chunk, and the 127 possible nodes each own a bit.
+_NODE_BITS = _node_bits()
+
+
 def bdd_size(table: int, num_vars: int) -> int:
     """Internal nodes of the reduced BDD with complement edges of
     ``table`` (over ``num_vars`` variables, :func:`level_columns` order).
@@ -75,13 +102,23 @@ def bdd_size(table: int, num_vars: int) -> int:
     complement as a complement edge does; each distinct chunk whose two
     halves differ is one node at that depth.  A low half inherits bit 0
     of its chunk, so only high halves need normalizing.
+
+    The walk stops at the 16-bit chunks.  Each of them is one node if
+    its 8-bit halves differ, and the nodes of the three levels below are
+    the union of its halves' :data:`_NODE_BITS`, so one ``bit_count``
+    of the OR over all of them counts those levels.  A table over fewer
+    than four variables is widened with dummy top variables, which make
+    no node.
     """
+    if num_vars < 4:
+        table *= 0xFFFF // full_mask(num_vars)
+        num_vars = 4
     width = 1 << num_vars
     if table & 1:
         table ^= (1 << width) - 1
     size = 0
     chunks = {table}
-    for _ in range(num_vars):
+    for _ in range(num_vars - 4):
         width >>= 1
         mask = (1 << width) - 1
         below = set()
@@ -93,12 +130,20 @@ def bdd_size(table: int, num_vars: int) -> int:
                 size += 1
                 below.add(high ^ mask if high & 1 else high)
         chunks = below
-    return size
+    bits = 0
+    for chunk in chunks:
+        low = chunk & 0xFF
+        high = chunk >> 8
+        if high != low:
+            size += 1
+        bits |= _NODE_BITS[low] | _NODE_BITS[high]
+    return size + bits.bit_count()
 
 
-def cut_functions(table: int, num_vars: int) -> list[int]:
-    """Functions of the cut nodes of ``table``'s BDD: the nodes other
-    than the root on every root-to-terminal path, top-down.
+def cut_functions(table: int, num_vars: int) -> tuple[int, list[int]]:
+    """:func:`bdd_size` of ``table``, and the functions of the cut nodes
+    of its BDD: the nodes other than the root on every root-to-terminal
+    path, top-down.  One walk over every depth gives both.
 
     A depth holds a cut node when its chunks (see :func:`bdd_size`)
     are a single function that depends on the depth's variable: no path
@@ -111,6 +156,7 @@ def cut_functions(table: int, num_vars: int) -> list[int]:
     width = 1 << num_vars
     if table & 1:
         table ^= full
+    size = 0
     functions = []
     chunks = {table}
     for _ in range(num_vars):
@@ -128,10 +174,11 @@ def cut_functions(table: int, num_vars: int) -> list[int]:
             high = chunk >> half
             below.add(low)
             if high != low:
+                size += 1
                 below.add(high ^ mask if high & 1 else high)
         chunks = below
         width = half
-    return functions[1:]  # the first is the root
+    return size, functions[1:]  # the first is the root
 
 
 def restrict(table: int, care: int, num_vars: int) -> int:

@@ -17,8 +17,11 @@ sift and decompose each distinct supernode structure once per run,
 when the simple-dominator scan began to refute identities by path
 simulation before building them, when the majority search began to
 balance its triples on truth tables and build only the triple it
-returns, and when the whole majority search (β, γ and ω) moved onto
-truth tables and began to build only the triple the engine accepts.
+returns, when the whole majority search (β, γ and ω) moved onto
+truth tables and began to build only the triple the engine accepts,
+and when the simple-dominator scan began to decide identities on
+supports of at most 12 levels by simulation alone and to build only the
+split the engine takes (only the bds cells' ``cache_stats`` moved).
 
 If an intentional change moves these numbers, regenerate the golden
 with::

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.bdd.dominators as dominators
 from repro.bdd import (
     BDD,
+    BDDError,
     KIND_AND,
     KIND_OR,
     KIND_XOR,
@@ -23,6 +26,7 @@ from repro.bdd.dominators import (
     EVEN,
     EXHAUSTIVE_LEVELS,
     ODD,
+    XOR_ZERO,
     find_xor_decompositions,
     simulate_paths,
 )
@@ -333,21 +337,25 @@ def test_property_simulated_parities_match_path_walk(spec):
     assert simulate_paths(mgr, f).parities == _path_parities(mgr, f)
 
 
-def _path_columns(mgr: BDD, root: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Each node's truth table over the root's support (in level order)
-    and its ``through`` column, found by walking every minterm's path."""
+def _path_columns(mgr: BDD, root: int) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """Each node's truth table over the root's support (the top level
+    the most significant minterm bit), its ``through`` column and its
+    ``odd_through`` column, found by walking every minterm's path."""
     support = sorted(mgr.support_levels(root))
-    names = [mgr.name_of(level) for level in support]
+    names = [mgr.name_of(level) for level in reversed(support)]
     nodes = mgr.nodes_reachable([root])
     function = {node: mgr.truth_table(function_at(mgr, node), names) for node in nodes}
     through = dict.fromkeys(nodes, 0)
+    odd_through = dict.fromkeys(nodes, 0)
     for minterm in range(1 << len(support)):
-        index = root >> 1
+        index, parity = root >> 1, root & 1
         while index:
             through[index] |= 1 << minterm
+            odd_through[index] |= parity << minterm
             level, high, low = mgr.node_fields(index)
-            index = (high if minterm >> support.index(level) & 1 else low) >> 1
-    return function, through
+            edge = high if minterm >> (len(support) - 1 - support.index(level)) & 1 else low
+            index, parity = edge >> 1, parity ^ edge & 1
+    return function, through, odd_through
 
 
 @settings(max_examples=100, deadline=None)
@@ -359,12 +367,14 @@ def test_property_simulated_columns_are_exact_on_small_supports(spec):
     simulation = simulate_paths(mgr, f)
     support = len(mgr.support_levels(f))
     assert support <= EXHAUSTIVE_LEVELS
+    assert simulation.exact and simulation.num_vars == support
     assert simulation.full == (1 << (1 << support)) - 1
-    function, through = _path_columns(mgr, f)
+    function, through, odd_through = _path_columns(mgr, f)
     assert {node: simulation.function[node] for node in function} == function
     assert simulation.through == through
+    assert simulation.odd_through == odd_through
     assert simulation.root_value == mgr.truth_table(
-        f, [mgr.name_of(level) for level in sorted(mgr.support_levels(f))]
+        f, [mgr.name_of(level) for level in sorted(mgr.support_levels(f), reverse=True)]
     )
 
 
@@ -408,9 +418,18 @@ def test_property_simple_decompositions_match_reference_scan(spec):
     rng = random.Random(seed)
     f = _wide_function(mgr, names, rng) if wide else random_function(mgr, names, rng, depth)
     f ^= int(negate)
+    _check_against_reference(mgr, f)
+
+
+def _check_against_reference(mgr: BDD, f: int) -> None:
+    """The scan equals the reference scan as ``(kind, node, upper,
+    lower)`` lists on the same manager (reading ``upper`` builds it),
+    and the sizes it ranks by are those of the built edges."""
+    decompositions = find_simple_decompositions(mgr, f)
+    sizes = [d.sizes(mgr) for d in decompositions]
     expected = reference_dominators.find_simple_decompositions(mgr, f)
-    found = [(d.kind, d.node, d.upper, d.lower) for d in find_simple_decompositions(mgr, f)]
-    assert found == expected
+    assert [(d.kind, d.node, d.upper, d.lower) for d in decompositions] == expected
+    assert sizes == [(mgr.size(upper), mgr.size(lower)) for _, _, upper, lower in expected]
 
 
 def test_wide_roots_match_reference_scan():
@@ -423,10 +442,72 @@ def test_wide_roots_match_reference_scan():
         mgr = BDD(names)
         f = _wide_function(mgr, names, rng)
         wide += len(mgr.support_levels(f)) > EXHAUSTIVE_LEVELS
-        expected = reference_dominators.find_simple_decompositions(mgr, f)
-        found = [(d.kind, d.node, d.upper, d.lower) for d in find_simple_decompositions(mgr, f)]
-        assert found == expected
+        _check_against_reference(mgr, f)
     assert wide >= 20  # 24 at this seed: a MUX can drop a variable it reads
+
+
+def _wide_root(seed: int, num_vars: int) -> tuple[BDD, int]:
+    names = [f"x{i}" for i in range(num_vars)]
+    mgr = BDD(names)
+    return mgr, _wide_function(mgr, names, random.Random(seed))
+
+
+def test_scan_and_pick_build_only_the_winners_upper():
+    """On small supports the scan decides every identity by simulation:
+    the scan and :func:`best_simple_decomposition` build no node, and
+    reading the winner's ``upper`` (which certifies it) grows the
+    manager by exactly what ``replace_node`` alone grows an identical
+    manager by."""
+    checked = grown = 0
+    for seed in range(40):
+        mgr, f = _wide_root(seed, 9)
+        twin, twin_f = _wide_root(seed, 9)
+        before = mgr.num_nodes()
+        decompositions = find_simple_decompositions(mgr, f)
+        best = best_simple_decomposition(mgr, f, decompositions)
+        assert mgr.num_nodes() == before
+        if len(decompositions) < 2 or best is None:
+            continue
+        upper = best.upper
+        # AND(U1, h), AND(U0, h'), OR(U0, h), OR(U1, h'), XOR(U0, h)
+        one = best.kind != KIND_XOR and (best.kind == KIND_AND) != bool(best.lower & 1)
+        twin_before = twin.num_nodes()
+        assert replace_node(twin, twin_f, best.node, twin.ONE if one else twin.ZERO) == upper
+        assert mgr.num_nodes() - before == twin.num_nodes() - twin_before
+        checked += 1
+        grown += mgr.num_nodes() > before
+    assert checked >= 20 and grown >= 10
+
+
+def test_wide_roots_take_the_certify_path(monkeypatch):
+    """Above 12 support levels the pass only refutes, so every survivor
+    is certified during the scan; at most 12 none is."""
+    certified: list[int] = []
+    classify = dominators.classify_cut_node
+
+    def counting(mgr, root, node_index, candidates):
+        certified.append(node_index)
+        return classify(mgr, root, node_index, candidates)
+
+    monkeypatch.setattr(dominators, "classify_cut_node", counting)
+    mgr, f = _wide_root(1, 14)
+    assert len(mgr.support_levels(f)) > EXHAUSTIVE_LEVELS
+    found = find_simple_decompositions(mgr, f)
+    assert found and {d.node for d in found} <= set(certified)
+    certified.clear()
+    mgr, f = _wide_root(5, 12)
+    assert len(mgr.support_levels(f)) == EXHAUSTIVE_LEVELS
+    assert find_simple_decompositions(mgr, f) and not certified
+
+
+def test_a_failed_certificate_raises(mgr):
+    """A simulated identity is certified when its upper is built: one
+    that does not hold raises instead of returning an upper."""
+    f = mgr.from_expr("(a | b) & (c | d)")
+    node = next(d.node for d in find_simple_decompositions(mgr, f) if d.kind == KIND_AND)
+    wrong = dominators._SimulatedDecomposition(mgr, f, node, XOR_ZERO, 0, 4)
+    with pytest.raises(BDDError, match="fails its BDD certificate"):
+        wrong.upper
 
 
 @settings(max_examples=200, deadline=None)
@@ -453,3 +534,27 @@ def test_property_parity_lemma_rules_out_and_or_identities(spec):
             EVEN | ODD: set(),
         }[parities]
         assert {name for name, ok in holds.items() if ok} <= allowed
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_functions)
+def test_property_at_most_one_identity_holds_per_node(spec):
+    """At a non-root node at most one of the five identities holds, so
+    the lowest identity an exact pass leaves is its only one.  (XOR
+    holds only at cut nodes, which a non-root node reaches with both
+    parities, ruling out AND/OR; a node that paths avoid admits at most
+    one of its parity's AND/OR pair, since on the avoiding paths both
+    would force the root's cofactor there to equal ``h``.)"""
+    mgr, f = _draw(spec)
+    for node in mgr.nodes_reachable([f])[1:]:
+        lower = function_at(mgr, node)
+        upper_one = replace_node(mgr, f, node, mgr.ONE)
+        upper_zero = replace_node(mgr, f, node, mgr.ZERO)
+        holds = [
+            f == mgr.and_(upper_one, lower),
+            f == mgr.and_(upper_zero, lower ^ 1),
+            f == mgr.or_(upper_zero, lower),
+            f == mgr.or_(upper_one, lower ^ 1),
+            f == mgr.xor(upper_zero, lower),
+        ]
+        assert sum(holds) <= 1

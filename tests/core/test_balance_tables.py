@@ -103,7 +103,7 @@ def _check_cut_functions(mgr: BDD, levels: list[int], f: int) -> None:
     nodes = mgr.nodes_reachable([f])
     cut = set(cut_nodes(mgr, f, nodes))
     expected = [_table(mgr, function_at(mgr, node), levels) for node in nodes if node in cut]
-    assert cut_functions(_table(mgr, f, levels), len(levels)) == expected
+    assert cut_functions(_table(mgr, f, levels), len(levels)) == (mgr.size(f), expected)
 
 
 @settings(max_examples=200, deadline=None)

@@ -138,8 +138,10 @@ class TestPinnedTables:
     prints no runtime; Table I's seconds column and runtime line are
     masked (they are wall-clock).  Table I's op-cache hit-rate line
     fell from 13.9 % to 3.7 % when the majority search began to balance
-    its triples on truth tables, and to 2.1 % when its construction (β)
-    and selection (ω) moved onto the tables too; no other byte moved."""
+    its triples on truth tables, to 2.1 % when its construction (β)
+    and selection (ω) moved onto the tables too, and to 0.5 % when the
+    simple-dominator scan began to build only the split the engine
+    takes; no other byte moved."""
 
     def test_table2_bytes(self, table2_reports):
         golden = (HERE / "golden_table2_small.txt").read_text()

@@ -15,8 +15,11 @@ began to refute identities by path simulation before building them,
 and again when the majority search began to balance its triples on
 truth tables and build only the triple it returns, and again when the
 whole majority search (β, γ and ω) moved onto truth tables and began
-to build only the triple the engine accepts.  Each time every
-QoR field stayed the same and only the ``cache`` counters fell.
+to build only the triple the engine accepts, and again when the
+simple-dominator scan began to decide identities on supports of at
+most 12 levels by simulation alone and to build only the split the
+engine takes (33 leaves moved, all ``cache``/``cache_*``).  Each time
+every QoR field stayed the same and only the ``cache`` counters fell.
 
 If an intentional change moves these numbers, regenerate the golden
 with::
