@@ -233,16 +233,32 @@ class Aig:
     # Cleanup / rebuild
     # ------------------------------------------------------------------
     def cleanup(self) -> "Aig":
-        """A fresh AIG containing only PO-reachable logic."""
+        """A fresh AIG containing only PO-reachable logic.
+
+        The reachable ANDs are copied in walk order, with no strash
+        lookup.  That builds what re-strashing them would: a graph built
+        through :meth:`and_` is reduced (no constant, repeated or
+        complementary fanins, no two ANDs with one fanin pair), and the
+        old-to-new map is injective, so no copy could fold or meet an
+        existing node.
+        """
         fresh = Aig()
-        and_ = fresh.and_
         fanins = self._fanins
         mapping = [0] * len(fanins)
         for name, node in zip(self._pi_names, self._pi_nodes):
             mapping[node] = fresh.add_input(name)
+        fresh_fanins = fresh._fanins
+        append = fresh_fanins.append
+        first = len(fresh_fanins)
+        new = first << 1
         for node in self.reachable_ands():
             f0, f1 = fanins[node]
-            mapping[node] = and_(mapping[f0 >> 1] ^ (f0 & 1), mapping[f1 >> 1] ^ (f1 & 1))
+            a = mapping[f0 >> 1] ^ (f0 & 1)
+            b = mapping[f1 >> 1] ^ (f1 & 1)
+            append((a, b) if a < b else (b, a))
+            mapping[node] = new
+            new += 2
+        fresh._strash = dict(zip(fresh_fanins[first:], range(first, len(fresh_fanins))))
         for name, literal in self._outputs:
             fresh.add_output(name, mapping[literal >> 1] ^ (literal & 1))
         return fresh

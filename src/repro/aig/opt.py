@@ -68,11 +68,30 @@ def _balance(aig: Aig, walk: Walk) -> Aig:
     level = [0] * len(fresh._fanins)
 
     for node in order:
+        f0, f1 = fanins[node]
+        child0 = f0 >> 1
+        child1 = f1 >> 1
+        if (f0 & 1 or refs[child0] != 1 or fanins[child0] is None) and (
+            f1 & 1 or refs[child1] != 1 or fanins[child1] is None
+        ):
+            # A two-leaf super-gate needs no heap: and_ is symmetric.
+            m0 = mapping[child0] ^ (f0 & 1)
+            m1 = mapping[child1] ^ (f1 & 1)
+            combined = and_(m0, m1)
+            l0 = level[m0 >> 1]
+            l1 = level[m1 >> 1]
+            new_level = (l0 if l0 > l1 else l1) + 1
+            if combined >> 1 == len(level):
+                level.append(new_level)
+            else:
+                level[combined >> 1] = new_level
+            mapping[node] = combined
+            continue
         # Collect the super-gate: descend through regular, single-fanout
         # AND edges (collapsing shared or complemented edges would
         # duplicate logic or change the function).
         leaves: list[int] = []
-        stack = list(fanins[node])
+        stack = [f0, f1]
         while stack:
             literal = stack.pop()
             child = literal >> 1

@@ -11,9 +11,9 @@ Covers are lists of bitmask cubes in the encoding of
 ``2v+1`` the literal ``v``, so a cover is factored as it comes.
 
 Synthesis runs in two steps.  :func:`table_recipe` is pure: it computes
-both ISOPs, picks the cheaper polarity and factors the cover with a
-*recording* emitter, so its result, a :data:`Recipe`, depends on
-``(table, num_vars)`` alone.  :func:`replay_recipe` then issues the
+both ISOPs from one memoized recursion, picks the cheaper polarity and
+factors the cover with a *recording* emitter, so its result, a
+:data:`Recipe`, depends on ``(table, num_vars)`` alone.  :func:`replay_recipe` then issues the
 recorded ANDs on the actual leaf literals, in recording order and with
 the recorded operand order (an OR is recorded as the AND of the
 complements, which is what :meth:`Aig.or_` issues), so constant folding
@@ -26,43 +26,77 @@ see :mod:`repro.aig.opt`).
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..sop.algebraic import Expression, GateEmitter, factor_expression
 from ..truthtable import full_mask, var_mask
 
 
 def isop(table: int, num_vars: int) -> list[int]:
     """Irredundant SOP of ``table`` as bitmask cubes (Minato-Morreale
-    recursion, no don't-cares).
+    recursion, no don't-cares)."""
+    return _isop_cover(num_vars)(table & full_mask(num_vars))
+
+
+def _isop_cover(num_vars: int) -> Callable[[int], list[int]]:
+    """A function mapping a table over ``num_vars`` variables to its
+    ISOP, memoizing the cover of every non-constant sub-table for as
+    long as the function is kept.
 
     Without don't-cares every sub-cover computes its function exactly,
-    so the part both cofactors share is their intersection.
+    so the part both cofactors share is their intersection.  The first
+    two sub-covers of ``¬f`` (``f1·f0'`` and ``f0·f1'``) are those of
+    ``f`` with the phases swapped, so a second call on the complement
+    computes only its shared part afresh.  A sub-table depends on no
+    variable below the one it was split off at, so its cover does not
+    depend on where the search for its top variable starts, and the
+    memo is keyed by the table alone.  Memoized lists are never
+    mutated: every cover is a fresh list.
     """
     full = full_mask(num_vars)
     masks = [var_mask(var, num_vars) for var in range(num_vars)]
+    memo: dict[int, list[int]] = {}
 
     def recurse(current: int, var: int) -> list[int]:
-        if current == 0:
-            return []
-        if current == full:
-            return [0]
+        """The ISOP of ``current``, neither constant, whose top
+        variable is ``var`` or above."""
+        cubes = memo.get(current)
+        if cubes is not None:
+            return cubes
         # Find the next variable the function depends on.
-        while var < num_vars:
+        while True:
             width = 1 << var
             positive = current & masks[var]
             negative = current ^ positive
             if positive >> width != negative:
                 break
             var += 1
-        else:
-            raise AssertionError("non-constant table with no support")
         positive |= positive >> width
         negative |= negative << width
-        cubes = [cube | 1 << 2 * var for cube in recurse(negative & ~positive, var + 1)]
-        cubes += [cube | 2 << 2 * var for cube in recurse(positive & ~negative, var + 1)]
-        cubes += recurse(negative & positive, var + 1)
+        cubes = []
+        # Constant sub-tables are answered here, without a call.
+        for only, literal in (
+            (negative & ~positive, 1 << 2 * var),
+            (positive & ~negative, 2 << 2 * var),
+        ):
+            if only == full:
+                cubes.append(literal)
+            elif only:
+                cubes.extend([cube | literal for cube in recurse(only, var + 1)])
+        shared = negative & positive
+        if shared:
+            cubes.extend(recurse(shared, var + 1))
+        memo[current] = cubes
         return cubes
 
-    return recurse(table & full, 0)
+    def cover(table: int) -> list[int]:
+        if table == 0:
+            return []
+        if table == full:
+            return [0]
+        return recurse(table, 0)
+
+    return cover
 
 
 def cover_to_table(cubes: list[int], num_vars: int) -> int:
@@ -96,8 +130,9 @@ def table_recipe(table: int, num_vars: int) -> Recipe:
         return (), 1
     if table == full:
         return (), 0
-    cubes_pos = isop(table, num_vars)
-    cubes_neg = isop(table ^ full, num_vars)
+    cover = _isop_cover(num_vars)
+    cubes_pos = cover(table)
+    cubes_neg = cover(table ^ full)
     negate = _cover_cost(cubes_neg) < _cover_cost(cubes_pos)
     steps: list[tuple[int, int]] = []
     first_step = num_vars + 1

@@ -70,26 +70,35 @@ def partition(network: LogicNetwork, config: PartitionConfig | None = None) -> l
 
     clusters: dict[str, Supernode] = {}
     membership: dict[str, list[Supernode]] = {}
+    # supports[output]: the boundary signals of the cluster rooted there.
+    supports: dict[str, set[str]] = {}
 
-    def cluster_support(cluster: Supernode) -> set[str]:
-        support: set[str] = set()
-        for member in cluster.members:
-            for fanin in network.node(member).fanins:
-                if fanin not in cluster.members:
-                    support.add(fanin)
-        return support
+    def grown_support(
+        cluster: Supernode, name: str, fanins: tuple[str, ...]
+    ) -> tuple[set[str], int]:
+        """The signals ``name`` adds to ``cluster``'s support, and the
+        size of the support once ``name`` is absorbed:
+        support(C ∪ {n}) = (support(C) − {n}) ∪ (fanins(n) − C)."""
+        support = supports[cluster.output]
+        added = {fanin for fanin in fanins if fanin not in cluster.members and fanin not in support}
+        return added, len(support) - (name in support) + len(added)
 
-    def can_absorb(cluster: Supernode, name: str) -> bool:
-        members = cluster.members | {name}
-        support: set[str] = set()
-        for member in members:  # bdslint: disable=DET001 -- order-insensitive: the loop only accumulates into a set whose len() is compared
-            for fanin in network.node(member).fanins:
-                if fanin not in members:
-                    support.add(fanin)
-        return len(support) <= config.max_support
+    def absorb(cluster: Supernode, name: str, added: set[str]) -> None:
+        cluster.members.add(name)
+        support = supports[cluster.output]
+        support.discard(name)
+        support |= added
+        membership.setdefault(name, []).append(cluster)
+
+    def own(name: str, fanins: tuple[str, ...]) -> None:
+        cluster = Supernode(name, {name})
+        clusters[name] = cluster
+        supports[name] = set(fanins)
+        membership.setdefault(name, []).append(cluster)
 
     for name in reversed(order):
         node = network.node(name)
+        fanins = node.fanins
         reader_clusters: list[Supernode] = []
         seen_ids: set[int] = set()
         for reader in fanouts.get(name, ()):
@@ -110,28 +119,24 @@ def partition(network: LogicNetwork, config: PartitionConfig | None = None) -> l
                 c for c in reader_clusters if c.output not in config.hard_signals
             ]
             if len(soft_readers) != len(reader_clusters):
-                cluster = Supernode(name, {name})
-                clusters[name] = cluster
-                membership.setdefault(name, []).append(cluster)
+                own(name, fanins)
                 continue
             if len(reader_clusters) == 1:
                 target = reader_clusters[0]
-                if can_absorb(target, name):
-                    target.members.add(name)
-                    membership.setdefault(name, []).append(target)
+                added, size = grown_support(target, name, fanins)
+                if size <= config.max_support:
+                    absorb(target, name, added)
                     continue
             elif (
                 len(reader_clusters) <= config.max_duplication
                 and node.num_literals <= config.duplication_literals
-                and all(can_absorb(c, name) for c in reader_clusters)
             ):
-                for cluster in reader_clusters:
-                    cluster.members.add(name)
-                    membership.setdefault(name, []).append(cluster)
-                continue
-        cluster = Supernode(name, {name})
-        clusters[name] = cluster
-        membership.setdefault(name, []).append(cluster)
+                grown = [grown_support(c, name, fanins) for c in reader_clusters]
+                if all(size <= config.max_support for _, size in grown):
+                    for cluster, (added, _) in zip(reader_clusters, grown):
+                        absorb(cluster, name, added)
+                    continue
+        own(name, fanins)
 
     result = [clusters[name] for name in order if name in clusters]
     for supernode in result:
@@ -258,9 +263,10 @@ def partition_with_bdds(
         # Single SOP nodes cannot blow up: no node budget.
         build(singleton, None)
 
+    position = {name: i for i, name in enumerate(network.topological_order())}
     for supernode in partition(network, config):
         if not build(supernode, config.max_bdd_nodes):
-            for member in _members_topological(network, supernode):
+            for member in sorted(supernode.members, key=position.__getitem__):
                 if member not in built:
                     build_singleton(member)
 
@@ -282,13 +288,7 @@ def partition_with_bdds(
             if signal not in emitted:
                 pending.append(signal)
 
-    position = {name: i for i, name in enumerate(network.topological_order())}
     return [built[name] for name in sorted(built, key=position.__getitem__)]
-
-
-def _members_topological(network: LogicNetwork, supernode: Supernode) -> list[str]:
-    position = {name: i for i, name in enumerate(network.topological_order())}
-    return sorted(supernode.members, key=position.__getitem__)
 
 
 def partition_statistics(

@@ -10,7 +10,6 @@ from .algebraic import (
     expression_from_cover,
     factor_expression,
     is_cube_free,
-    kernels,
     literal_counts,
     weak_division,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "expression_from_cover",
     "factor_expression",
     "is_cube_free",
-    "kernels",
     "literal_counts",
     "simplify_cover",
     "weak_division",

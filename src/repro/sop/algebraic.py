@@ -100,61 +100,57 @@ def is_cube_free(expr: Expression) -> bool:
     return not common_cube(expr)
 
 
-def kernels(expr: Expression) -> list[tuple[Cube, Expression]]:
-    """All (co-kernel, kernel) pairs of ``expr`` (Brayton/McMullen
-    recursive enumeration with literal-order pruning)."""
-    counts = literal_counts(expr)
-    literals = sorted(literal for literal, count in counts.items() if count >= 2)
-    # earlier[i]: the literals before literals[i], as a cube.
-    earlier = []
-    mask = 0
-    for literal in literals:
-        earlier.append(mask)
-        mask |= 1 << literal
-    result: list[tuple[Cube, Expression]] = []
-    seen: set[Expression] = set()
-
-    def recurse(current: Expression, co_kernel: Cube, start: int) -> None:
-        for index in range(start, len(literals)):
-            bit = 1 << literals[index]
-            containing = [c for c in current if c & bit]
-            if len(containing) < 2:
-                continue
-            common = common_cube(containing)
-            if common & earlier[index]:
-                continue  # already enumerated from an earlier literal
-            sub = Expression(c ^ common for c in containing)
-            if sub not in seen:
-                seen.add(sub)
-                result.append((co_kernel | common, sub))
-                recurse(sub, co_kernel | common, index + 1)
-
-    if is_cube_free(expr) and len(expr) > 1:
-        result.append((0, expr))
-    recurse(expr, 0, 0)
-    return result
-
-
 def best_kernel(expr: Expression) -> tuple[Cube, Expression] | None:
     """The kernel promising the largest literal saving when extracted.
 
-    The trivial self-kernel (empty co-kernel, kernel == expr) is
-    excluded: dividing an expression by itself makes no factoring
-    progress.
+    Kernels are visited in Brayton/McMullen depth-first order with
+    literal-order pruning, each distinct kernel once, and the first of
+    the highest value wins.  The trivial self-kernel (empty co-kernel,
+    kernel == expr) is excluded: dividing an expression by itself makes
+    no factoring progress.  Every other kernel has a co-kernel holding
+    the literal it was found under.
+
+    A sub-expression's literals in two cubes or more come from one
+    union/twice sweep over its cubes.  A literal common to two cubes of
+    a sub-expression is in two cubes of ``expr``, so a common cube with
+    a literal below the current one was already enumerated from that
+    literal.
     """
     best = None
     best_value = 0
-    for co_kernel, kernel in kernels(expr):
-        if len(kernel) < 2:
-            continue
-        if not co_kernel and kernel == expr:
-            continue
-        # Classic value heuristic: a kernel with n cubes extracted
-        # against a co-kernel of c literals saves ~ (n-1)*max(|c|,1).
-        value = (len(kernel) - 1) * max(co_kernel.bit_count(), 1)
-        if value > best_value:
-            best_value = value
-            best = (co_kernel, kernel)
+    seen: set[Expression] = set()
+
+    def recurse(current: Expression, co_kernel: Cube, floor: int) -> None:
+        nonlocal best, best_value
+        once = twice = 0
+        for cube in current:
+            twice |= once & cube
+            once |= cube
+        # Literals at or above ``floor`` (a single bit) in two cubes.
+        pending = twice & -floor
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            containing = [c for c in current if c & bit]
+            common = containing[0]
+            for cube in containing:
+                common &= cube
+            if common & (bit - 1):
+                continue  # already enumerated from an earlier literal
+            sub = Expression(c ^ common for c in containing)
+            if sub in seen:
+                continue
+            seen.add(sub)
+            sub_co_kernel = co_kernel | common
+            # Classic value heuristic: a kernel with n cubes extracted
+            # against a co-kernel of c literals saves ~ (n-1)*max(|c|,1).
+            value = (len(sub) - 1) * max(sub_co_kernel.bit_count(), 1)
+            if value > best_value:
+                best_value = value
+                best = (sub_co_kernel, sub)
+            recurse(sub, sub_co_kernel, bit << 1)
+
+    recurse(expr, 0, 1)
     return best
 
 

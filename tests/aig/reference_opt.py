@@ -7,6 +7,11 @@ the passes ran over int-indexed arrays and bitmask cubes.
 * :func:`balance` is the dict-based level-driven rebuild of AND trees.
 * :func:`isop` is the Minato-Morreale recursion over ``'0'/'1'/'-'``
   row strings, re-evaluating every sub-cover (:func:`cover_to_table`).
+* :func:`cube_isop` is the bitmask-cube recursion with no memo, run
+  once per polarity by :func:`table_recipe`, which records the cheaper
+  polarity's factored cover as a recipe.
+* :func:`cleanup` rebuilds the reachable logic through
+  :meth:`Aig.and_`, strash lookups and all.
 * :func:`mffc` is the fixpoint maximum-fanout-free-cone search: it
   rescans the whole cone every round and adds each node all of whose
   uses come from inside the cone.
@@ -88,6 +93,77 @@ def isop(table: int, num_vars: int) -> list[str]:
         return rows
 
     return recurse(table & full, 0)
+
+
+def cube_isop(table: int, num_vars: int) -> list[int]:
+    """ISOP as bitmask cubes: bit ``2v`` is ``v'``, bit ``2v+1`` is ``v``."""
+    full = full_mask(num_vars)
+    masks = [var_mask(var, num_vars) for var in range(num_vars)]
+
+    def recurse(current: int, var: int) -> list[int]:
+        if current == 0:
+            return []
+        if current == full:
+            return [0]
+        while var < num_vars:
+            width = 1 << var
+            positive = current & masks[var]
+            negative = current ^ positive
+            if positive >> width != negative:
+                break
+            var += 1
+        else:
+            raise AssertionError("non-constant table with no support")
+        positive |= positive >> width
+        negative |= negative << width
+        cubes = [cube | 1 << 2 * var for cube in recurse(negative & ~positive, var + 1)]
+        cubes += [cube | 2 << 2 * var for cube in recurse(positive & ~negative, var + 1)]
+        cubes += recurse(negative & positive, var + 1)
+        return cubes
+
+    return recurse(table & full, 0)
+
+
+def table_recipe(table: int, num_vars: int):
+    """The ``(steps, output)`` recipe of ``table``: both ISOPs, the
+    cheaper polarity factored by the name-based factorer, each AND and
+    OR recorded as :mod:`repro.aig.truth` records it."""
+    full = full_mask(num_vars)
+    table &= full
+    if table == 0:
+        return (), 1
+    if table == full:
+        return (), 0
+    cubes_pos = cube_isop(table, num_vars)
+    cubes_neg = cube_isop(table ^ full, num_vars)
+
+    def cost(cubes: list[int]) -> tuple[int, int]:
+        return (sum(cube.bit_count() for cube in cubes), len(cubes))
+
+    negate = cost(cubes_neg) < cost(cubes_pos)
+    steps: list[tuple[int, int]] = []
+    first_step = num_vars + 1
+
+    def and2(a: int, b: int) -> int:
+        steps.append((a, b))
+        return (first_step + len(steps) - 1) << 1
+
+    emitter = GateEmitter(
+        literal=lambda var, phase: (var + 1) << 1 | (0 if phase else 1),
+        and2=and2,
+        or2=lambda a, b: and2(a ^ 1, b ^ 1) ^ 1,
+        const=lambda value: 0 if value else 1,
+    )
+    expression = Expression(
+        Cube(
+            (var, bool(cube >> 2 * var & 2))
+            for var in range(num_vars)
+            if cube >> 2 * var & 3
+        )
+        for cube in (cubes_neg if negate else cubes_pos)
+    )
+    output = factor_expression(expression, emitter)
+    return tuple(steps), (output ^ 1 if negate else output)
 
 
 def cover_to_table(rows: list[str], num_vars: int) -> int:

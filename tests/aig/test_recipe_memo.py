@@ -7,7 +7,9 @@ so these tests compare warm-memo, cold-memo and direct builds
 (``reference_opt.py``, the passes as they were before the memo and
 before they ran over int-indexed arrays and bitmask cubes)
 literal for literal and graph for graph, and check that no memo
-outlives one script run.
+outlives one script run.  The ISOP of both polarities from one memoized
+recursion, the recipe built on it and the compacting cleanup are held
+to their one-polarity, unmemoized and re-strashing versions.
 """
 
 from __future__ import annotations
@@ -27,16 +29,23 @@ from repro.aig import (
     rewrite,
     synthesize_table,
 )
-from repro.aig import opt
-from repro.benchgen import build_benchmark
+from repro.aig import opt, truth
+from repro.benchgen import (
+    build_benchmark,
+    carry_lookahead_adder,
+    multiply_accumulate,
+    ripple_carry_adder,
+    wallace_multiplier,
+)
 from repro.benchgen.random_logic import random_control_network
+from repro.truthtable import full_mask
 
 from . import reference_opt
 from .test_opt import random_aig
 
 
 def graph(aig: Aig):
-    return aig._fanins, aig._outputs
+    return aig._fanins, aig._pi_names, aig._outputs
 
 
 def base_graph(num_inputs: int, num_gates: int, seed: int) -> tuple[Aig, list[int]]:
@@ -108,22 +117,101 @@ def test_warm_memo_builds_what_a_cold_one_and_a_direct_build_do(case):
         assert values["f"] >> p & 1 == table >> minterm & 1
 
 
+def every_table(max_vars: int):
+    for num_vars in range(max_vars + 1):
+        for table in range(full_mask(num_vars) + 1):
+            yield table, num_vars
+
+
+@st.composite
+def tables(draw):
+    num_vars = draw(st.integers(min_value=0, max_value=8))
+    return draw(st.integers(min_value=0, max_value=full_mask(num_vars))), num_vars
+
+
+def paired_isop_matches_the_reference(table: int, num_vars: int) -> None:
+    """One memoized recursion, asked for both polarities in the order
+    table_recipe asks, gives each polarity's unmemoized ISOP."""
+    cover = truth._isop_cover(num_vars)
+    complement = table ^ full_mask(num_vars)
+    assert cover(table) == reference_opt.cube_isop(table, num_vars)
+    assert cover(complement) == reference_opt.cube_isop(complement, num_vars)
+    # Asking again reads the memo and must not have changed a cover.
+    assert cover(table) == reference_opt.cube_isop(table, num_vars)
+
+
+def test_paired_isop_on_every_table_of_up_to_three_variables():
+    for table, num_vars in every_table(3):
+        paired_isop_matches_the_reference(table, num_vars)
+        assert truth.isop(table, num_vars) == reference_opt.cube_isop(table, num_vars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tables())
+def test_paired_isop_on_random_tables(case):
+    paired_isop_matches_the_reference(*case)
+
+
+def test_recipe_on_every_table_of_up_to_three_variables():
+    for table, num_vars in every_table(3):
+        assert truth.table_recipe(table, num_vars) == reference_opt.table_recipe(table, num_vars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tables())
+def test_recipe_on_random_tables(case):
+    assert truth.table_recipe(*case) == reference_opt.table_recipe(*case)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**20),
+    num_gates=st.integers(min_value=0, max_value=100),
+    outputs=st.lists(st.sampled_from(["const", "pi", "gate"]), min_size=1, max_size=8),
+)
+def test_compacting_cleanup_builds_what_re_strashing_does(seed, num_gates, outputs):
+    """Outputs may be constants, PIs or gates, in either polarity, and
+    repeat; dead gates are left between the live ones."""
+    rng = random.Random(seed)
+    aig, pool = base_graph(6, num_gates, seed)
+    gates = pool[6:] or pool
+    for index, kind in enumerate(outputs):
+        literal = {"const": Aig.ONE, "pi": rng.choice(pool[:6]), "gate": rng.choice(gates)}[kind]
+        aig.add_output(f"y{index}", literal ^ rng.getrandbits(1))
+    cleaned = aig.cleanup()
+    expected = reference_opt.cleanup(aig)
+    assert graph(cleaned) == graph(expected)
+    assert cleaned._pi_nodes == expected._pi_nodes
+    assert cleaned._strash == expected._strash
+    # The compacted graph strashes like any other.
+    for key, node in expected._strash.items():
+        assert cleaned.and_(*key) == node << 1
+    assert graph(cleaned) == graph(expected)
+
+
 @pytest.fixture(scope="module")
 def aigs():
     networks = [
         random_control_network(f"ctl{seed}", 10, 6, 60, seed) for seed in range(4)
     ]
     networks.append(build_benchmark("alu2"))
+    # XOR/MAJ-heavy arithmetic.
+    networks += [
+        wallace_multiplier(5),
+        ripple_carry_adder(8),
+        carry_lookahead_adder(16),
+        multiply_accumulate(4),
+    ]
     return [network_to_aig(network) for network in networks]
 
 
-@pytest.mark.parametrize("index", range(5))
+@pytest.mark.parametrize("index", range(9))
 def test_scripts_build_what_the_direct_passes_do(aigs, index):
     aig = aigs[index]
     assert graph(resyn2(aig)) == graph(reference_opt.resyn2(aig))
 
 
-@pytest.mark.parametrize("index", range(5))
+@pytest.mark.parametrize("index", range(9))
 def test_refactor_with_a_warm_memo_builds_what_the_direct_pass_does(aigs, index):
     aig = aigs[index].cleanup()
     # Warm the memo on every circuit, this one included.

@@ -291,6 +291,36 @@ class TestPartition:
         supernodes = partition(net)
         assert len(supernodes) < net.num_nodes
 
+    def test_partitioning_a_deep_chain_reads_each_node_a_bounded_number_of_times(
+        self, monkeypatch
+    ):
+        """A cluster's support is updated as it absorbs a node, not
+        rebuilt from every member, so partitioning a single-fanout chain
+        reads each node a bounded number of times (it used to read
+        about n²/2)."""
+        levels = 3000
+        net = LogicNetwork("deep")
+        net.add_input("x0")
+        net.add_input("y")
+        previous = "x0"
+        for i in range(levels):
+            previous = net.add_and(f"n{i}", previous, "y")
+        net.add_output(previous)
+        calls = 0
+        node = net.node
+
+        def counting_node(name):
+            nonlocal calls
+            calls += 1
+            return node(name)
+
+        monkeypatch.setattr(net, "node", counting_node)
+        for config in (DcFlowConfig().partition, PartitionConfig(max_support=10)):
+            calls = 0
+            entries = partition_with_bdds(net, config, {})
+            assert [(s.output, len(s.members)) for s, _, _ in entries] == [(previous, levels)]
+            assert calls <= 10 * levels
+
 
 class TestNodeBudget:
     PAIRS = 8

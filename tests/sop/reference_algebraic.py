@@ -8,6 +8,11 @@ and must issue the very same emitter calls when the ranks are the
 sorted order of the names (``test_reference_algebraic.py``); the DC
 flow's factoring tapes are compared against this copy in
 ``tests/core/test_memo.py``.
+
+:func:`bitmask_kernels` and :func:`bitmask_best_kernel` are the bitmask
+kernel enumeration and the kernel choice over its full list, as they
+were before :func:`repro.sop.algebraic.best_kernel` became one
+depth-first pass (``tests/sop/test_best_kernel.py``).
 """
 
 from __future__ import annotations
@@ -132,6 +137,68 @@ def best_kernel(expr: Expression) -> tuple[Cube, Expression] | None:
         # Classic value heuristic: a kernel with n cubes extracted
         # against a co-kernel of c literals saves ~ (n-1)*max(|c|,1).
         value = (len(kernel) - 1) * max(len(co_kernel), 1)
+        if value > best_value:
+            best_value = value
+            best = (co_kernel, kernel)
+    return best
+
+
+def bitmask_kernels(expr: frozenset[int]) -> list[tuple[int, frozenset[int]]]:
+    """All (co-kernel, kernel) pairs of a bitmask-cube expression
+    (Brayton/McMullen recursive enumeration with literal-order pruning)."""
+    counts: dict[int, int] = {}
+    for cube in expr:
+        for literal in range(cube.bit_length()):
+            if cube >> literal & 1:
+                counts[literal] = counts.get(literal, 0) + 1
+    literals = sorted(literal for literal, count in counts.items() if count >= 2)
+    # earlier[i]: the literals before literals[i], as a cube.
+    earlier = []
+    mask = 0
+    for literal in literals:
+        earlier.append(mask)
+        mask |= 1 << literal
+    result: list[tuple[int, frozenset[int]]] = []
+    seen: set[frozenset[int]] = set()
+
+    def common_of(cubes: list[int]) -> int:
+        result = cubes[0]
+        for cube in cubes:
+            result &= cube
+        return result
+
+    def recurse(current: frozenset[int], co_kernel: int, start: int) -> None:
+        for index in range(start, len(literals)):
+            bit = 1 << literals[index]
+            containing = [c for c in current if c & bit]
+            if len(containing) < 2:
+                continue
+            common = common_of(containing)
+            if common & earlier[index]:
+                continue  # already enumerated from an earlier literal
+            sub = frozenset(c ^ common for c in containing)
+            if sub not in seen:
+                seen.add(sub)
+                result.append((co_kernel | common, sub))
+                recurse(sub, co_kernel | common, index + 1)
+
+    if len(expr) > 1 and not common_of(list(expr)):
+        result.append((0, expr))
+    recurse(expr, 0, 0)
+    return result
+
+
+def bitmask_best_kernel(expr: frozenset[int]) -> tuple[int, frozenset[int]] | None:
+    """The first kernel of :func:`bitmask_kernels` with the largest
+    value, the self-kernel excluded."""
+    best = None
+    best_value = 0
+    for co_kernel, kernel in bitmask_kernels(expr):
+        if len(kernel) < 2:
+            continue
+        if not co_kernel and kernel == expr:
+            continue
+        value = (len(kernel) - 1) * max(co_kernel.bit_count(), 1)
         if value > best_value:
             best_value = value
             best = (co_kernel, kernel)

@@ -14,11 +14,12 @@ from repro.sop import (
     expression_from_cover,
     factor_expression,
     is_cube_free,
-    kernels,
     literal_counts,
     weak_division,
 )
 from repro.sop.algebraic import cube_literals
+
+from .reference_algebraic import bitmask_kernels as kernels
 
 
 def literal_of(token: str) -> int:
